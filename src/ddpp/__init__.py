@@ -39,11 +39,7 @@ from .search import (
     solve,
 )
 from .spectrum_core import (
-    ADDITIVE,
-    AdditiveCost,
-    CostModel,
     Label,
-    ModulationCost,
     Trait,
     UnitInterval,
     Vertex,
@@ -52,13 +48,11 @@ from .spectrum_core import (
     label_extend,
     leq_eq,
     leq_n,
-    leq_ne,
     leq_prime,
     leq_x,
     normalize_intervals,
     ri_incl_eq,
     ri_incl_n,
-    ri_incl_ne,
     ri_incl_x,
     trait_extend,
     trait_leq,
@@ -68,16 +62,12 @@ from .traffic import SimReport, TrafficEvent, dump_traffic, gen_traffic, load_tr
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADDITIVE",
-    "AdditiveCost",
     "BudgetExceeded",
     "CompareReport",
-    "CostModel",
     "Demand",
     "EfficientSet",
     "Label",
     "Link",
-    "ModulationCost",
     "Network",
     "NetworkError",
     "OracleResult",
@@ -103,7 +93,6 @@ __all__ = [
     "label_extend",
     "leq_eq",
     "leq_n",
-    "leq_ne",
     "leq_prime",
     "leq_x",
     "load_demand",
@@ -116,7 +105,6 @@ __all__ = [
     "reconstruct",
     "ri_incl_eq",
     "ri_incl_n",
-    "ri_incl_ne",
     "ri_incl_x",
     "route_intervals",
     "run",

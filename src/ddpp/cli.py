@@ -27,7 +27,6 @@ from .net_model import (
 )
 from .oracle import DEFAULT_PAIR_BUDGET, BudgetExceeded, bundle_doc, compare, oracle_solve
 from .search import PairSearch, SearchOptions
-from .spectrum_core import ADDITIVE, ModulationCost
 from .traffic import dump_traffic, gen_traffic, load_traffic, run
 
 EXIT_OK = 0
@@ -54,15 +53,9 @@ def _read_json(path: str) -> dict:
 
 
 def _search_options(args) -> SearchOptions:
-    model = ADDITIVE
-    if getattr(args, "cost_model", "additive") == "modulation":
-        if not args.modulation_table:
-            raise ValueError("--cost-model modulation requires --modulation-table FILE")
-        model = ModulationCost.from_doc(_read_json(args.modulation_table))
     opts = SearchOptions(
         mode=args.relation,
         max_route_cost=getattr(args, "max_route_cost", None),
-        cost_model=model,
         enumerate_all=getattr(args, "all_efficient", False),
     )
     opts.validate()
@@ -161,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--relation", required=True, choices=("base", "prime"))
     solve_p.add_argument("--max-route-cost", type=int, default=None,
                          help="per-route cost limit (base relation only)")
-    solve_p.add_argument("--cost-model", choices=("additive", "modulation"),
-                         default="additive")
-    solve_p.add_argument("--modulation-table", default=None,
-                         help="step table document for --cost-model modulation")
     solve_p.add_argument("--all-efficient", action="store_true",
                          help="run the search to exhaustion instead of stopping "
                               "at the first settled destination label")

@@ -181,11 +181,13 @@ def load_network(doc: dict) -> Network:
         _require(isinstance(ends, list) and len(ends) == 2,
                  f"link {link_id}: 'ends' must name two nodes")
         for end in ends:
-            _require(end in node_set,
+            _require(isinstance(end, str) and end in node_set,
                      f"link {link_id} references unknown node {end!r}")
         cost = entry["cost"]
         _require(isinstance(cost, int) and not isinstance(cost, bool) and cost >= 0,
                  f"link {link_id}: cost must be a non-negative integer, got {cost!r}")
+        _require(isinstance(entry["available"], list),
+                 f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
         intervals = []
         for pair in entry["available"]:
             _require(isinstance(pair, list) and len(pair) == 2
@@ -227,6 +229,8 @@ def load_demand(doc: dict) -> Demand:
     _require(isinstance(doc, dict), "demand document must be an object")
     for key in ("src", "dst", "units"):
         _require(key in doc, f"demand document lacks {key!r}")
+    for key in ("src", "dst"):
+        _require(isinstance(doc[key], str), f"demand {key} {doc[key]!r} is not a string")
     units = doc["units"]
     _require(isinstance(units, int) and not isinstance(units, bool),
              f"demand units {units!r} is not an integer")

@@ -19,19 +19,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .net_model import Demand, Network, incident_links, validate_demand
-from .spectrum_core import (
-    ADDITIVE,
-    MODES,
-    CostModel,
-    Label,
-    Trait,
-    UnitInterval,
-    Vertex,
-    label_extend,
-)
+from .spectrum_core import MODES, Label, Trait, UnitInterval, Vertex, label_cost, label_extend
 
 _OTHER_SLOT = {"a": "b", "b": "a"}
 
@@ -40,7 +31,6 @@ _OTHER_SLOT = {"a": "b", "b": "a"}
 class SearchOptions:
     mode: str = "prime"
     max_route_cost: int | None = None
-    cost_model: CostModel = field(default=ADDITIVE)
     enumerate_all: bool = False
 
     def validate(self) -> None:
@@ -164,10 +154,9 @@ class EfficientSet:
     structure to the pure relations in spectrum_core.
     """
 
-    def __init__(self, same_node: bool, mode: str, cost_model: CostModel) -> None:
+    def __init__(self, same_node: bool, mode: str) -> None:
         self._same = same_node
         self._mode = mode
-        self._model = cost_model
         # base: bucket -> _Staircase; prime: bucket -> (label_cost, Label)
         self._buckets: dict[tuple[int, int, int, int], object] = {}
         self._alive = 0
@@ -199,7 +188,7 @@ class EfficientSet:
         key = self._bucket(label)
         swapped = (key[2], key[3], key[0], key[1])
         if self._mode == "prime":
-            cost = self._model.label_cost(label)
+            cost = label_cost(label)
             costs = (cost, cost)
         else:
             costs = (label.trait_a.cost, label.trait_b.cost)
@@ -313,7 +302,6 @@ class PairSearch:
         self.net = net
         self.demand = demand
         self.stats = SearchStats()
-        self._model = self.opts.cost_model
         self._incidence = {node: tuple(incident_links(net, node)) for node in net.nodes}
         self._dest = Vertex(demand.dst, demand.dst)
         self._sets: dict[Vertex, EfficientSet] = {}
@@ -323,13 +311,13 @@ class PairSearch:
     def _set_for(self, vertex: Vertex) -> EfficientSet:
         found = self._sets.get(vertex)
         if found is None:
-            found = EfficientSet(vertex.same_node, self.opts.mode, self._model)
+            found = EfficientSet(vertex.same_node, self.opts.mode)
             self._sets[vertex] = found
         return found
 
     def _queue_key(self, label: Label) -> tuple:
         return (
-            self._model.label_cost(label),
+            label_cost(label),
             label.vertex.a,
             label.vertex.b,
             label.trait_a.ri.lo,
@@ -360,7 +348,7 @@ class PairSearch:
             for link in self._incidence[node]:
                 if label.uses(link.id):
                     continue
-                for cand in label_extend(label, link, side, self.demand.units, self._model):
+                for cand in label_extend(label, link, side, self.demand.units):
                     if limit is not None and cand.trait(cand.ext_slot).cost > limit:
                         continue
                     self._seq += 1
@@ -416,7 +404,7 @@ class PairSearch:
         if best is None:
             return Solution("blocked", None, None, None, stats)
         working, protecting = reconstruct(best, self.net, self.demand.units)
-        return Solution("routed", self._model.label_cost(best), working, protecting, stats)
+        return Solution("routed", label_cost(best), working, protecting, stats)
 
 
 def solve(net: Network, demand: Demand, opts: SearchOptions | None = None) -> Solution:

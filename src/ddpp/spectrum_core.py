@@ -2,22 +2,24 @@
 
 A trait summarizes one partial route: the cost accumulated along its links
 plus the single contiguous interval of frequency-slot units still usable on
-every one of those links.  A label pairs two traits, one per route of a
-protected connection, and lives at a vertex, the unordered pair of nodes
-where the two routes currently end.
+every one of those links.  Costs are additive: extending a trait adds the
+link's cost, and a label costs the sum of its two traits.  A label pairs
+two traits, one per route of a protected connection, and lives at a vertex,
+the unordered pair of nodes where the two routes currently end.
 
-Pruning uses one of two relation families, selected by search mode:
+Pruning uses one relation per vertex kind, selected by search mode:
 
 * ``base``: trait-wise comparison (cost and interval of each trait).  Exact
   even under a per-route cost limit, but a vertex can accumulate
-  exponentially many mutually incomparable labels.
-* ``prime``: whole-label cost plus interval containment.  Keeps the
-  per-vertex label count polynomially bounded; exact only when route costs
-  are unlimited.
-
-At a vertex whose two nodes coincide the trait slots carry no geographic
-meaning, so labels are compared both slot-aligned (``leq_n``) and
-slot-swapped (``leq_x``); the effective relation is their disjunction.
+  exponentially many mutually incomparable labels.  At a distinct-node
+  vertex the traits are compared slot-aligned (``leq_n``).  At a vertex
+  whose two nodes coincide the trait slots carry no geographic meaning, so
+  labels are compared both slot-aligned and slot-swapped (``leq_x``); the
+  effective relation ``leq_eq`` is their disjunction.
+* ``prime``: whole-label cost plus interval containment (``leq_prime``),
+  again aligned at distinct-node vertices and aligned-or-swapped at
+  same-node ones.  Keeps the per-vertex label count polynomially bounded;
+  exact only when route costs are unlimited.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MODES = ("base", "prime")
-
-_OTHER_SLOT = {"a": "b", "b": "a"}
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -89,83 +89,6 @@ def clip_intervals(intervals, window: UnitInterval) -> list[UnitInterval]:
     return out
 
 
-class CostModel:
-    """Maps accumulated link costs to the cost used for comparisons.
-
-    Traits always accumulate the plain sum of link costs; a model converts
-    that sum into the comparable route cost.  The conversion must be
-    strictly increasing so that trait orderings are the same whichever side
-    of the conversion they are evaluated on.
-    """
-
-    def extend(self, accumulated: int, link) -> int:
-        return accumulated + link.cost
-
-    def route_cost(self, accumulated: int) -> int:
-        raise NotImplementedError
-
-    def label_cost(self, label: "Label") -> int:
-        return self.route_cost(label.trait_a.cost) + self.route_cost(label.trait_b.cost)
-
-
-class AdditiveCost(CostModel):
-    """Route cost is the accumulated link-cost sum itself."""
-
-    def route_cost(self, accumulated: int) -> int:
-        return accumulated
-
-
-class ModulationCost(CostModel):
-    """Route cost is length times the coefficient its length requires.
-
-    The step table maps a route length ceiling to a coefficient; the last
-    step must be open-ended (ceiling ``None``).  Coefficients must be
-    positive and nondecreasing, which makes the conversion strictly
-    increasing in length and the cost along any route nondecreasing.
-    """
-
-    def __init__(self, steps) -> None:
-        cleaned: list[tuple[int | None, int]] = []
-        prev_ceiling = -1
-        prev_coeff = 0
-        for ceiling, coeff in steps:
-            if cleaned and cleaned[-1][0] is None:
-                raise ValueError("steps after the open-ended step")
-            if coeff <= 0:
-                raise ValueError(f"coefficient {coeff} must be positive")
-            if coeff < prev_coeff:
-                raise ValueError("coefficients must be nondecreasing")
-            if ceiling is not None and ceiling <= prev_ceiling:
-                raise ValueError("length ceilings must be increasing")
-            cleaned.append((ceiling, coeff))
-            prev_coeff = coeff
-            if ceiling is not None:
-                prev_ceiling = ceiling
-        if not cleaned or cleaned[-1][0] is not None:
-            raise ValueError("the last step must be open-ended")
-        self.steps = tuple(cleaned)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ModulationCost":
-        try:
-            steps = [(s["max_length"], s["coefficient"]) for s in doc["steps"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed modulation table: {exc}") from exc
-        return cls(steps)
-
-    def coefficient(self, length: int) -> int:
-        for ceiling, coeff in self.steps:
-            if ceiling is None or length <= ceiling:
-                return coeff
-        raise AssertionError("unreachable: last step is open-ended")
-
-    def route_cost(self, accumulated: int) -> int:
-        return accumulated * self.coefficient(accumulated)
-
-
-ADDITIVE = AdditiveCost()
-
-
 @dataclass(frozen=True, slots=True)
 class Trait:
     """One partial route: accumulated cost and its usable unit interval."""
@@ -184,7 +107,7 @@ def trait_leq(t_i: Trait, t_j: Trait) -> bool:
     return t_i.cost <= t_j.cost and t_i.ri.contains(t_j.ri)
 
 
-def trait_extend(trait: Trait, link, units: int, cost_model: CostModel = ADDITIVE) -> list[Trait]:
+def trait_extend(trait: Trait, link, units: int) -> list[Trait]:
     """Candidate traits after appending a link to the trait's route.
 
     One candidate per maximal contiguous piece of the trait's interval that
@@ -192,7 +115,7 @@ def trait_extend(trait: Trait, link, units: int, cost_model: CostModel = ADDITIV
     Candidates shorter than the demand can never recover, so they are
     dropped here.  Returns an empty list when nothing qualifies.
     """
-    cost = cost_model.extend(trait.cost, link)
+    cost = trait.cost + link.cost
     return [
         Trait(cost, piece)
         for piece in clip_intervals(link.available, trait.ri)
@@ -252,9 +175,7 @@ def label_cost(label: Label) -> int:
     return label.trait_a.cost + label.trait_b.cost
 
 
-def label_extend(
-    label: Label, link, side: str, units: int, cost_model: CostModel = ADDITIVE
-) -> list[Label]:
+def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     """Candidate labels after appending a link to one route of a label.
 
     The chosen side's trait is extended over the link; the other trait is
@@ -275,7 +196,7 @@ def label_extend(
     vertex = Vertex(moved_end, kept_end)
     used = label.used_links | (1 << link.id)
     out = []
-    for t in trait_extend(label.trait(side), link, units, cost_model):
+    for t in trait_extend(label.trait(side), link, units):
         if moved_end <= kept_end:
             cand = Label(t, kept_trait, vertex, label, link.id, side, "a", used)
         else:
@@ -284,33 +205,19 @@ def label_extend(
     return out
 
 
-def leq_ne(l_i: Label, l_j: Label) -> bool:
-    """Trait-wise comparison for labels at a distinct-node vertex."""
-    if l_i.vertex != l_j.vertex:
-        raise ValueError("labels at different vertices are not comparable")
-    if l_i.vertex.same_node:
-        raise ValueError("leq_ne is undefined at a same-node vertex")
-    return trait_leq(l_i.trait_a, l_j.trait_a) and trait_leq(l_i.trait_b, l_j.trait_b)
-
-
 def leq_n(l_i: Label, l_j: Label) -> bool:
-    """Slot-aligned trait comparison for same-node labels."""
+    """Slot-aligned trait comparison."""
     return trait_leq(l_i.trait_a, l_j.trait_a) and trait_leq(l_i.trait_b, l_j.trait_b)
 
 
 def leq_x(l_i: Label, l_j: Label) -> bool:
-    """Slot-swapped trait comparison for same-node labels."""
+    """Slot-swapped trait comparison, meaningful at same-node vertices."""
     return trait_leq(l_i.trait_a, l_j.trait_b) and trait_leq(l_i.trait_b, l_j.trait_a)
 
 
 def leq_eq(l_i: Label, l_j: Label) -> bool:
     """Effective same-node comparison: slot-aligned or slot-swapped."""
     return leq_n(l_i, l_j) or leq_x(l_i, l_j)
-
-
-def ri_incl_ne(l_i: Label, l_j: Label) -> bool:
-    """Slot-aligned interval containment at a distinct-node vertex."""
-    return l_i.trait_a.ri.contains(l_j.trait_a.ri) and l_i.trait_b.ri.contains(l_j.trait_b.ri)
 
 
 def ri_incl_n(l_i: Label, l_j: Label) -> bool:
@@ -328,25 +235,25 @@ def ri_incl_eq(l_i: Label, l_j: Label) -> bool:
     return ri_incl_n(l_i, l_j) or ri_incl_x(l_i, l_j)
 
 
-def leq_prime(l_i: Label, l_j: Label, cost_model: CostModel = ADDITIVE) -> bool:
+def leq_prime(l_i: Label, l_j: Label) -> bool:
     """Cost-sum comparison: lower label cost and containing intervals."""
     if l_i.vertex != l_j.vertex:
         raise ValueError("labels at different vertices are not comparable")
-    if cost_model.label_cost(l_i) > cost_model.label_cost(l_j):
+    if label_cost(l_i) > label_cost(l_j):
         return False
     if l_i.vertex.same_node:
         return ri_incl_eq(l_i, l_j)
-    return ri_incl_ne(l_i, l_j)
+    return ri_incl_n(l_i, l_j)
 
 
-def dominates(mode: str, l_i: Label, l_j: Label, cost_model: CostModel = ADDITIVE) -> bool:
+def dominates(mode: str, l_i: Label, l_j: Label) -> bool:
     """Dispatch the active mode's relation on the labels' vertex kind."""
     if l_i.vertex != l_j.vertex:
         raise ValueError("labels at different vertices are not comparable")
     if mode == "prime":
-        return leq_prime(l_i, l_j, cost_model)
+        return leq_prime(l_i, l_j)
     if mode == "base":
         if l_i.vertex.same_node:
             return leq_eq(l_i, l_j)
-        return leq_ne(l_i, l_j)
+        return leq_n(l_i, l_j)
     raise ValueError(f"unknown mode {mode!r}")

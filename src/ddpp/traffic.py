@@ -15,6 +15,7 @@ The traffic document is the cross-tool interface:
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 
@@ -55,20 +56,36 @@ class SimReport:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def load_traffic(doc: dict) -> list[TrafficEvent]:
-    if not isinstance(doc, dict) or "events" not in doc:
-        raise ValueError("traffic document must be an object with 'events'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
+        raise ValueError("traffic document must be an object with an 'events' list")
     events = []
     for entry in doc["events"]:
-        try:
-            events.append(
-                TrafficEvent(
-                    int(entry["id"]), float(entry["time"]), entry["src"],
-                    entry["dst"], int(entry["units"]), float(entry["hold"]),
-                )
+        if not (isinstance(entry, dict)
+                and _is_int(entry.get("id")) and _is_int(entry.get("units"))
+                and isinstance(entry.get("src"), str) and isinstance(entry.get("dst"), str)
+                and _is_finite(entry.get("time")) and _is_finite(entry.get("hold"))):
+            raise ValueError(
+                f"malformed traffic event {entry!r}: id and units must be integers, "
+                "time and hold finite numbers, src and dst strings"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed traffic event {entry!r}: {exc}") from exc
+        events.append(
+            TrafficEvent(entry["id"], float(entry["time"]), entry["src"],
+                         entry["dst"], entry["units"], float(entry["hold"]))
+        )
     return events
 
 
@@ -135,7 +152,7 @@ def _validate_events(net: Network, events) -> None:
             raise ValueError(f"event {ev.id} has equal endpoints")
         if not 1 <= ev.units <= net.unit_count:
             raise ValueError(f"event {ev.id} demands {ev.units} of {net.unit_count} units")
-        if ev.time < 0 or ev.hold <= 0:
+        if not (0 <= ev.time < math.inf and 0 < ev.hold < math.inf):
             raise ValueError(f"event {ev.id} has a malformed time or hold")
 
 

@@ -64,21 +64,18 @@ def assert_feasible(net: Network, demand: Demand, sol: Solution) -> None:
 class NaiveEfficientSet:
     """Reference efficient-set behavior built directly on the relations."""
 
-    def __init__(self, mode: str, cost_model=None):
-        from ddpp import ADDITIVE
-
+    def __init__(self, mode: str):
         self.mode = mode
-        self.model = cost_model if cost_model is not None else ADDITIVE
         self.members = []
 
     def insert(self, label) -> tuple[bool, int]:
         for member in self.members:
-            if dominates(self.mode, member, label, self.model):
+            if dominates(self.mode, member, label):
                 return False, 0
         survivors = []
         removed = 0
         for member in self.members:
-            if dominates(self.mode, label, member, self.model):
+            if dominates(self.mode, label, member):
                 removed += 1
             else:
                 survivors.append(member)

@@ -84,27 +84,43 @@ class TestSolveCommand:
         assert code == 1
         assert "exceeds unit count" in capsys.readouterr().err
 
-    def test_modulation_cost_model(self, tmp_path, capsys):
-        net_file = write_json(tmp_path / "n.json", dump_network(lobe_network(2, 1)))
-        demand_file = write_json(tmp_path / "d.json", dump_demand(Demand("n_s", "n_x", 1)))
-        table_file = write_json(tmp_path / "mod.json", {
-            "steps": [{"max_length": 3, "coefficient": 1},
-                      {"max_length": None, "coefficient": 2}],
-        })
-        code = main(["solve", "--net", net_file, "--demand", demand_file,
-                     "--relation", "base", "--cost-model", "modulation",
-                     "--modulation-table", table_file])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        # the balanced 3/4 split converts to 3*1 + 4*2
-        assert doc["cost"] == 11
-
-    def test_modulation_without_table_exits_one(self, lobe_files, capsys):
+    def test_cost_flag_is_usage_error(self, lobe_files, capsys):
+        # costs are additive only; the flag that selected a cost is gone
         net_file, demand_file = lobe_files
-        code = main(["solve", "--net", net_file, "--demand", demand_file,
-                     "--relation", "base", "--cost-model", "modulation"])
-        assert code == 1
-        assert "modulation-table" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--net", net_file, "--demand", demand_file,
+                  "--relation", "base", "--cost-model", "additive"])
+        assert err.value.code == 1
+        assert capsys.readouterr().out == ""
+
+
+LOBE_NET = dump_network(lobe_network(2, 1))
+LOBE_LINK = LOBE_NET["links"][0]
+DEMAND = {"src": "n_s", "dst": "n_x", "units": 1}
+EVENT = {"id": 0, "time": 0.0, "src": "n_s", "dst": "n_x", "units": 1, "hold": 1.0}
+
+
+@pytest.mark.parametrize("command, net_doc, doc", [
+    ("solve", {**LOBE_NET, "links": [{**LOBE_LINK, "available": 5}]}, DEMAND),
+    ("solve", {**LOBE_NET, "links": [{**LOBE_LINK, "ends": ["n_s", ["n_1"]]}]}, DEMAND),
+    ("solve", LOBE_NET, {**DEMAND, "src": ["n_s"]}),
+    ("solve", LOBE_NET, {**DEMAND, "dst": {"n": 1}}),
+    ("simulate", LOBE_NET, {"events": None}),
+    ("simulate", LOBE_NET, {"events": [{**EVENT, "src": ["n_s"]}]}),
+    ("simulate", LOBE_NET, {"events": [{**EVENT, "units": True}]}),
+    ("simulate", LOBE_NET, {"events": [{**EVENT, "hold": "inf"}]}),
+], ids=["available-int", "ends-nested", "demand-src-list", "demand-dst-object",
+        "events-null", "event-src-list", "event-units-bool", "event-hold-string"])
+def test_malformed_documents_exit_one_without_traceback(tmp_path, capsys, command,
+                                                        net_doc, doc):
+    flag = "--demand" if command == "solve" else "--traffic"
+    code = main([command, "--relation", "base",
+                 "--net", write_json(tmp_path / "net.json", net_doc),
+                 flag, write_json(tmp_path / "doc.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("ddpp: error:")
 
 
 class TestOracleAndCompare:

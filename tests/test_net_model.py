@@ -48,6 +48,9 @@ class TestLoadNetwork:
         doc["links"][0]["ends"] = ["a", "ghost"]
         with pytest.raises(NetworkError, match="unknown node 'ghost'"):
             load_network(doc)
+        doc["links"][0]["ends"] = ["a", ["b"]]
+        with pytest.raises(NetworkError, match="unknown node"):
+            load_network(doc)
 
     def test_duplicate_link_id(self):
         doc = minimal_doc()
@@ -71,6 +74,9 @@ class TestLoadNetwork:
         doc = minimal_doc()
         doc["links"][0]["available"] = [[5, 2]]
         with pytest.raises(NetworkError, match="malformed interval"):
+            load_network(doc)
+        doc["links"][0]["available"] = 5
+        with pytest.raises(NetworkError, match="'available' must be a list"):
             load_network(doc)
 
     def test_missing_keys(self):
@@ -104,6 +110,14 @@ class TestDemandDocs:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(NetworkError):
             load_demand({"src": "a", "dst": "a", "units": 1})
+
+    def test_malformed_demand_documents(self):
+        for doc in ({"src": ["a"], "dst": "b", "units": 1},
+                    {"src": "a", "dst": 7, "units": 1},
+                    {"src": "a", "dst": "b", "units": True},
+                    {"src": "a", "dst": "b"}):
+            with pytest.raises(NetworkError):
+                load_demand(doc)
 
     def test_validate_against_network(self):
         net = load_network(minimal_doc())

@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import NaiveEfficientSet
 
 from ddpp import (
-    ADDITIVE,
     Label,
     Link,
-    ModulationCost,
     Trait,
     UnitInterval,
     Vertex,
@@ -192,24 +190,6 @@ def test_higher_cost_labels_yield_higher_cost_labels():
                 assert label_cost(better) <= label_cost(worse)
 
 
-def test_modulation_cost_nondecreasing_along_routes():
-    model = ModulationCost([(5, 1), (12, 2), (None, 4)])
-    rng = random.Random(9)
-    for _ in range(500):
-        trait = Trait(0, UnitInterval(0, UNITS_TOTAL))
-        previous = model.route_cost(trait.cost)
-        for hop in range(6):
-            link = Link(hop, ("p", "q"), rng.randint(0, 4),
-                        normalize_intervals([(0, UNITS_TOTAL)]))
-            candidates = trait_extend(trait, link, 1, model)
-            if not candidates:
-                break
-            trait = candidates[0]
-            current = model.route_cost(trait.cost)
-            assert current >= previous
-            previous = current
-
-
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(
     st.sampled_from(["base", "prime"]),
@@ -225,7 +205,7 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
     from ddpp import EfficientSet
 
     vertex = Vertex("n", "n") if same_node else Vertex("m", "n")
-    fast = EfficientSet(same_node, mode, ADDITIVE)
+    fast = EfficientSet(same_node, mode)
     naive = NaiveEfficientSet(mode)
     for ca, ia, cb, ib in rows:
         fast_label = Label(Trait(ca, ia), Trait(cb, ib), vertex)

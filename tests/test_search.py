@@ -155,17 +155,13 @@ def lab_at(v, ca, ia, cb, ib):
 
 class TestEfficientSet:
     def test_insert_into_empty_set(self):
-        from ddpp import ADDITIVE
-
-        store = EfficientSet(False, "base", ADDITIVE)
+        store = EfficientSet(False, "base")
         accepted, removed = store.insert(lab_at(Vertex("a", "b"), 1, (0, 4), 2, (0, 4)))
         assert accepted and removed == 0
         assert len(store) == 1
 
     def test_equal_label_rejected_keep_first(self):
-        from ddpp import ADDITIVE
-
-        store = EfficientSet(False, "base", ADDITIVE)
+        store = EfficientSet(False, "base")
         first = lab_at(Vertex("a", "b"), 1, (0, 4), 2, (0, 4))
         twin = lab_at(Vertex("a", "b"), 1, (0, 4), 2, (0, 4))
         assert store.insert(first)[0]
@@ -174,18 +170,14 @@ class TestEfficientSet:
         assert first.alive and twin.alive  # rejection does not flag; caller does
 
     def test_prime_equal_cost_equal_resources_rejected(self):
-        from ddpp import ADDITIVE
-
-        store = EfficientSet(True, "prime", ADDITIVE)
+        store = EfficientSet(True, "prime")
         v = Vertex("n_1", "n_1")
         assert store.insert(lab_at(v, 0, (0, 1), 3, (0, 1)))[0]
         assert store.insert(lab_at(v, 1, (0, 1), 2, (0, 1)))[0] is False
         assert len(store) == 1
 
     def test_accepted_candidate_removes_dominated(self):
-        from ddpp import ADDITIVE
-
-        store = EfficientSet(False, "base", ADDITIVE)
+        store = EfficientSet(False, "base")
         weak = lab_at(Vertex("a", "b"), 5, (0, 2), 5, (0, 2))
         assert store.insert(weak)[0]
         strong = lab_at(Vertex("a", "b"), 1, (0, 4), 1, (0, 4))
@@ -195,9 +187,7 @@ class TestEfficientSet:
         assert store.alive_labels() == [strong]
 
     def test_base_keeps_incomparable_splits(self):
-        from ddpp import ADDITIVE
-
-        store = EfficientSet(True, "base", ADDITIVE)
+        store = EfficientSet(True, "base")
         v = Vertex("x", "x")
         for c in range(4, 8):
             assert store.insert(lab_at(v, c, (0, 1), 7 - c, (0, 1)))[0]

@@ -5,10 +5,8 @@ import pytest
 from conftest import link_units, unit_runs
 
 from ddpp import (
-    ADDITIVE,
     Label,
     Link,
-    ModulationCost,
     Trait,
     UnitInterval,
     Vertex,
@@ -17,13 +15,11 @@ from ddpp import (
     label_extend,
     leq_eq,
     leq_n,
-    leq_ne,
     leq_prime,
     leq_x,
     normalize_intervals,
     ri_incl_eq,
     ri_incl_n,
-    ri_incl_ne,
     ri_incl_x,
     trait_extend,
     trait_leq,
@@ -163,26 +159,21 @@ class TestDistinctNodeRelation:
         v = Vertex("a", "b")
         li = Label(Trait(1, iv(0, 4)), Trait(1, iv(0, 4)), v)
         lj = Label(Trait(2, iv(0, 2)), Trait(2, iv(0, 2)), v)
-        assert leq_ne(li, lj)
-        assert not leq_ne(lj, li)
+        assert dominates("base", li, lj)
+        assert not dominates("base", lj, li)
 
     def test_incomparable_pair(self):
         v = Vertex("a", "b")
         li = Label(Trait(1, iv(0, 2)), Trait(9, iv(0, 8)), v)
         lj = Label(Trait(2, iv(0, 8)), Trait(1, iv(0, 8)), v)
-        assert not leq_ne(li, lj)
-        assert not leq_ne(lj, li)
-
-    def test_same_node_vertex_rejected(self):
-        li = same_node_label(Trait(0, iv(0, 1)), Trait(0, iv(0, 1)))
-        with pytest.raises(ValueError):
-            leq_ne(li, li)
+        assert not dominates("base", li, lj)
+        assert not dominates("base", lj, li)
 
     def test_different_vertices_rejected(self):
         li = Label(Trait(0, iv(0, 1)), Trait(0, iv(0, 1)), Vertex("a", "b"))
         lj = Label(Trait(0, iv(0, 1)), Trait(0, iv(0, 1)), Vertex("a", "c"))
         with pytest.raises(ValueError):
-            leq_ne(li, lj)
+            dominates("base", li, lj)
 
 
 class TestSameNodeRelations:
@@ -234,8 +225,6 @@ class TestLabelCostAndInclusion:
         assert ri_incl_x(same_node_label(lab.trait_a, lab.trait_a),
                          same_node_label(lab.trait_a, lab.trait_a))
         assert ri_incl_eq(lab, lab)
-        twin = Label(lab.trait_a, lab.trait_b, Vertex("p", "q"))
-        assert ri_incl_ne(twin, twin)
 
 
 class TestPrimeRelation:
@@ -278,37 +267,3 @@ class TestDominatesDispatch:
         lab = Label(Trait(0, iv(0, 1)), Trait(0, iv(0, 1)), Vertex("a", "b"))
         with pytest.raises(ValueError):
             dominates("fancy", lab, lab)
-
-
-class TestModulationCost:
-    def test_step_lookup_and_route_cost(self):
-        model = ModulationCost([(10, 1), (20, 2), (None, 4)])
-        assert model.route_cost(10) == 10
-        assert model.route_cost(11) == 22
-        assert model.route_cost(25) == 100
-
-    def test_label_cost_uses_converted_routes(self):
-        model = ModulationCost([(10, 1), (None, 2)])
-        lab = same_node_label(Trait(4, iv(0, 1)), Trait(12, iv(0, 1)))
-        assert model.label_cost(lab) == 4 + 24
-        assert ADDITIVE.label_cost(lab) == 16
-
-    def test_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            ModulationCost([(10, 2), (None, 1)])  # decreasing coefficient
-        with pytest.raises(ValueError):
-            ModulationCost([(10, 1), (5, 2), (None, 3)])  # ceilings not increasing
-        with pytest.raises(ValueError):
-            ModulationCost([(10, 1)])  # no open-ended step
-        with pytest.raises(ValueError):
-            ModulationCost([(None, 0)])  # non-positive coefficient
-
-    def test_from_doc(self):
-        model = ModulationCost.from_doc(
-            {"steps": [{"max_length": 3, "coefficient": 1},
-                       {"max_length": None, "coefficient": 2}]}
-        )
-        assert model.route_cost(3) == 3
-        assert model.route_cost(4) == 8
-        with pytest.raises(ValueError):
-            ModulationCost.from_doc({"steps": [{"coeff": 1}]})

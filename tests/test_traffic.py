@@ -130,12 +130,27 @@ class TestRun:
                       TrafficEvent(0, 1.0, "n_s", "n_x", 1, 1.0)])
         with pytest.raises(ValueError, match="demands"):
             run(net, [TrafficEvent(0, 0.0, "n_s", "n_x", 3, 1.0)])
+        for time, hold in ((float("nan"), 1.0), (0.0, float("inf")), (-1.0, 1.0)):
+            with pytest.raises(ValueError, match="malformed time or hold"):
+                run(net, [TrafficEvent(0, time, "n_s", "n_x", 1, hold)])
 
     def test_malformed_traffic_documents(self):
         with pytest.raises(ValueError):
             load_traffic({"nope": []})
+        with pytest.raises(ValueError, match="'events' list"):
+            load_traffic({"events": None})
         with pytest.raises(ValueError, match="malformed traffic event"):
             load_traffic({"events": [{"id": 0}]})
+        good = {"id": 0, "time": 0.0, "src": "a", "dst": "b", "units": 1, "hold": 1.0}
+        assert load_traffic({"events": [good]}) == [TrafficEvent(0, 0.0, "a", "b", 1, 1.0)]
+        for key, value in (("src", ["a"]), ("dst", None), ("units", True), ("units", 2.9),
+                           ("id", "3"), ("id", False), ("time", "nan"), ("time", "inf"),
+                           ("time", float("nan")), ("hold", float("inf")), ("hold", True),
+                           ("time", 10**400)):
+            with pytest.raises(ValueError, match="malformed traffic event"):
+                load_traffic({"events": [{**good, key: value}]})
+        with pytest.raises(ValueError, match="malformed traffic event"):
+            load_traffic({"events": ["not an object"]})
 
 
 class TestAllocationSemantics:
