@@ -142,23 +142,36 @@ class EfficientSet:
     The set stays an antichain under the active relation: a candidate
     dominated by a member (equivalence included, so the incumbent wins) is
     rejected, and an accepted candidate kills every member it dominates.
-    Killed labels stay in the queue and are skipped on pop.
+    Killed labels stay in the queue with ``alive`` cleared and are skipped
+    on pop.
 
-    Labels are bucketed by their interval pair (lo_a, hi_a, lo_b, hi_b).
-    Dominance between buckets reduces to componentwise interval
-    containment; within a bucket it reduces to cost comparison, held as a
-    2-D staircase in base mode and a single cheapest label in prime mode
-    (equal intervals make any two labels cost-comparable there).  At
-    same-node vertices every test is also run against the slot-swapped
-    bucket key, which is the cross comparison.  A property test pins this
-    structure to the pure relations in spectrum_core.
+    Labels are bucketed by their interval pair, and the buckets are indexed
+    in two levels: a row per slot-a interval ``(lo_a, hi_a)``, and in it a
+    bucket per slot-b interval ``(lo_b, hi_b)``.  Dominance between buckets
+    reduces to componentwise interval containment; within a bucket it
+    reduces to cost comparison, held as a 2-D staircase in base mode and a
+    single cheapest ``(label_cost, label)`` entry in prime mode (equal
+    intervals make any two labels cost-comparable there).
+
+    ``insert`` makes one pass over the rows.  A row is visited only when
+    its key can contain the candidate's slot-a interval or be contained in
+    it; inside such a row only the slot-b keys are compared.  At same-node
+    vertices the candidate is also compared with its slots swapped, which
+    is the cross comparison.  The pass rejects on the first dominating
+    bucket and otherwise collects the buckets the candidate contains, to
+    evict from after the pass; a bucket, and then its row, is deleted as
+    soon as it empties.  One pass is exact because the set is an antichain:
+    if a member dominates the candidate, the candidate dominates no other
+    member, since by transitivity that member would be dominated too, so
+    nothing collected before the rejection needed evicting.  A property
+    test pins this structure to the pure relations in spectrum_core.
     """
 
     def __init__(self, same_node: bool, mode: str) -> None:
         self._same = same_node
-        self._mode = mode
-        # base: bucket -> _Staircase; prime: bucket -> (label_cost, Label)
-        self._buckets: dict[tuple[int, int, int, int], object] = {}
+        self._prime = mode == "prime"
+        # (lo_a, hi_a) -> (lo_b, hi_b) -> _Staircase (base) or (label_cost, Label) (prime)
+        self._rows: dict[tuple[int, int], dict[tuple[int, int], object]] = {}
         self._alive = 0
         self.peak = 0
 
@@ -166,87 +179,77 @@ class EfficientSet:
         return self._alive
 
     def alive_labels(self) -> list[Label]:
-        if self._mode == "prime":
-            return [entry[1] for entry in self._buckets.values()]
-        out: list[Label] = []
-        for stair in self._buckets.values():
-            out.extend(stair.labels)
-        return out
-
-    @staticmethod
-    def _bucket(label: Label) -> tuple[int, int, int, int]:
-        return (label.trait_a.ri.lo, label.trait_a.ri.hi,
-                label.trait_b.ri.lo, label.trait_b.ri.hi)
-
-    @staticmethod
-    def _contains(outer: tuple, inner: tuple) -> bool:
-        return (outer[0] <= inner[0] and outer[1] >= inner[1]
-                and outer[2] <= inner[2] and outer[3] >= inner[3])
+        if self._prime:
+            return [entry[1] for row in self._rows.values() for entry in row.values()]
+        return [label for row in self._rows.values()
+                for stair in row.values() for label in stair.labels]
 
     def insert(self, label: Label) -> tuple[bool, int]:
         """Insert if undominated; returns (accepted, members_removed)."""
-        key = self._bucket(label)
-        swapped = (key[2], key[3], key[0], key[1])
-        if self._mode == "prime":
-            cost = label_cost(label)
-            costs = (cost, cost)
+        ta, tb = label.trait_a, label.trait_b
+        la, ha, lb, hb = ta.ri.lo, ta.ri.hi, tb.ri.lo, tb.ri.hi
+        prime = self._prime
+        if prime:
+            ca = cb = label_cost(label)
         else:
-            costs = (label.trait_a.cost, label.trait_b.cost)
+            ca, cb = ta.cost, tb.cost
+        # the candidate as (slot-a interval, slot-b interval, costs) per comparison
+        aligned = (la, ha, lb, hb, ca, cb)
+        views = (aligned, (lb, hb, la, ha, cb, ca)) if self._same else (aligned,)
 
-        for bucket, entry in self._buckets.items():
-            if self._contains(bucket, key):
-                if self._dominated_in(entry, costs[0], costs[1]):
-                    return False, 0
-            if self._same and self._contains(bucket, swapped):
-                if self._dominated_in(entry, costs[1], costs[0]):
-                    return False, 0
+        victims = []
+        for rkey, row in self._rows.items():
+            lo, hi = rkey
+            for va, wa, vb, wb, xa, xb in views:
+                if lo <= va and wa <= hi:
+                    for (blo, bhi), entry in row.items():
+                        if blo <= vb and wb <= bhi and (
+                            entry[0] <= xa if prime else entry.covers(xa, xb)
+                        ):
+                            return False, 0
+                if va <= lo and hi <= wa:
+                    for ckey, entry in row.items():
+                        if vb <= ckey[0] and ckey[1] <= wb and (
+                            not prime or entry[0] >= xa
+                        ):
+                            victims.append((rkey, ckey, xa, xb))
 
         removed = 0
-        emptied = []
-        for bucket, entry in self._buckets.items():
-            if self._contains(key, bucket):
-                removed += self._evict_in(entry, costs[0], costs[1])
-            if self._same and self._contains(swapped, bucket):
-                removed += self._evict_in(entry, costs[1], costs[0])
-            if self._emptied(entry):
-                emptied.append(bucket)
-        for bucket in emptied:
-            del self._buckets[bucket]
+        rows = self._rows
+        for rkey, ckey, xa, xb in victims:
+            row = rows.get(rkey)
+            entry = None if row is None else row.get(ckey)
+            if entry is None:
+                continue  # already emptied through the other slot order
+            if prime:
+                entry[1].alive = False
+                removed += 1
+            else:
+                dead = entry.evict(xa, xb)
+                for victim in dead:
+                    victim.alive = False
+                removed += len(dead)
+                if entry.labels:
+                    continue
+            del row[ckey]
+            if not row:
+                del rows[rkey]
         self._alive -= removed
 
-        if self._mode == "prime":
-            self._buckets[key] = (costs[0], label)
+        row = rows.get((la, ha))
+        if row is None:
+            row = rows[(la, ha)] = {}
+        if prime:
+            row[(lb, hb)] = (ca, label)
         else:
-            stair = self._buckets.get(key)
+            stair = row.get((lb, hb))
             if stair is None:
-                stair = self._buckets[key] = _Staircase()
-            stair.add(costs[0], costs[1], label)
+                stair = row[(lb, hb)] = _Staircase()
+            stair.add(ca, cb, label)
         self._alive += 1
         if self._alive > self.peak:
             self.peak = self._alive
         return True, removed
-
-    def _dominated_in(self, entry, ca: int, cb: int) -> bool:
-        if self._mode == "prime":
-            return entry[0] <= ca
-        return entry.covers(ca, cb)
-
-    def _evict_in(self, entry, ca: int, cb: int) -> int:
-        """Kill members dominated at (ca, cb); returns how many died now."""
-        if self._mode == "prime":
-            if entry[0] >= ca and entry[1].alive:
-                entry[1].alive = False
-                return 1
-            return 0
-        victims = entry.evict(ca, cb)
-        for victim in victims:
-            victim.alive = False
-        return len(victims)
-
-    def _emptied(self, entry) -> bool:
-        if self._mode == "prime":
-            return not entry[1].alive
-        return not entry.labels
 
 
 def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, RouteLeg]:

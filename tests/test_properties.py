@@ -194,25 +194,37 @@ def test_higher_cost_labels_yield_higher_cost_labels():
 @given(
     st.sampled_from(["base", "prime"]),
     st.booleans(),
-    st.lists(
-        st.tuples(st.integers(0, 6), interval_strategy(4), st.integers(0, 6), interval_strategy(4)),
-        min_size=1,
-        max_size=40,
+    st.sampled_from([4, UNITS_TOTAL]).flatmap(
+        lambda width: st.lists(
+            st.tuples(st.integers(0, 6), interval_strategy(width),
+                      st.integers(0, 6), interval_strategy(width)),
+            min_size=1,
+            max_size=40,
+        )
     ),
 )
 def test_efficient_set_matches_naive_reference(mode, same_node, rows):
-    """The staircase-backed set behaves exactly like the pure relations."""
+    """The interval-indexed set behaves exactly like the pure relations.
+
+    Beside membership, this pins the lazy deletion the search relies on
+    (an accepted label is ``alive`` exactly while it is a member) and the
+    running peak of the member count.
+    """
     from ddpp import EfficientSet
 
     vertex = Vertex("n", "n") if same_node else Vertex("m", "n")
     fast = EfficientSet(same_node, mode)
     naive = NaiveEfficientSet(mode)
+    accepted = []
+    peak = 0
     for ca, ia, cb, ib in rows:
         fast_label = Label(Trait(ca, ia), Trait(cb, ib), vertex)
         naive_label = Label(Trait(ca, ia), Trait(cb, ib), vertex)
         got = fast.insert(fast_label)
         expect = naive.insert(naive_label)
         assert got == expect
+        if got[0]:
+            accepted.append(fast_label)
 
         def snapshot(labels):
             return sorted(
@@ -221,8 +233,13 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
                 for l in labels
             )
 
-        assert snapshot(fast.alive_labels()) == snapshot(naive.members)
+        members = fast.alive_labels()
+        assert snapshot(members) == snapshot(naive.members)
         assert len(fast) == len(naive.members)
+        member_ids = {id(l) for l in members}
+        assert all(l.alive == (id(l) in member_ids) for l in accepted)
+        peak = max(peak, len(naive.members))
+        assert fast.peak == peak
 
 
 def test_sorted_cross_implies_normal_witnesses():

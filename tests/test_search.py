@@ -15,6 +15,7 @@ from ddpp import (
     Vertex,
     lobe_network,
     oracle_solve,
+    random_network,
     solve,
 )
 
@@ -240,6 +241,67 @@ class TestStatsAndModes:
         assert search.destination_count == 4
         for lab in search._sets[Vertex("n_x", "n_x")].alive_labels():
             assert lab.vertex == Vertex("n_x", "n_x")
+
+    # (nodes, links, slots) of both legs, then (labels_generated,
+    # labels_dominated, labels_settled, queue_pops, max_labels_per_vertex)
+    GOLDEN = {
+        (12, 1, 2, "base"): ("blocked", None, None, None, (1948, 1182, 766, 826, 60)),
+        (12, 1, 2, "prime"): ("blocked", None, None, None, (1881, 1160, 721, 789, 53)),
+        (12, 2, 3, "base"): ("routed", 157,
+                             (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
+                             (["n0", "n4", "n11"], [14, 2], [2, 5]),
+                             (5470, 2978, 1366, 1401, 90)),
+        (12, 2, 3, "prime"): ("routed", 157,
+                              (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
+                              (["n0", "n4", "n11"], [14, 2], [2, 5]),
+                              (5427, 3014, 1342, 1379, 82)),
+        (13, 3, 2, "base"): ("routed", 116,
+                             (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
+                             (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
+                             (3285, 1013, 441, 452, 96)),
+        (13, 3, 2, "prime"): ("routed", 116,
+                              (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
+                              (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
+                              (3285, 1117, 441, 452, 96)),
+        (14, 5, 2, "base"): ("routed", 304,
+                             (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
+                             (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
+                              [1, 3]),
+                             (15199, 8053, 3726, 3727, 198)),
+        (14, 5, 2, "prime"): ("routed", 304,
+                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
+                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
+                               [1, 3]),
+                              (14342, 7885, 3466, 3514, 182)),
+    }
+
+    @staticmethod
+    def _fingerprint(sol):
+        legs = [
+            None if leg is None else (leg.nodes, leg.links, leg.slots.to_doc())
+            for leg in (sol.working, sol.protecting)
+        ]
+        st = sol.stats
+        counters = (st.labels_generated, st.labels_dominated, st.labels_settled,
+                    st.queue_pops, st.max_labels_per_vertex)
+        return (sol.status, sol.total_cost, legs[0], legs[1], counters)
+
+    def test_counters_match_golden(self):
+        """Answers and machine-independent counters stay exact on fixed seeds."""
+        for (n, seed, units, mode), expect in self.GOLDEN.items():
+            net = random_network(n, 3.0, 32, 0.85, seed)
+            sol = solve(net, Demand("n0", f"n{n - 1}", units), SearchOptions(mode=mode))
+            assert self._fingerprint(sol) == expect, (n, seed, units, mode)
+        sol = solve(lobe_network(6, 1), Demand("n_s", "n_x", 1),
+                    SearchOptions(mode="base", enumerate_all=True))
+        assert self._fingerprint(sol) == (
+            "routed", 127,
+            (["n_s", "n_1", "n_2", "n_3", "n_4", "n_5", "n_6", "n_x"],
+             [1, 3, 5, 7, 9, 11, 13], [0, 1]),
+            (["n_s", "n_1", "n_2", "n_3", "n_4", "n_5", "n_6", "n_x"],
+             [0, 2, 4, 6, 8, 10, 12], [0, 1]),
+            (863, 488, 375, 375, 64),
+        )
 
     def test_run_only_once(self):
         search = PairSearch(lobe_network(1, 1), Demand("n_s", "n_x", 1))
