@@ -21,6 +21,7 @@ deterministic.  Scale real lengths before writing documents.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -282,6 +283,8 @@ def random_network(
         raise NetworkError(f"fill must be within [0, 1], got {fill}")
     if unit_count < 1:
         raise NetworkError(f"unit count must be >= 1, got {unit_count}")
+    if not math.isfinite(avg_degree):
+        raise NetworkError(f"avg_degree must be finite, got {avg_degree}")
     target = int(round(avg_degree * n / 2))
     max_links = n * (n - 1) // 2
     if target < n - 1 or target > max_links:

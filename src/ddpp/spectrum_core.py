@@ -89,6 +89,20 @@ def clip_intervals(intervals, window: UnitInterval) -> list[UnitInterval]:
     return out
 
 
+def remove_interval(intervals, cut: UnitInterval) -> tuple[UnitInterval, ...] | None:
+    """Cut a window out of the canonical interval tuple that contains it.
+
+    Returns the canonical remainder, or None when no single interval
+    contains the whole window.
+    """
+    for index, iv in enumerate(intervals):
+        if iv.contains(cut):
+            pieces = tuple(UnitInterval(lo, hi)
+                           for lo, hi in ((iv.lo, cut.lo), (cut.hi, iv.hi)) if lo < hi)
+            return intervals[:index] + pieces + intervals[index + 1:]
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class Trait:
     """One partial route: accumulated cost and its usable unit interval."""

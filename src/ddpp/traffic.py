@@ -1,10 +1,10 @@
 """Dynamic-traffic harness: replay demands against mutable spectrum state.
 
-Arrivals are processed in (time, id) order; each routed connection removes
-its assigned slots from every link of both routes and a departure at
-time + hold restores exactly those units.  Departures due at or before an
-arrival are released first, so back-to-back reuse of freed spectrum works.
-Blocked demands are dropped, never retried.
+Arrivals are processed in (time, id) order; each routed connection cuts
+its assigned slot interval out of the free intervals of every link of both
+routes, and a departure at time + hold merges exactly that interval back.
+Departures due at or before an arrival are released first, so back-to-back
+reuse of freed spectrum works.  Blocked demands are dropped, never retried.
 
 The traffic document is the cross-tool interface:
 
@@ -17,11 +17,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Link, Network, NetworkError
 from .search import SearchOptions, solve
-from .spectrum_core import normalize_intervals
+from .spectrum_core import normalize_intervals, remove_interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,15 +45,7 @@ class SimReport:
     mean_wall_time: float
 
     def to_doc(self) -> dict:
-        return {
-            "offered": self.offered,
-            "routed": self.routed,
-            "blocked": self.blocked,
-            "blocking_probability": self.blocking_probability,
-            "mean_labels": self.mean_labels,
-            "max_labels": self.max_labels,
-            "mean_wall_time": self.mean_wall_time,
-        }
+        return asdict(self)
 
 
 def _is_int(value) -> bool:
@@ -120,8 +112,8 @@ def gen_traffic(
     lo, hi = units_range
     if not 1 <= lo <= hi:
         raise ValueError(f"malformed units range [{lo}, {hi}]")
-    if mean_hold <= 0 or mean_gap <= 0:
-        raise ValueError("mean_hold and mean_gap must be positive")
+    if not (0 < mean_hold < math.inf and 0 < mean_gap < math.inf):
+        raise ValueError("mean_hold and mean_gap must be positive and finite")
     rng = random.Random(seed)
     nodes = list(net.nodes)
     now = 0.0
@@ -136,6 +128,7 @@ def gen_traffic(
             TrafficEvent(event_id, now, src, dst,
                          rng.randint(lo, hi), rng.expovariate(1.0 / mean_hold))
         )
+    _validate_events(net, events)
     return events
 
 
@@ -159,47 +152,39 @@ def _validate_events(net: Network, events) -> None:
 def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
     """Replay a demand sequence and report blocking and search effort.
 
-    The per-link spectrum state is kept as unit sets; a snapshot network
-    is rebuilt for every arrival so each solve sees the current loading.
-    After the last departure the state must be bit-identical to the
-    initial network, which is asserted before reporting.
+    The state is one immutable Link per id, holding its free units as
+    canonical intervals, and a heap of departures that carry their own
+    allocations.  An allocation or release replaces only the links it
+    touches, and each arrival's snapshot network reuses every other link
+    as it is.  After the last departure every link must equal its initial
+    one, which is asserted before reporting.
     """
     opts = opts if opts is not None else SearchOptions()
     _validate_events(net, events)
     arrivals = sorted(events, key=lambda ev: (ev.time, ev.id))
-    free: dict[int, set[int]] = {
-        link.id: {u for iv in link.available for u in range(iv.lo, iv.hi)}
-        for link in net.links
-    }
-    initial = {link_id: frozenset(units) for link_id, units in free.items()}
-    departures: list[tuple[float, int]] = []
-    held: dict[int, list[tuple[list[int], set[int]]]] = {}
+    links = list(net.links)
+    # (time, id, allocations): ids are unique, so allocations never compare
+    departures: list[tuple[float, int, list]] = []
 
-    def release(event_id: int) -> None:
-        for link_ids, slot_units in held.pop(event_id):
+    def release(event_id: int, allocations) -> None:
+        for link_ids, slots in allocations:
             for link_id in link_ids:
-                if free[link_id] & slot_units:
+                link = links[link_id]
+                if any(iv.intersect(slots) for iv in link.available):
                     raise RuntimeError(
                         f"double release: link {link_id} already holds units of event {event_id}"
                     )
-                free[link_id] |= slot_units
+                links[link_id] = Link(link.id, link.ends, link.cost,
+                                      normalize_intervals(link.available + (slots,)))
 
     routed = blocked = 0
     label_counts: list[int] = []
     wall_times: list[float] = []
     for ev in arrivals:
         while departures and departures[0][0] <= ev.time:
-            _, event_id = heapq.heappop(departures)
-            release(event_id)
-        snapshot = Network(
-            net.unit_count,
-            net.nodes,
-            tuple(
-                Link(link.id, link.ends, link.cost,
-                     normalize_intervals((u, u + 1) for u in sorted(free[link.id])))
-                for link in net.links
-            ),
-        )
+            _, event_id, allocations = heapq.heappop(departures)
+            release(event_id, allocations)
+        snapshot = Network(net.unit_count, net.nodes, tuple(links))
         sol = solve(snapshot, Demand(ev.src, ev.dst, ev.units), opts)
         label_counts.append(sol.stats.labels_generated)
         wall_times.append(sol.stats.wall_time)
@@ -207,27 +192,24 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
             blocked += 1
             continue
         routed += 1
-        allocations = []
-        for leg in (sol.working, sol.protecting):
-            slot_units = set(range(leg.slots.lo, leg.slots.hi))
-            for link_id in leg.links:
-                if not slot_units <= free[link_id]:
+        allocations = [(leg.links, leg.slots) for leg in (sol.working, sol.protecting)]
+        for link_ids, slots in allocations:
+            for link_id in link_ids:
+                link = links[link_id]
+                remaining = remove_interval(link.available, slots)
+                if remaining is None:
                     raise RuntimeError(
                         f"allocation breach: link {link_id} lacks units for event {ev.id}"
                     )
-                free[link_id] -= slot_units
-            allocations.append((list(leg.links), slot_units))
-        held[ev.id] = allocations
-        heapq.heappush(departures, (ev.time + ev.hold, ev.id))
+                links[link_id] = Link(link.id, link.ends, link.cost, remaining)
+        heapq.heappush(departures, (ev.time + ev.hold, ev.id, allocations))
 
     while departures:
-        _, event_id = heapq.heappop(departures)
-        release(event_id)
-    if held:
-        raise RuntimeError(f"connections never released: {sorted(held)}")
-    for link_id, units in free.items():
-        if frozenset(units) != initial[link_id]:
-            raise RuntimeError(f"spectrum not restored on link {link_id}")
+        _, event_id, allocations = heapq.heappop(departures)
+        release(event_id, allocations)
+    for link, initial in zip(links, net.links):
+        if link != initial:
+            raise RuntimeError(f"spectrum not restored on link {link.id}")
 
     offered = len(arrivals)
     return SimReport(

@@ -123,6 +123,29 @@ def test_malformed_documents_exit_one_without_traceback(tmp_path, capsys, comman
     assert captured.err.startswith("ddpp: error:")
 
 
+GEN_NET = ["gen-net", "--nodes", "6", "--units", "8", "--fill", "0.9", "--seed", "4"]
+GEN_TRAFFIC = ["gen-traffic", "--count", "20", "--seed", "6"]
+
+
+@pytest.mark.parametrize("argv", [
+    GEN_NET + ["--avg-degree", "inf"],
+    GEN_NET + ["--avg-degree", "nan"],
+    GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "inf"],
+    GEN_TRAFFIC + ["--mean-hold", "nan", "--mean-gap", "1.0"],
+    GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "1.0", "--units-max", "99"],
+], ids=["avg-degree-inf", "avg-degree-nan", "mean-gap-inf", "mean-hold-nan",
+        "units-max-beyond-network"])
+def test_bad_generator_inputs_exit_one_without_traceback(tmp_path, capsys, argv):
+    if argv[0] == "gen-traffic":
+        argv = argv + ["--net", write_json(tmp_path / "net.json",
+                                           dump_network(lobe_network(2, 8)))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("ddpp: error:")
+
+
 class TestOracleAndCompare:
     def test_oracle_document(self, lobe_files, capsys):
         net_file, demand_file = lobe_files

@@ -199,6 +199,9 @@ class TestRandomNetwork:
             random_network(8, 1, 4, 1.0, 0)  # below spanning tree
         with pytest.raises(NetworkError, match="unsatisfiable degree"):
             random_network(4, 3.8, 4, 1.0, 0)  # above complete graph
+        for degree in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(NetworkError, match="avg_degree must be finite"):
+                random_network(4, degree, 4, 1.0, 0)
 
 
 class TestIncidentLinks:

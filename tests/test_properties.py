@@ -26,6 +26,7 @@ from ddpp import (
     trait_extend,
     trait_leq,
 )
+from ddpp.spectrum_core import remove_interval
 
 UNITS_TOTAL = 8
 
@@ -89,6 +90,24 @@ def test_trait_extension_shrinks_interval(trait, link, units):
         assert trait.ri.contains(cand.ri)
         assert cand.ri.length >= units
         assert cand.cost == trait.cost + link.cost
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sets(st.integers(0, 31), min_size=1), st.data())
+def test_remove_interval_is_unit_difference(free_units, data):
+    """Cutting a window out of the free interval containing it equals the
+    unit-set difference, and merging the window back restores the input."""
+    available = normalize_intervals((u, u + 1) for u in free_units)
+    host = data.draw(st.sampled_from(available))
+    lo = data.draw(st.integers(host.lo, host.hi - 1))
+    cut = UnitInterval(lo, data.draw(st.integers(lo + 1, host.hi)))
+    remaining = remove_interval(available, cut)
+    assert remaining == normalize_intervals(
+        (u, u + 1) for u in free_units - set(range(cut.lo, cut.hi)))
+    assert normalize_intervals(remaining + (cut,)) == available
+    window = data.draw(interval_strategy(32))
+    fits = any(iv.contains(window) for iv in available)
+    assert (remove_interval(available, window) is None) == (not fits)
 
 
 def _random_label(rng: random.Random, vertex: Vertex, units: int) -> Label:

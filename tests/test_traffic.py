@@ -6,10 +6,15 @@ import pytest
 
 from conftest import make_net
 
+import ddpp.traffic
 from ddpp import (
     Demand,
+    RouteLeg,
     SearchOptions,
+    SearchStats,
+    Solution,
     TrafficEvent,
+    UnitInterval,
     dump_traffic,
     gen_traffic,
     load_traffic,
@@ -50,6 +55,16 @@ class TestGenTraffic:
         solo = make_net(2, ["a"], [])
         with pytest.raises(ValueError, match="at least 2 nodes"):
             gen_traffic(solo, 1, 1.0, 1.0, (1, 1), 0)
+        net = lobe_network(2, 8)
+        for hold, gap in ((float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 1.0),
+                          (0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                gen_traffic(net, 5, hold, gap, (1, 1), 0)
+        # never emits what run() rejects: too many units, or times past a float
+        with pytest.raises(ValueError, match="demands"):
+            gen_traffic(net, 20, 1.0, 1.0, (1, 99), 0)
+        with pytest.raises(ValueError, match="malformed time or hold"):
+            gen_traffic(net, 20, 1.0, 1e308, (1, 1), 0)
 
     def test_document_round_trip(self):
         events = gen_traffic(lobe_network(2, 4), 20, 1.5, 0.7, (1, 2), 11)
@@ -165,3 +180,54 @@ class TestAllocationSemantics:
                   TrafficEvent(1, 1.0, "n_s", "n_x", 1, 1.0)]
         report = run(net, events)
         assert report.routed == 1 and report.blocked == 1
+
+
+class TestGoldenReplay:
+    FIELDS = ("offered", "routed", "blocked", "blocking_probability", "mean_labels",
+              "max_labels")
+    # (n, seed, mode) -> FIELDS; every report field but the measured wall time
+    GOLDEN = {
+        (8, 1, "base"): (50, 29, 21, 0.42, 197.02, 635),
+        (8, 1, "prime"): (50, 29, 21, 0.42, 195.12, 623),
+        (9, 2, "base"): (50, 21, 29, 0.58, 256.72, 1995),
+        (9, 2, "prime"): (50, 21, 29, 0.58, 250.68, 1875),
+        (10, 3, "base"): (50, 14, 36, 0.72, 250.02, 2676),
+        (10, 3, "prime"): (50, 14, 36, 0.72, 244.04, 2559),
+        (12, 4, "base"): (50, 23, 27, 0.54, 594.98, 3516),
+        (12, 4, "prime"): (50, 23, 27, 0.54, 547.58, 3082),
+    }
+
+    def test_reports_match_golden(self):
+        """Seeded replays report exactly the same counts and label effort."""
+        for (n, seed, mode), expect in self.GOLDEN.items():
+            net = random_network(n, 3.0, 8, 0.8, seed)
+            events = gen_traffic(net, 50, 3.0, 0.25, (1, 2), seed)
+            doc = run(net, events, SearchOptions(mode=mode)).to_doc()
+            del doc["mean_wall_time"]
+            assert doc == dict(zip(self.FIELDS, expect)), (n, seed, mode)
+
+
+class TestFaultChecks:
+    """A solver answer that does not fit the free spectrum stops the replay."""
+
+    @staticmethod
+    def _fake_solve(working, protecting):
+        def fake(net, demand, opts=None):
+            return Solution("routed", 0, working, protecting, SearchStats())
+        return fake
+
+    def test_slots_not_free_on_a_link(self, monkeypatch):
+        net = make_net(2, ["s", "t"], [("s", "t", 1, [(0, 2)]), ("s", "t", 1, [(0, 1)])])
+        monkeypatch.setattr(ddpp.traffic, "solve", self._fake_solve(
+            RouteLeg(["s", "t"], [0], UnitInterval(1, 2)),
+            RouteLeg(["s", "t"], [1], UnitInterval(1, 2))))
+        with pytest.raises(RuntimeError, match="allocation breach: link 1"):
+            run(net, [TrafficEvent(0, 0.0, "s", "t", 1, 1.0)])
+
+    def test_route_repeats_a_link(self, monkeypatch):
+        net = make_net(2, ["s", "t"], [("s", "t", 1, [(0, 2)]), ("s", "t", 1, [(0, 2)])])
+        monkeypatch.setattr(ddpp.traffic, "solve", self._fake_solve(
+            RouteLeg(["s", "t", "s"], [0, 0], UnitInterval(0, 1)),
+            RouteLeg(["s", "t"], [1], UnitInterval(0, 1))))
+        with pytest.raises(RuntimeError, match="allocation breach: link 0"):
+            run(net, [TrafficEvent(0, 0.0, "s", "t", 1, 1.0)])
