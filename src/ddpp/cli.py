@@ -2,9 +2,8 @@
 
 Exit codes: 0 success/routed, 1 usage or input error, 2 search/oracle
 disagreement (compare), 3 demand blocked.  stdout carries only the result
-document; diagnostics go to stderr.  The environment variable
-DDPP_ORACLE_BUDGET overrides the default enumeration budget; an explicit
---budget flag wins over both.
+document; diagnostics go to stderr.  The oracle's enumeration budget is
+set by --budget alone.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import __version__
@@ -26,7 +24,7 @@ from .net_model import (
     random_network,
 )
 from .oracle import DEFAULT_PAIR_BUDGET, BudgetExceeded, bundle_doc, compare, oracle_solve
-from .search import PairSearch, SearchOptions
+from .search import PairSearch, SearchOptions, solve
 from .traffic import dump_traffic, gen_traffic, load_traffic, run
 
 EXIT_OK = 0
@@ -52,29 +50,12 @@ def _read_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _search_options(args) -> SearchOptions:
-    opts = SearchOptions(
-        mode=args.relation,
-        max_route_cost=getattr(args, "max_route_cost", None),
-        enumerate_all=getattr(args, "all_efficient", False),
-    )
-    opts.validate()
-    return opts
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("DDPP_ORACLE_BUDGET")
-    return int(env) if env else DEFAULT_PAIR_BUDGET
-
-
 def cmd_solve(args) -> int:
     net = load_network(_read_json(args.net))
     demand = load_demand(_read_json(args.demand))
-    opts = _search_options(args)
-    search = PairSearch(net, demand, opts)
-    sol = search.run()
+    opts = SearchOptions(mode=args.relation, max_route_cost=args.max_route_cost,
+                         enumerate_all=args.all_efficient)
+    sol = solve(net, demand, opts)
     _emit(sol.to_doc())
     return EXIT_OK if sol.routed else EXIT_BLOCKED
 
@@ -82,7 +63,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     net = load_network(_read_json(args.net))
     demand = load_demand(_read_json(args.demand))
-    result = oracle_solve(net, demand, args.max_route_cost, _budget(args))
+    result = oracle_solve(net, demand, args.max_route_cost, args.budget)
     _emit(result.to_doc())
     return EXIT_OK if result.routed else EXIT_BLOCKED
 
@@ -90,7 +71,7 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     net = load_network(_read_json(args.net))
     demand = load_demand(_read_json(args.demand))
-    report = compare(net, demand, args.max_route_cost, _budget(args))
+    report = compare(net, demand, args.max_route_cost, args.budget)
     _emit(report.to_doc())
     if not report.matches:
         with open(args.bundle, "w", encoding="utf-8") as handle:
@@ -102,6 +83,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lobe_bench(args) -> int:
+    if args.m_max < 1 or args.units < 1:
+        raise ValueError(f"--m-max and --units must be >= 1, got {args.m_max} and {args.units}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["m", "labels_at_destination", "labels_generated", "wall_time"])
     for m in range(1, args.m_max + 1):
@@ -163,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--net", required=True)
     oracle_p.add_argument("--demand", required=True)
     oracle_p.add_argument("--max-route-cost", type=int, default=None)
-    oracle_p.add_argument("--budget", type=int, default=None)
+    oracle_p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     oracle_p.set_defaults(handler=cmd_oracle)
 
     compare_p = sub.add_parser("compare", help="search vs oracle agreement check")
     compare_p.add_argument("--net", required=True)
     compare_p.add_argument("--demand", required=True)
     compare_p.add_argument("--max-route-cost", type=int, default=None)
-    compare_p.add_argument("--budget", type=int, default=None)
+    compare_p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     compare_p.add_argument("--bundle", default="counterexample.json",
                            help="where to write the bundle on disagreement")
     compare_p.set_defaults(handler=cmd_compare)

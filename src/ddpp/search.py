@@ -19,12 +19,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, incident_links, validate_demand
 from .spectrum_core import MODES, Label, Trait, UnitInterval, Vertex, label_cost, label_extend
-
-_OTHER_SLOT = {"a": "b", "b": "a"}
 
 
 @dataclass
@@ -56,14 +54,7 @@ class SearchStats:
     wall_time: float = 0.0
 
     def to_doc(self) -> dict:
-        return {
-            "labels_generated": self.labels_generated,
-            "labels_dominated": self.labels_dominated,
-            "labels_settled": self.labels_settled,
-            "queue_pops": self.queue_pops,
-            "max_labels_per_vertex": self.max_labels_per_vertex,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -253,45 +244,28 @@ class EfficientSet:
 
 
 def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, RouteLeg]:
-    """Split the parent chain of a destination label into its two routes.
+    """Read the two routes of a destination label off its route lists.
 
-    Walks back to the root, assigning each appended link to the route that
-    was extended; ``ext_slot``/``appended_side`` track the slot swaps that
-    vertex canonicalization introduced.  Slot assignment is first fit: the
-    lowest sub-interval of the demanded width inside each final interval.
+    Each list is walked back from the node where its route ends to the
+    source.  Slot assignment is first fit: the lowest sub-interval of the
+    demanded width inside each final interval.
     """
-    if label.parent is None:
-        raise ValueError("cannot reconstruct routes of the root label")
-    reversed_links: dict[str, list[int]] = {"a": [], "b": []}
-    slot_at = {"a": "a", "b": "b"}
-    cursor: Label | None = label
-    while cursor.parent is not None:
-        for dest_slot in ("a", "b"):
-            if slot_at[dest_slot] == cursor.ext_slot:
-                reversed_links[dest_slot].append(cursor.appended_link)
-                slot_at[dest_slot] = cursor.appended_side
-            else:
-                slot_at[dest_slot] = _OTHER_SLOT[cursor.appended_side]
-        cursor = cursor.parent
-    src = cursor.vertex.a
-
     legs = []
-    for dest_slot in ("a", "b"):
-        sequence = reversed_links[dest_slot][::-1]
-        if not sequence:
-            raise ValueError("destination label with an empty route")
-        nodes = [src]
-        here = src
-        for link_id in sequence:
+    for route, trait, here in ((label.route_a, label.trait_a, label.vertex.a),
+                               (label.route_b, label.trait_b, label.vertex.b)):
+        if route is None:
+            raise ValueError("cannot reconstruct an empty route, as at the root label")
+        nodes, links = [here], []
+        while route is not None:
+            link_id, route = route
             link = net.links[link_id]
             if not link.touches(here):
-                raise RuntimeError(
-                    f"malformed parent chain: link {link_id} does not touch {here!r}"
-                )
+                raise RuntimeError(f"malformed route: link {link_id} does not touch {here!r}")
             here = link.other_end(here)
             nodes.append(here)
-        ri = label.trait(dest_slot).ri
-        legs.append(RouteLeg(nodes, sequence, UnitInterval(ri.lo, ri.lo + units)))
+            links.append(link_id)
+        legs.append(RouteLeg(nodes[::-1], links[::-1],
+                             UnitInterval(trait.ri.lo, trait.ri.lo + units)))
     return legs[0], legs[1]
 
 
@@ -340,8 +314,8 @@ class PairSearch:
         Both vertex nodes contribute their links; at a same-node vertex
         only slot a is extended, because slots are interchangeable there
         and the slot-b expansion reappears one step later with the roles
-        swapped.  Under a route-cost limit, candidates whose extended
-        trait exceeds the limit are dropped.
+        swapped.  Under a route-cost limit, a link that would take the
+        extended route past the limit is not appended.
         """
         out: list[Label] = []
         sides = ("a",) if label.vertex.same_node else ("a", "b")
@@ -351,9 +325,9 @@ class PairSearch:
             for link in self._incidence[node]:
                 if label.uses(link.id):
                     continue
+                if limit is not None and label.trait(side).cost + link.cost > limit:
+                    continue
                 for cand in label_extend(label, link, side, self.demand.units):
-                    if limit is not None and cand.trait(cand.ext_slot).cost > limit:
-                        continue
                     self._seq += 1
                     cand.seq = self._seq
                     out.append(cand)

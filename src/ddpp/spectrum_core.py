@@ -157,22 +157,21 @@ class Vertex:
 
 @dataclass(slots=True, eq=False)
 class Label:
-    """Search state: a pair of traits plus derivation bookkeeping.
+    """Search state: a pair of traits, each with the route it summarizes.
 
+    ``route_a`` and ``route_b`` hold the route of the trait in the same
+    slot as a shared cons list ``(last link id, rest)`` that ends in
+    ``None`` at the source; extending a route puts one new cell in front
+    of the list it extends, and the cells behind it stay shared.
     ``used_links`` is a bitset over link ids covering both routes, so a
-    disjointness check is a single mask test.  ``appended_side`` is the
-    parent slot that was extended and ``ext_slot`` the slot of this label
-    that received the extended trait; together they recover which route
-    each appended link belongs to even across canonicalization swaps.
+    disjointness check is a single mask test.
     """
 
     trait_a: Trait
     trait_b: Trait
     vertex: Vertex
-    parent: "Label | None" = None
-    appended_link: int | None = None
-    appended_side: str | None = None
-    ext_slot: str | None = None
+    route_a: tuple | None = None
+    route_b: tuple | None = None
     used_links: int = 0
     seq: int = 0
     alive: bool = True
@@ -192,10 +191,11 @@ def label_cost(label: Label) -> int:
 def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     """Candidate labels after appending a link to one route of a label.
 
-    The chosen side's trait is extended over the link; the other trait is
-    copied.  The new vertex is canonicalized, swapping trait slots when the
-    node order flips.  Raises if the link is not incident to the chosen
-    side's node or is already used by either route.
+    The chosen side's trait is extended over the link and its route gains
+    the link; the other trait and route are copied.  The new vertex is
+    canonicalized; when the node order flips, both traits move to the other
+    slot with their routes.  Raises if the link is not incident to the
+    chosen side's node or is already used by either route.
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
@@ -205,16 +205,20 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     if label.uses(link.id):
         raise ValueError(f"link {link.id} already used by this label")
     moved_end = link.ends[1] if link.ends[0] == end else link.ends[0]
-    kept_trait = label.trait_b if side == "a" else label.trait_a
-    kept_end = label.vertex.b if side == "a" else label.vertex.a
+    if side == "a":
+        kept_trait, kept_route, kept_end = label.trait_b, label.route_b, label.vertex.b
+        route = (link.id, label.route_a)
+    else:
+        kept_trait, kept_route, kept_end = label.trait_a, label.route_a, label.vertex.a
+        route = (link.id, label.route_b)
     vertex = Vertex(moved_end, kept_end)
     used = label.used_links | (1 << link.id)
     out = []
     for t in trait_extend(label.trait(side), link, units):
         if moved_end <= kept_end:
-            cand = Label(t, kept_trait, vertex, label, link.id, side, "a", used)
+            cand = Label(t, kept_trait, vertex, route, kept_route, used)
         else:
-            cand = Label(kept_trait, t, vertex, label, link.id, side, "b", used)
+            cand = Label(kept_trait, t, vertex, kept_route, route, used)
         out.append(cand)
     return out
 

@@ -133,12 +133,18 @@ GEN_TRAFFIC = ["gen-traffic", "--count", "20", "--seed", "6"]
     GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "inf"],
     GEN_TRAFFIC + ["--mean-hold", "nan", "--mean-gap", "1.0"],
     GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "1.0", "--units-max", "99"],
+    ["lobe-bench", "--m-max", "2", "--relation", "base", "--units", "0"],
+    ["lobe-bench", "--m-max", "0", "--relation", "base"],
+    ["oracle", "--max-route-cost", "-1"],
 ], ids=["avg-degree-inf", "avg-degree-nan", "mean-gap-inf", "mean-hold-nan",
-        "units-max-beyond-network"])
+        "units-max-beyond-network", "lobe-units-zero", "lobe-m-max-zero",
+        "oracle-negative-limit"])
 def test_bad_generator_inputs_exit_one_without_traceback(tmp_path, capsys, argv):
-    if argv[0] == "gen-traffic":
+    if argv[0] in ("gen-traffic", "oracle"):
         argv = argv + ["--net", write_json(tmp_path / "net.json",
                                            dump_network(lobe_network(2, 8)))]
+    if argv[0] == "oracle":
+        argv = argv + ["--demand", write_json(tmp_path / "demand.json", DEMAND)]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -162,13 +168,12 @@ class TestOracleAndCompare:
         demand_file = write_json(tmp_path / "d.json", {"src": "a", "dst": "b", "units": 1})
         assert main(["oracle", "--net", net_file, "--demand", demand_file]) == 3
 
-    def test_oracle_budget_env_override(self, lobe_files, capsys, monkeypatch):
+    def test_oracle_budget_flag(self, lobe_files, capsys):
         net_file, demand_file = lobe_files
-        monkeypatch.setenv("DDPP_ORACLE_BUDGET", "2")
-        code = main(["oracle", "--net", net_file, "--demand", demand_file])
+        code = main(["oracle", "--net", net_file, "--demand", demand_file,
+                     "--budget", "2"])
         assert code == 1
         assert "budget" in capsys.readouterr().err
-        # the explicit flag wins over the environment
         code = main(["oracle", "--net", net_file, "--demand", demand_file,
                      "--budget", "100000"])
         assert code == 0

@@ -141,13 +141,18 @@ class TestExpand:
                         ("s", "k", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
         lab = Label(Trait(1, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
-                    Vertex("k", "s"), used_links=0b001)
+                    Vertex("k", "s"), route_a=(0, None), used_links=0b001)
         cands = search.expand(lab)
         # side a from k: k-d and the parallel k-s; side b from s: the parallel
         assert {c.vertex for c in cands} == {
             Vertex("d", "s"), Vertex("s", "s"), Vertex("k", "k"),
         }
-        assert all(not c.uses(0) or c.used_links != c.parent.used_links for c in cands)
+        assert {(c.vertex, c.route_a, c.route_b) for c in cands} == {
+            (Vertex("d", "s"), (1, (0, None)), None),
+            (Vertex("s", "s"), (2, (0, None)), None),
+            (Vertex("k", "k"), (2, None), (0, None)),
+        }
+        assert [c.used_links for c in cands] == [0b011, 0b101, 0b101]
 
 
 def lab_at(v, ca, ia, cb, ib):
@@ -335,3 +340,22 @@ class TestLimitedVariant:
             expect = oracle_solve(net, demand, max_route_cost=limit)
             got = solve(net, demand, SearchOptions(mode="base", max_route_cost=limit))
             assert got.routed and got.total_cost == expect.min_cost == 7
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_every_leg_within_limit(self, seed):
+        # limits at and just below each leg cost of the unlimited optimum:
+        # every routed leg must be feasible and cost at most the limit
+        net = random_network(9, 3.0, 16, 0.85, seed)
+        demand = Demand("n0", "n8", 2)
+        unlimited = solve(net, demand, SearchOptions(mode="base"))
+        leg_costs = [sum(net.links[l].cost for l in leg.links)
+                     for leg in (unlimited.working, unlimited.protecting)]
+        for limit in sorted({c - d for c in leg_costs for d in (0, 1)}):
+            sol = solve(net, demand, SearchOptions(mode="base", max_route_cost=limit))
+            if limit >= max(leg_costs):
+                assert sol.total_cost == unlimited.total_cost
+            if not sol.routed:
+                continue
+            assert_feasible(net, demand, sol)
+            for leg in (sol.working, sol.protecting):
+                assert sum(net.links[l].cost for l in leg.links) <= limit

@@ -112,14 +112,16 @@ class TestVertex:
 
 class TestLabelExtend:
     def test_moves_one_end_and_keeps_other_trait(self):
-        lab = Label(Trait(1, iv(0, 8)), Trait(9, iv(0, 4)), Vertex("a", "b"))
+        lab = Label(Trait(1, iv(0, 8)), Trait(9, iv(0, 4)), Vertex("a", "b"),
+                    route_a=(7, None), route_b=(8, None), used_links=1 << 7 | 1 << 8)
         k = mklink(2, [(0, 8)], link_id=3, ends=("a", "k"))
         (cand,) = label_extend(lab, k, "a", 1)
         assert cand.vertex == Vertex("b", "k")
-        assert cand.trait("a" if cand.vertex.a == "b" else "b") == Trait(9, iv(0, 4))
-        assert cand.trait(cand.ext_slot) == Trait(3, iv(0, 8))
-        assert cand.parent is lab
-        assert cand.appended_link == 3
+        # node b sorts first, so the kept trait and its route move to slot a
+        assert cand.trait_a == Trait(9, iv(0, 4))
+        assert cand.route_a is lab.route_b
+        assert cand.trait_b == Trait(3, iv(0, 8))
+        assert cand.route_b == (3, lab.route_a) and cand.route_b[1] is lab.route_a
         assert cand.used_links == lab.used_links | (1 << 3)
 
     def test_used_link_raises(self):
@@ -140,18 +142,20 @@ class TestLabelExtend:
         k = mklink(4, [(0, 8)], link_id=0, ends=("s", "k"))
         (cand,) = label_extend(root, k, "a", 1)
         assert cand.vertex == Vertex("k", "s")
-        kept_slot = "b" if cand.ext_slot == "a" else "a"
-        assert cand.trait(kept_slot) == Trait(0, iv(0, 8))
+        assert (cand.route_a, cand.route_b) == ((0, None), None)
+        assert cand.trait_b == Trait(0, iv(0, 8))
 
     def test_slot_swap_on_canonicalization(self):
         # moving the 'b' end to a node that sorts first flips the slots
-        lab = Label(Trait(1, iv(0, 4)), Trait(2, iv(0, 8)), Vertex("m", "z"))
+        lab = Label(Trait(1, iv(0, 4)), Trait(2, iv(0, 8)), Vertex("m", "z"),
+                    route_a=(0, None), route_b=(1, None), used_links=0b11)
         k = mklink(1, [(0, 8)], link_id=5, ends=("z", "a"))
         (cand,) = label_extend(lab, k, "b", 1)
         assert cand.vertex == Vertex("a", "m")
-        assert cand.ext_slot == "a"
         assert cand.trait_a == Trait(3, iv(0, 8))
+        assert cand.route_a == (5, lab.route_b)
         assert cand.trait_b == Trait(1, iv(0, 4))
+        assert cand.route_b is lab.route_a
 
 
 class TestDistinctNodeRelation:
