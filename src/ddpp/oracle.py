@@ -155,11 +155,14 @@ def oracle_solve(
     A trail is feasible when it admits at least one interval of the
     demanded width and, if limited, costs at most max_route_cost.
     Unordered pairs are counted once.  Raises BudgetExceeded instead of
-    ever truncating the enumeration, and ValueError on a negative limit.
+    ever truncating the enumeration, and ValueError on a negative limit or
+    a budget below 1.
     """
     validate_demand(net, demand)
     if max_route_cost is not None and max_route_cost < 0:
         raise ValueError(f"max_route_cost must be >= 0, got {max_route_cost}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     route_sets = _enumerate_route_sets(net, demand.src, demand.dst, budget)
     feasible: list[tuple[int, tuple[int, ...], int, list[UnitInterval]]] = []
     for mask, sequence in route_sets.items():

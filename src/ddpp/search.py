@@ -2,16 +2,26 @@
 
 The search graph is implicit: vertices are canonical unordered node pairs,
 and expanding a label appends one network link to one of its two routes.
-Labels are settled in nondecreasing label-cost order from a priority queue
-with lazy deletion; each vertex keeps only its undominated labels under
-the relation selected by ``SearchOptions.mode``.  The first label settled
-at the destination vertex (both routes ended at the destination) is
-optimal because link costs are non-negative and extending a label never
-lowers its cost.
+Each vertex keeps only its undominated labels under the relation selected
+by ``SearchOptions.mode``, and a priority queue with lazy deletion settles
+labels in goal-directed (A*) order.
 
-Ties are broken by a fixed total order: label cost, vertex, the two
-interval starts, then a generation sequence number, so a solve is
-deterministic for fixed inputs.
+The search runs over a per-demand *usable-link view*: the links with a
+free run of at least ``demand.units`` units, the only links a route can
+cross.  One Dijkstra from the destination over the view gives ``h(node)``,
+the cheapest cost from the node to the destination.  A label at vertex
+``(a, b)`` is keyed by ``label_cost + h(a) + h(b)``.  Costs are additive
+and non-negative and every link crossed is in the view, so ``h`` is
+consistent: extending a label never lowers its key, keys pop in
+nondecreasing order, and because ``h`` of the destination is 0 the first
+label settled at the destination vertex (both routes ended there) is
+optimal.  All labels at one vertex share its ``h``, so dominance is
+unchanged.  A vertex with a node that cannot reach the destination in the
+view has no ``h``; labels there can never finish and are dropped.
+
+Ties are broken by a fixed total order: key, vertex, the two interval
+starts, then a generation sequence number, so a solve is deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ class SearchOptions:
                 raise ValueError(f"max_route_cost must be >= 0, got {self.max_route_cost}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     labels_generated: int = 0
     labels_dominated: int = 0
@@ -57,7 +67,7 @@ class SearchStats:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteLeg:
     nodes: list[str]
     links: list[int]
@@ -67,7 +77,7 @@ class RouteLeg:
         return {"nodes": self.nodes, "links": self.links, "slots": self.slots.to_doc()}
 
 
-@dataclass
+@dataclass(slots=True)
 class Solution:
     status: str
     total_cost: int | None
@@ -156,9 +166,13 @@ class EfficientSet:
     member, since by transitivity that member would be dominated too, so
     nothing collected before the rejection needed evicting.  A property
     test pins this structure to the pure relations in spectrum_core.
+
+    ``h`` is the vertex's lower bound on the cost still to come, shared by
+    all its labels; the search adds it to their queue keys.
     """
 
-    def __init__(self, same_node: bool, mode: str) -> None:
+    def __init__(self, same_node: bool, mode: str, h: int = 0) -> None:
+        self.h = h
         self._same = same_node
         self._prime = mode == "prime"
         # (lo_a, hi_a) -> (lo_b, hi_b) -> _Staircase (base) or (label_cost, Label) (prime)
@@ -279,22 +293,53 @@ class PairSearch:
         self.net = net
         self.demand = demand
         self.stats = SearchStats()
-        self._incidence = {node: tuple(incident_links(net, node)) for node in net.nodes}
+        units = demand.units
+        # the usable-link view: only links with a wide enough free run
+        self._view = {
+            node: tuple(link for link in incident_links(net, node)
+                        if any(iv.length >= units for iv in link.available))
+            for node in net.nodes
+        }
+        self._h = self._distances_to(demand.dst)
         self._dest = Vertex(demand.dst, demand.dst)
         self._sets: dict[Vertex, EfficientSet] = {}
         self._seq = 0
         self._ran = False
 
-    def _set_for(self, vertex: Vertex) -> EfficientSet:
+    def _distances_to(self, target: str) -> dict[str, int]:
+        """Cheapest cost from each node to target over the view; a node
+        that cannot reach target is absent."""
+        dist = {target: 0}
+        heap = [(0, target)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for link in self._view[node]:
+                other = link.other_end(node)
+                nd = d + link.cost
+                if other not in dist or nd < dist[other]:
+                    dist[other] = nd
+                    heapq.heappush(heap, (nd, other))
+        return dist
+
+    def _set_for(self, vertex: Vertex) -> EfficientSet | None:
+        """The vertex's efficient set, or None when a node of the vertex
+        cannot reach the destination."""
         found = self._sets.get(vertex)
         if found is None:
-            found = EfficientSet(vertex.same_node, self.opts.mode)
+            ha = self._h.get(vertex.a)
+            hb = self._h.get(vertex.b)
+            if ha is None or hb is None:
+                return None
+            found = EfficientSet(vertex.same_node, self.opts.mode, ha + hb)
             self._sets[vertex] = found
         return found
 
-    def _queue_key(self, label: Label) -> tuple:
+    @staticmethod
+    def _queue_key(label: Label, h: int) -> tuple:
         return (
-            label_cost(label),
+            label_cost(label) + h,
             label.vertex.a,
             label.vertex.b,
             label.trait_a.ri.lo,
@@ -314,18 +359,23 @@ class PairSearch:
         Both vertex nodes contribute their links; at a same-node vertex
         only slot a is extended, because slots are interchangeable there
         and the slot-b expansion reappears one step later with the roles
-        swapped.  Under a route-cost limit, a link that would take the
-        extended route past the limit is not appended.
+        swapped.  Only links of the usable-link view are tried.  Under a
+        route-cost limit, a link is not appended when the extended route,
+        plus the cheapest way on from the link's far end to the
+        destination, would cost more than the limit; a far end that cannot
+        reach the destination is left to the search's dead-vertex drop.
         """
         out: list[Label] = []
         sides = ("a",) if label.vertex.same_node else ("a", "b")
         limit = self.opts.max_route_cost
+        h = self._h
         for side in sides:
             node = label.vertex.a if side == "a" else label.vertex.b
-            for link in self._incidence[node]:
+            for link in self._view[node]:
                 if label.uses(link.id):
                     continue
-                if limit is not None and label.trait(side).cost + link.cost > limit:
+                if limit is not None and (label.trait(side).cost + link.cost
+                                          + h.get(link.other_end(node), 0) > limit):
                     continue
                 for cand in label_extend(label, link, side, self.demand.units):
                     self._seq += 1
@@ -334,6 +384,16 @@ class PairSearch:
         return out
 
     def run(self) -> Solution:
+        """Settle labels over the usable-link view in A* key order.
+
+        A label's key is its cost plus its vertex's ``h(a) + h(b)``, and
+        keys must pop in nondecreasing order; a decrease is an internal
+        error.  A label at a vertex without ``h`` is dropped, so a root
+        that cannot reach the destination blocks the demand with no pop.
+        The first destination label settled is returned; with
+        ``enumerate_all`` the queue is drained first, so the destination's
+        efficient set ends complete.
+        """
         if self._ran:
             raise RuntimeError("PairSearch.run may only be called once")
         self._ran = True
@@ -342,19 +402,22 @@ class PairSearch:
         full = UnitInterval(0, self.net.unit_count)
         root = Label(Trait(0, full), Trait(0, full), Vertex(self.demand.src, self.demand.src))
         stats.labels_generated = 1
-        self._set_for(root.vertex).insert(root)
-        heap: list[tuple[tuple, Label]] = [(self._queue_key(root), root)]
+        heap: list[tuple[tuple, Label]] = []
+        root_set = self._set_for(root.vertex)
+        if root_set is not None:
+            root_set.insert(root)
+            heap.append((self._queue_key(root, root_set.h), root))
         best: Label | None = None
-        last_cost = None
+        last_key = None
 
         while heap:
             key, label = heapq.heappop(heap)
             stats.queue_pops += 1
             if not label.alive:
                 continue
-            if last_cost is not None and key[0] < last_cost:
-                raise RuntimeError("internal invariant breach: pop costs decreased")
-            last_cost = key[0]
+            if last_key is not None and key[0] < last_key:
+                raise RuntimeError("internal invariant breach: pop keys decreased")
+            last_key = key[0]
             stats.labels_settled += 1
             if label.vertex == self._dest:
                 # terminal: extending past the destination cannot help,
@@ -366,10 +429,14 @@ class PairSearch:
                 continue
             for cand in self.expand(label):
                 stats.labels_generated += 1
-                accepted, removed = self._set_for(cand.vertex).insert(cand)
+                store = self._set_for(cand.vertex)
+                if store is None:
+                    cand.alive = False
+                    continue
+                accepted, removed = store.insert(cand)
                 stats.labels_dominated += removed
                 if accepted:
-                    heapq.heappush(heap, (self._queue_key(cand), cand))
+                    heapq.heappush(heap, (self._queue_key(cand, store.h), cand))
                 else:
                     cand.alive = False
                     stats.labels_dominated += 1

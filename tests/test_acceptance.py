@@ -154,9 +154,12 @@ def test_criterion_2_lobe_blowup():
 def test_criterion_3_per_vertex_polynomial_bound(corpus_results):
     records, _ = corpus_results
     with criterion(3, "per-vertex label bound in prime mode"):
+        # prime mode keeps at most one label per interval pair, and a slot
+        # has W(W+1)/2 intervals at least `units` wide, W = U - units + 1
         worst = 0.0
-        for _index, net, _demand, _oracle_res, _base, prime in records:
-            bound = len(net.nodes) ** 2 * net.unit_count**4
+        for _index, net, demand, _oracle_res, _base, prime in records:
+            width = net.unit_count - demand.units + 1
+            bound = (width * (width + 1) // 2) ** 2
             peak = prime.stats.max_labels_per_vertex
             assert peak <= bound, (peak, bound)
             worst = max(worst, peak / bound)

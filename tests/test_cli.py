@@ -136,14 +136,16 @@ GEN_TRAFFIC = ["gen-traffic", "--count", "20", "--seed", "6"]
     ["lobe-bench", "--m-max", "2", "--relation", "base", "--units", "0"],
     ["lobe-bench", "--m-max", "0", "--relation", "base"],
     ["oracle", "--max-route-cost", "-1"],
+    ["oracle", "--budget", "0"],
+    ["compare", "--budget", "-5"],
 ], ids=["avg-degree-inf", "avg-degree-nan", "mean-gap-inf", "mean-hold-nan",
         "units-max-beyond-network", "lobe-units-zero", "lobe-m-max-zero",
-        "oracle-negative-limit"])
+        "oracle-negative-limit", "oracle-budget-zero", "compare-budget-negative"])
 def test_bad_generator_inputs_exit_one_without_traceback(tmp_path, capsys, argv):
-    if argv[0] in ("gen-traffic", "oracle"):
+    if argv[0] in ("gen-traffic", "oracle", "compare"):
         argv = argv + ["--net", write_json(tmp_path / "net.json",
                                            dump_network(lobe_network(2, 8)))]
-    if argv[0] == "oracle":
+    if argv[0] in ("oracle", "compare"):
         argv = argv + ["--demand", write_json(tmp_path / "demand.json", DEMAND)]
     code = main(argv)
     captured = capsys.readouterr()

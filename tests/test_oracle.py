@@ -92,6 +92,11 @@ class TestOracleSolve:
         with pytest.raises(BudgetExceeded):
             oracle_solve(net, Demand("n_s", "n_x", 1), budget=10)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            oracle_solve(lobe_network(1, 1), Demand("n_s", "n_x", 1), budget=budget)
+
     def test_deterministic_witness(self):
         net = random_network(7, 3, 4, 0.8, 11)
         demand = Demand(net.nodes[0], net.nodes[-1], 1)

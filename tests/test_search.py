@@ -135,6 +135,19 @@ class TestExpand:
                              SearchOptions(mode="base", max_route_cost=11))
         assert len(relaxed.expand(root)) == 1
 
+    def test_route_cost_limit_counts_cost_to_destination(self):
+        # s-k costs 1 but k is 5 from d, so under a limit of 5 only s-d is tried
+        net = make_net(4, ["d", "k", "s"],
+                       [("s", "k", 1, [(0, 4)]), ("k", "d", 5, [(0, 4)]),
+                        ("s", "d", 4, [(0, 4)])])
+        root = Label(Trait(0, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
+                     Vertex("s", "s"))
+        for limit, reached in ((5, {Vertex("d", "s")}),
+                               (6, {Vertex("d", "s"), Vertex("k", "s")})):
+            search = PairSearch(net, Demand("s", "d", 1),
+                                SearchOptions(mode="base", max_route_cost=limit))
+            assert {c.vertex for c in search.expand(root)} == reached
+
     def test_distinct_vertex_expands_both_sides(self):
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 1, [(0, 4)]),
@@ -250,34 +263,34 @@ class TestStatsAndModes:
     # (nodes, links, slots) of both legs, then (labels_generated,
     # labels_dominated, labels_settled, queue_pops, max_labels_per_vertex)
     GOLDEN = {
-        (12, 1, 2, "base"): ("blocked", None, None, None, (1948, 1182, 766, 826, 60)),
-        (12, 1, 2, "prime"): ("blocked", None, None, None, (1881, 1160, 721, 789, 53)),
+        (12, 1, 2, "base"): ("blocked", None, None, None, (1948, 1182, 766, 862, 60)),
+        (12, 1, 2, "prime"): ("blocked", None, None, None, (1881, 1160, 722, 818, 53)),
         (12, 2, 3, "base"): ("routed", 157,
-                             (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
                              (["n0", "n4", "n11"], [14, 2], [2, 5]),
-                             (5470, 2978, 1366, 1401, 90)),
+                             (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
+                             (843, 213, 146, 154, 37)),
         (12, 2, 3, "prime"): ("routed", 157,
-                              (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
                               (["n0", "n4", "n11"], [14, 2], [2, 5]),
-                              (5427, 3014, 1342, 1379, 82)),
+                              (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
+                              (838, 219, 138, 148, 37)),
         (13, 3, 2, "base"): ("routed", 116,
                              (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                              (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                             (3285, 1013, 441, 452, 96)),
+                             (1302, 184, 131, 135, 72)),
         (13, 3, 2, "prime"): ("routed", 116,
                               (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                               (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                              (3285, 1117, 441, 452, 96)),
+                              (1302, 221, 131, 135, 72)),
         (14, 5, 2, "base"): ("routed", 304,
                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                               [1, 3]),
-                             (15199, 8053, 3726, 3727, 198)),
+                             (4277, 1542, 849, 909, 171)),
         (14, 5, 2, "prime"): ("routed", 304,
                               (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                               (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                                [1, 3]),
-                              (14342, 7885, 3466, 3514, 182)),
+                              (4103, 1558, 803, 873, 153)),
     }
 
     @staticmethod
@@ -352,6 +365,8 @@ class TestLimitedVariant:
                      for leg in (unlimited.working, unlimited.protecting)]
         for limit in sorted({c - d for c in leg_costs for d in (0, 1)}):
             sol = solve(net, demand, SearchOptions(mode="base", max_route_cost=limit))
+            expect = oracle_solve(net, demand, max_route_cost=limit)
+            assert (sol.status, sol.total_cost) == (expect.status, expect.min_cost), limit
             if limit >= max(leg_costs):
                 assert sol.total_cost == unlimited.total_cost
             if not sol.routed:
@@ -359,3 +374,69 @@ class TestLimitedVariant:
             assert_feasible(net, demand, sol)
             for leg in (sol.working, sol.protecting):
                 assert sum(net.links[l].cost for l in leg.links) <= limit
+
+
+def usable(link, units):
+    return any(iv.length >= units for iv in link.available)
+
+
+def view_distances(net, dst, units):
+    """Bellman-Ford over the links with a free run of at least `units`."""
+    dist = {dst: 0}
+    for _ in net.nodes:
+        for link in net.links:
+            if not usable(link, units):
+                continue
+            for here, there in (link.ends, link.ends[::-1]):
+                if there in dist:
+                    via = dist[there] + link.cost
+                    if here not in dist or via < dist[here]:
+                        dist[here] = via
+    return dist
+
+
+class TestUsableLinkView:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_h_is_exact_and_consistent(self, seed):
+        net = random_network(10, 3.0, 16, 0.6, seed)
+        for units in (1, 3, 5):
+            demand = Demand("n0", "n9", units)
+            h = PairSearch(net, demand)._h
+            assert h == view_distances(net, demand.dst, units)
+            assert h[demand.dst] == 0
+            for link in net.links:
+                if not usable(link, units):
+                    continue
+                for u, v in (link.ends, link.ends[::-1]):
+                    if u in h:
+                        assert h[u] <= link.cost + h[v]
+
+    @pytest.mark.parametrize("mode", ["base", "prime"])
+    def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):
+        # d is only reachable over links whose free runs are one unit wide
+        net = make_net(8, ["a", "d", "s"],
+                       [("s", "a", 1, FULL8), ("s", "a", 1, FULL8),
+                        ("a", "d", 1, [(0, 1), (2, 3)]), ("s", "d", 1, [(4, 5)])])
+        demand = Demand("s", "d", 2)
+        assert not oracle_solve(net, demand).routed
+        sol = solve(net, demand, SearchOptions(mode=mode))
+        assert sol.status == "blocked"
+        assert sol.stats.queue_pops == 0 and sol.stats.labels_generated == 1
+
+    @pytest.mark.parametrize("mode", ["base", "prime"])
+    def test_dead_end_branch_gets_no_efficient_set(self, mode):
+        core = [("s", "a", 1, FULL8), ("a", "d", 1, FULL8), ("s", "d", 4, FULL8)]
+        # x and y hang off a by a link too narrow for two units
+        branch = [("a", "x", 0, [(0, 1)]), ("x", "y", 0, FULL8)]
+        net = make_net(8, ["a", "d", "s", "x", "y"], core + branch)
+        demand = Demand("s", "d", 2)
+        search = PairSearch(net, demand, SearchOptions(mode=mode))
+        assert "x" not in search._h and "y" not in search._h
+        assert search._set_for(Vertex("a", "x")) is None
+        sol = search.run()
+        assert not any({"x", "y"} & {v.a, v.b} for v in search._sets)
+        without = solve(make_net(8, ["a", "d", "s", "x", "y"], core), demand,
+                        SearchOptions(mode=mode))
+        assert sol.routed and sol.total_cost == without.total_cost == 6
+        assert sol.total_cost == oracle_solve(net, demand).min_cost
+        assert_feasible(net, demand, sol)

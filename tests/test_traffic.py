@@ -187,14 +187,14 @@ class TestGoldenReplay:
               "max_labels")
     # (n, seed, mode) -> FIELDS; every report field but the measured wall time
     GOLDEN = {
-        (8, 1, "base"): (50, 29, 21, 0.42, 197.02, 635),
-        (8, 1, "prime"): (50, 29, 21, 0.42, 195.12, 623),
-        (9, 2, "base"): (50, 21, 29, 0.58, 256.72, 1995),
-        (9, 2, "prime"): (50, 21, 29, 0.58, 250.68, 1875),
-        (10, 3, "base"): (50, 14, 36, 0.72, 250.02, 2676),
-        (10, 3, "prime"): (50, 14, 36, 0.72, 244.04, 2559),
-        (12, 4, "base"): (50, 23, 27, 0.54, 594.98, 3516),
-        (12, 4, "prime"): (50, 23, 27, 0.54, 547.58, 3082),
+        (8, 1, "base"): (50, 29, 21, 0.42, 86.42, 636),
+        (8, 1, "prime"): (50, 29, 21, 0.42, 85.24, 624),
+        (9, 2, "base"): (50, 21, 29, 0.58, 141.28, 1342),
+        (9, 2, "prime"): (50, 21, 29, 0.58, 138.2, 1280),
+        (10, 3, "base"): (50, 14, 36, 0.72, 127.42, 1306),
+        (10, 3, "prime"): (50, 14, 36, 0.72, 125.22, 1222),
+        (12, 4, "base"): (50, 23, 27, 0.54, 362.64, 3507),
+        (12, 4, "prime"): (50, 23, 27, 0.54, 332.32, 3077),
     }
 
     def test_reports_match_golden(self):
