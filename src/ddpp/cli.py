@@ -47,7 +47,10 @@ def _emit(doc: dict) -> None:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document is nested too deeply") from None
 
 
 def cmd_solve(args) -> int:

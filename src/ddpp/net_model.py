@@ -48,7 +48,7 @@ class Link:
             return self.ends[1]
         if node == self.ends[1]:
             return self.ends[0]
-        raise ValueError(f"node {node!r} is not an endpoint of link {self.id}")
+        raise ValueError(f"link {self.id} is not incident to node {node!r}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,11 @@ def incident_links(net: Network, node: str) -> list[Link]:
         raise NetworkError(f"unknown node {node!r}") from None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise NetworkError(message)
@@ -159,7 +164,7 @@ def load_network(doc: dict) -> Network:
     _require("nodes" in doc, "network document lacks 'nodes'")
     _require("links" in doc, "network document lacks 'links'")
     units = doc["units"]
-    _require(isinstance(units, int) and not isinstance(units, bool) and units >= 1,
+    _require(_is_int(units) and units >= 1,
              f"'units' must be a positive integer, got {units!r}")
     nodes = doc["nodes"]
     _require(isinstance(nodes, list) and nodes, "'nodes' must be a non-empty list")
@@ -175,8 +180,7 @@ def load_network(doc: dict) -> Network:
         for key in ("id", "ends", "cost", "available"):
             _require(key in entry, f"link entry lacks {key!r}: {entry!r}")
         link_id = entry["id"]
-        _require(isinstance(link_id, int) and not isinstance(link_id, bool),
-                 f"link id {link_id!r} is not an integer")
+        _require(_is_int(link_id), f"link id {link_id!r} is not an integer")
         _require(link_id not in seen_ids, f"duplicate link id {link_id}")
         seen_ids.add(link_id)
         ends = entry["ends"]
@@ -185,14 +189,13 @@ def load_network(doc: dict) -> Network:
         for end in ends:
             _require(isinstance(end, str), f"link {link_id} references unknown node {end!r}")
         cost = entry["cost"]
-        _require(isinstance(cost, int) and not isinstance(cost, bool),
-                 f"link {link_id}: cost must be an integer, got {cost!r}")
+        _require(_is_int(cost), f"link {link_id}: cost must be an integer, got {cost!r}")
         _require(isinstance(entry["available"], list),
                  f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
         intervals = []
         for pair in entry["available"]:
             _require(isinstance(pair, list) and len(pair) == 2
-                     and all(isinstance(v, int) and not isinstance(v, bool) for v in pair),
+                     and all(_is_int(v) for v in pair),
                      f"link {link_id}: interval {pair!r} must be [lo, hi]")
             lo, hi = pair
             # checked here, not left to Network: UnitInterval would raise a
@@ -231,8 +234,7 @@ def load_demand(doc: dict) -> Demand:
     for key in ("src", "dst"):
         _require(isinstance(doc[key], str), f"demand {key} {doc[key]!r} is not a string")
     units = doc["units"]
-    _require(isinstance(units, int) and not isinstance(units, bool),
-             f"demand units {units!r} is not an integer")
+    _require(_is_int(units), f"demand units {units!r} is not an integer")
     try:
         return Demand(doc["src"], doc["dst"], units)
     except ValueError as exc:

@@ -76,19 +76,6 @@ def normalize_intervals(items) -> tuple[UnitInterval, ...]:
     return tuple(merged)
 
 
-def clip_intervals(intervals, window: UnitInterval) -> list[UnitInterval]:
-    """Intersect a canonical interval sequence with a single window.
-
-    The pieces inherit the input's canonical ordering and disjointness.
-    """
-    out = []
-    for iv in intervals:
-        piece = iv.intersect(window)
-        if piece is not None:
-            out.append(piece)
-    return out
-
-
 def remove_interval(intervals, cut: UnitInterval) -> tuple[UnitInterval, ...] | None:
     """Cut a window out of the canonical interval tuple that contains it.
 
@@ -125,16 +112,23 @@ def trait_extend(trait: Trait, link, units: int) -> list[Trait]:
     """Candidate traits after appending a link to the trait's route.
 
     One candidate per maximal contiguous piece of the trait's interval that
-    is also available on the link and still wide enough for the demand.
+    is also available on the link and at least ``units`` (>= 1) wide.
     Candidates shorter than the demand can never recover, so they are
     dropped here.  Returns an empty list when nothing qualifies.
+    ``link.available`` must be canonical, as ``Network`` enforces: the walk
+    stops at the first interval that starts at or past the trait's ``hi``.
     """
     cost = trait.cost + link.cost
-    return [
-        Trait(cost, piece)
-        for piece in clip_intervals(link.available, trait.ri)
-        if piece.length >= units
-    ]
+    lo, hi = trait.ri.lo, trait.ri.hi
+    out = []
+    for iv in link.available:
+        if iv.lo >= hi:
+            break
+        piece_lo = iv.lo if iv.lo > lo else lo
+        piece_hi = iv.hi if iv.hi < hi else hi
+        if piece_hi - piece_lo >= units:
+            out.append(Trait(cost, UnitInterval(piece_lo, piece_hi)))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,11 +194,9 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     end = label.vertex.a if side == "a" else label.vertex.b
-    if end not in link.ends:
-        raise ValueError(f"link {link.id} is not incident to node {end!r}")
+    moved_end = link.other_end(end)
     if label.uses(link.id):
         raise ValueError(f"link {link.id} already used by this label")
-    moved_end = link.ends[1] if link.ends[0] == end else link.ends[0]
     if side == "a":
         kept_trait, kept_route, kept_end = label.trait_b, label.route_b, label.vertex.b
         route = (link.id, label.route_a)

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Link, Network, NetworkError
+from .net_model import Demand, Link, Network, NetworkError, _is_int
 from .search import SearchOptions, solve
 from .spectrum_core import normalize_intervals, remove_interval
 
@@ -46,10 +46,6 @@ class SimReport:
 
     def to_doc(self) -> dict:
         return asdict(self)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:

@@ -11,7 +11,8 @@ from ddpp.cli import main
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    # a str is written as raw text, for documents json.dumps cannot build
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -98,6 +99,7 @@ LOBE_NET = dump_network(lobe_network(2, 1))
 LOBE_LINK = LOBE_NET["links"][0]
 DEMAND = {"src": "n_s", "dst": "n_x", "units": 1}
 EVENT = {"id": 0, "time": 0.0, "src": "n_s", "dst": "n_x", "units": 1, "hold": 1.0}
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.mark.parametrize("command, net_doc, doc", [
@@ -109,8 +111,10 @@ EVENT = {"id": 0, "time": 0.0, "src": "n_s", "dst": "n_x", "units": 1, "hold": 1
     ("simulate", LOBE_NET, {"events": [{**EVENT, "src": ["n_s"]}]}),
     ("simulate", LOBE_NET, {"events": [{**EVENT, "units": True}]}),
     ("simulate", LOBE_NET, {"events": [{**EVENT, "hold": "inf"}]}),
+    ("solve", LOBE_NET, DEEP_JSON),
 ], ids=["available-int", "ends-nested", "demand-src-list", "demand-dst-object",
-        "events-null", "event-src-list", "event-units-bool", "event-hold-string"])
+        "events-null", "event-src-list", "event-units-bool", "event-hold-string",
+        "demand-nested-too-deep"])
 def test_malformed_documents_exit_one_without_traceback(tmp_path, capsys, command,
                                                         net_doc, doc):
     flag = "--demand" if command == "solve" else "--traffic"

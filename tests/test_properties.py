@@ -9,11 +9,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import NaiveEfficientSet
+from conftest import NaiveEfficientSet, assert_feasible, link_units, unit_runs
 
 from ddpp import (
+    Demand,
     Label,
     Link,
+    PairSearch,
+    SearchOptions,
     Trait,
     UnitInterval,
     Vertex,
@@ -23,10 +26,12 @@ from ddpp import (
     leq_n,
     leq_x,
     normalize_intervals,
+    oracle_solve,
+    random_network,
     trait_extend,
     trait_leq,
 )
-from ddpp.spectrum_core import remove_interval
+from ddpp.spectrum_core import MODES, remove_interval
 
 UNITS_TOTAL = 8
 
@@ -86,10 +91,14 @@ def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
 @settings(max_examples=300, derandomize=True)
 @given(trait_strategy(), link_strategy(), st.integers(1, 3))
 def test_trait_extension_shrinks_interval(trait, link, units):
-    for cand in trait_extend(trait, link, units):
+    got = trait_extend(trait, link, units)
+    for cand in got:
         assert trait.ri.contains(cand.ri)
         assert cand.ri.length >= units
         assert cand.cost == trait.cost + link.cost
+    # unit-by-unit reference: pins every piece, including the early stop
+    expected = unit_runs(set(range(trait.ri.lo, trait.ri.hi)) & link_units(link), units)
+    assert got == [Trait(trait.cost + link.cost, UnitInterval(lo, hi)) for lo, hi in expected]
 
 
 @settings(max_examples=300, derandomize=True)
@@ -272,3 +281,46 @@ def test_sorted_cross_implies_normal_witnesses():
     ui = Label(Trait(1, UnitInterval(0, 2)), Trait(2, UnitInterval(0, 4)), v)
     uj = Label(Trait(3, UnitInterval(0, 4)), Trait(2, UnitInterval(0, 2)), v)
     assert leq_x(ui, uj) and not leq_n(ui, uj)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(4, 7), st.sampled_from((2.0, 2.5, 3.0)), st.integers(3, 8),
+       st.sampled_from((0.6, 0.8, 1.0)), st.integers(0, 10_000), st.integers(1, 3),
+       st.data())
+def test_search_matches_oracle_on_every_combination(n, degree, unit_count, fill, seed,
+                                                    units, data):
+    """Differential check over mode x route limit x enumerate_all x units.
+
+    Every solve's status and cost equal the oracle's, every routed answer
+    passes the independent feasibility check, and an enumerated
+    destination set is an antichain whose cheapest label is the optimum.
+    Limits sit around the unlimited witness's leg costs (base mode only).
+    """
+    net = random_network(n, degree, unit_count, fill, seed)
+    src, dst = data.draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=2,
+                                  unique=True))
+    demand = Demand(src, dst, units)
+    unlimited = oracle_solve(net, demand)
+    limits = [None]
+    if unlimited.routed:
+        leg_costs = (unlimited.witness.cost_a, unlimited.witness.cost_b)
+        limits += sorted({c + d for c in leg_costs for d in (-1, 0, 1) if c + d >= 0})
+    for limit in limits:
+        expect = unlimited if limit is None else oracle_solve(net, demand, limit)
+        for mode in MODES if limit is None else ("base",):
+            for enumerate_all in (False, True):
+                search = PairSearch(net, demand, SearchOptions(mode, limit, enumerate_all))
+                sol = search.run()
+                case = (mode, limit, enumerate_all)
+                assert (sol.status, sol.total_cost) == (expect.status, expect.min_cost), case
+                if sol.routed:
+                    assert_feasible(net, demand, sol)
+                    if limit is not None:
+                        assert all(sum(net.links[l].cost for l in leg.links) <= limit
+                                   for leg in (sol.working, sol.protecting)), case
+                if enumerate_all:
+                    at_dst = search._sets.get(Vertex(dst, dst))
+                    labels = at_dst.alive_labels() if at_dst is not None else []
+                    assert not any(dominates(mode, a, b)
+                                   for a in labels for b in labels if a is not b), case
+                    assert min(map(label_cost, labels), default=None) == expect.min_cost, case
