@@ -117,30 +117,27 @@ class OracleResult:
 def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[int, tuple[int, ...]]:
     """All distinct link sets of trails from src to dst.
 
-    Depth-first over links in id order; two traversal orders of the same
-    link set are the same route for cost and spectrum purposes, so only
-    the first-found sequence is kept as the witness.
+    Depth-first over links in id order, on an explicit stack so a trail may
+    outgrow the recursion limit; two traversal orders of the same link set
+    are the same route for cost and spectrum purposes, so only the
+    first-found sequence is kept as the witness.
     """
     incidence = {node: incident_links(net, node) for node in net.nodes}
     found: dict[int, tuple[int, ...]] = {}
-    sequence: list[int] = []
-
-    def walk(node: str, mask: int) -> None:
+    # links pushed in reverse id order pop in id order: the recursive pre-order
+    stack = [(src, 0, ())]
+    while stack:
+        node, mask, sequence = stack.pop()
         if node == dst and sequence and mask not in found:
-            found[mask] = tuple(sequence)
+            found[mask] = sequence
             if len(found) > cap:
                 raise BudgetExceeded(
                     f"trail enumeration exceeded the budget of {cap}"
                 )
-        for link in incidence[node]:
+        for link in reversed(incidence[node]):
             bit = 1 << link.id
-            if mask & bit:
-                continue
-            sequence.append(link.id)
-            walk(link.other_end(node), mask | bit)
-            sequence.pop()
-
-    walk(src, 0)
+            if not mask & bit:
+                stack.append((link.other_end(node), mask | bit, sequence + (link.id,)))
     return found
 
 

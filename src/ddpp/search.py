@@ -32,7 +32,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, incident_links, validate_demand
-from .spectrum_core import MODES, Label, Trait, UnitInterval, Vertex, label_cost, label_extend
+from .spectrum_core import MODES, Label, UnitInterval, Vertex, label_cost, label_extend
 
 
 @dataclass
@@ -191,13 +191,11 @@ class EfficientSet:
 
     def insert(self, label: Label) -> tuple[bool, int]:
         """Insert if undominated; returns (accepted, members_removed)."""
-        ta, tb = label.trait_a, label.trait_b
-        la, ha, lb, hb = ta.ri.lo, ta.ri.hi, tb.ri.lo, tb.ri.hi
+        ca, la, ha = label.trait_a
+        cb, lb, hb = label.trait_b
         prime = self._prime
         if prime:
-            ca = cb = label_cost(label)
-        else:
-            ca, cb = ta.cost, tb.cost
+            ca = cb = ca + cb
         # the candidate as (slot-a interval, slot-b interval, costs) per comparison
         aligned = (la, ha, lb, hb, ca, cb)
         views = (aligned, (lb, hb, la, ha, cb, ca)) if self._same else (aligned,)
@@ -265,8 +263,8 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
     demanded width inside each final interval.
     """
     legs = []
-    for route, trait, here in ((label.route_a, label.trait_a, label.vertex.a),
-                               (label.route_b, label.trait_b, label.vertex.b)):
+    for route, trait, here in ((label.route_a, label.trait_a, label.vertex[0]),
+                               (label.route_b, label.trait_b, label.vertex[1])):
         if route is None:
             raise ValueError("cannot reconstruct an empty route, as at the root label")
         nodes, links = [here], []
@@ -279,7 +277,7 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
             nodes.append(here)
             links.append(link_id)
         legs.append(RouteLeg(nodes[::-1], links[::-1],
-                             UnitInterval(trait.ri.lo, trait.ri.lo + units)))
+                             UnitInterval(trait[1], trait[1] + units)))
     return legs[0], legs[1]
 
 
@@ -338,14 +336,8 @@ class PairSearch:
 
     @staticmethod
     def _queue_key(label: Label, h: int) -> tuple:
-        return (
-            label_cost(label) + h,
-            label.vertex.a,
-            label.vertex.b,
-            label.trait_a.ri.lo,
-            label.trait_b.ri.lo,
-            label.seq,
-        )
+        ta, tb = label.trait_a, label.trait_b
+        return (ta[0] + tb[0] + h, label.vertex, ta[1], tb[1], label.seq)
 
     @property
     def destination_count(self) -> int:
@@ -366,15 +358,16 @@ class PairSearch:
         reach the destination is left to the search's dead-vertex drop.
         """
         out: list[Label] = []
-        sides = ("a",) if label.vertex.same_node else ("a", "b")
+        a, b = label.vertex
+        sides = (("a", a),) if a == b else (("a", a), ("b", b))
         limit = self.opts.max_route_cost
         h = self._h
-        for side in sides:
-            node = label.vertex.a if side == "a" else label.vertex.b
+        for side, node in sides:
+            spent = (label.trait_a if side == "a" else label.trait_b)[0]
             for link in self._view[node]:
                 if label.uses(link.id):
                     continue
-                if limit is not None and (label.trait(side).cost + link.cost
+                if limit is not None and (spent + link.cost
                                           + h.get(link.other_end(node), 0) > limit):
                     continue
                 for cand in label_extend(label, link, side, self.demand.units):
@@ -399,8 +392,8 @@ class PairSearch:
         self._ran = True
         started = time.perf_counter()
         stats = self.stats
-        full = UnitInterval(0, self.net.unit_count)
-        root = Label(Trait(0, full), Trait(0, full), Vertex(self.demand.src, self.demand.src))
+        full = (0, 0, self.net.unit_count)
+        root = Label(full, full, Vertex(self.demand.src, self.demand.src))
         stats.labels_generated = 1
         heap: list[tuple[tuple, Label]] = []
         root_set = self._set_for(root.vertex)
@@ -431,15 +424,13 @@ class PairSearch:
                 stats.labels_generated += 1
                 store = self._set_for(cand.vertex)
                 if store is None:
-                    cand.alive = False
-                    continue
+                    continue  # dropped: the candidate is referenced nowhere else
                 accepted, removed = store.insert(cand)
-                stats.labels_dominated += removed
                 if accepted:
                     heapq.heappush(heap, (self._queue_key(cand, store.h), cand))
                 else:
-                    cand.alive = False
-                    stats.labels_dominated += 1
+                    removed += 1  # the candidate itself
+                stats.labels_dominated += removed
 
         stats.max_labels_per_vertex = max(
             (s.peak for s in self._sets.values()), default=0

@@ -7,6 +7,10 @@ link's cost, and a label costs the sum of its two traits.  A label pairs
 two traits, one per route of a protected connection, and lives at a vertex,
 the unordered pair of nodes where the two routes currently end.
 
+On the search's hot path a trait is a bare ``(cost, lo, hi)`` tuple and a
+vertex a ``Vertex``, the named tuple ``(a, b)`` with ``a <= b``, so
+building, hashing and comparing either runs in C.
+
 Pruning uses one relation per vertex kind, selected by search mode:
 
 * ``base``: trait-wise comparison (cost and interval of each trait).  Exact
@@ -24,6 +28,7 @@ Pruning uses one relation per vertex kind, selected by search mode:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 MODES = ("base", "prime")
@@ -90,26 +95,43 @@ def remove_interval(intervals, cut: UnitInterval) -> tuple[UnitInterval, ...] | 
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class Trait:
-    """One partial route: accumulated cost and its usable unit interval."""
+class Trait(namedtuple("_Trait", "cost lo hi")):
+    """One partial route as ``(cost, lo, hi)``: accumulated cost and usable
+    unit interval [lo, hi), validated as ``UnitInterval`` is.  For the API
+    edge and tests: ``trait_extend`` builds bare tuple literals, well formed
+    by construction, as each piece it cuts is at least ``units >= 1`` wide
+    and lies inside a validated link interval.
+    """
 
-    cost: int
-    ri: UnitInterval
+    __slots__ = ()
+
+    def __new__(cls, cost: int, lo: int, hi: int) -> "Trait":
+        UnitInterval(lo, hi)  # raises on a malformed interval
+        return tuple.__new__(cls, (cost, lo, hi))
+
+    @property
+    def ri(self) -> UnitInterval:
+        return UnitInterval(self.lo, self.hi)
 
 
-def trait_leq(t_i: Trait, t_j: Trait) -> bool:
+def trait_leq(t_i: tuple, t_j: tuple) -> bool:
     """True when t_i is better than or equal to t_j.
 
     Better means no more expensive and offering at least the same units.
     The relation is a preorder: reflexive and transitive, but two traits
     can be incomparable.
     """
-    return t_i.cost <= t_j.cost and t_i.ri.contains(t_j.ri)
+    return t_i[0] <= t_j[0] and _holds(t_i, t_j)
 
 
-def trait_extend(trait: Trait, link, units: int) -> list[Trait]:
-    """Candidate traits after appending a link to the trait's route.
+def _holds(t_i: tuple, t_j: tuple) -> bool:
+    """True when t_i's interval contains t_j's."""
+    return t_i[1] <= t_j[1] and t_j[2] <= t_i[2]
+
+
+def trait_extend(trait: tuple, link, units: int) -> list[tuple]:
+    """Candidate ``(cost, lo, hi)`` traits after appending a link to the
+    trait's route.
 
     One candidate per maximal contiguous piece of the trait's interval that
     is also available on the link and at least ``units`` (>= 1) wide.
@@ -118,8 +140,8 @@ def trait_extend(trait: Trait, link, units: int) -> list[Trait]:
     ``link.available`` must be canonical, as ``Network`` enforces: the walk
     stops at the first interval that starts at or past the trait's ``hi``.
     """
-    cost = trait.cost + link.cost
-    lo, hi = trait.ri.lo, trait.ri.hi
+    cost, lo, hi = trait
+    cost += link.cost
     out = []
     for iv in link.available:
         if iv.lo >= hi:
@@ -127,22 +149,18 @@ def trait_extend(trait: Trait, link, units: int) -> list[Trait]:
         piece_lo = iv.lo if iv.lo > lo else lo
         piece_hi = iv.hi if iv.hi < hi else hi
         if piece_hi - piece_lo >= units:
-            out.append(Trait(cost, UnitInterval(piece_lo, piece_hi)))
+            out.append((cost, piece_lo, piece_hi))
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    """Canonical unordered pair of network nodes."""
+class Vertex(namedtuple("_Vertex", "a b")):
+    """Canonical unordered pair of network nodes, the tuple ``(a, b)`` with
+    ``a <= b``; hashing and equality are the tuple's own."""
 
-    a: str
-    b: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+    def __new__(cls, a: str, b: str) -> "Vertex":
+        return tuple.__new__(cls, (a, b) if a <= b else (b, a))
 
     @property
     def same_node(self) -> bool:
@@ -153,6 +171,8 @@ class Vertex:
 class Label:
     """Search state: a pair of traits, each with the route it summarizes.
 
+    ``trait_a`` and ``trait_b`` are ``(cost, lo, hi)`` tuples; route a
+    ends at ``vertex.a`` and route b at ``vertex.b``.
     ``route_a`` and ``route_b`` hold the route of the trait in the same
     slot as a shared cons list ``(last link id, rest)`` that ends in
     ``None`` at the source; extending a route puts one new cell in front
@@ -161,8 +181,8 @@ class Label:
     disjointness check is a single mask test.
     """
 
-    trait_a: Trait
-    trait_b: Trait
+    trait_a: tuple
+    trait_b: tuple
     vertex: Vertex
     route_a: tuple | None = None
     route_b: tuple | None = None
@@ -173,13 +193,10 @@ class Label:
     def uses(self, link_id: int) -> bool:
         return (self.used_links >> link_id) & 1 == 1
 
-    def trait(self, slot: str) -> Trait:
-        return self.trait_a if slot == "a" else self.trait_b
-
 
 def label_cost(label: Label) -> int:
     """Sum of the two accumulated trait costs."""
-    return label.trait_a.cost + label.trait_b.cost
+    return label.trait_a[0] + label.trait_b[0]
 
 
 def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
@@ -193,26 +210,24 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    end = label.vertex.a if side == "a" else label.vertex.b
-    moved_end = link.other_end(end)
-    if label.uses(link.id):
-        raise ValueError(f"link {link.id} already used by this label")
+    a, b = label.vertex
     if side == "a":
-        kept_trait, kept_route, kept_end = label.trait_b, label.route_b, label.vertex.b
+        moved_end, kept_end = link.other_end(a), b
+        trait, kept_trait, kept_route = label.trait_a, label.trait_b, label.route_b
         route = (link.id, label.route_a)
     else:
-        kept_trait, kept_route, kept_end = label.trait_a, label.route_a, label.vertex.a
+        moved_end, kept_end = link.other_end(b), a
+        trait, kept_trait, kept_route = label.trait_b, label.trait_a, label.route_a
         route = (link.id, label.route_b)
-    vertex = Vertex(moved_end, kept_end)
+    if label.uses(link.id):
+        raise ValueError(f"link {link.id} already used by this label")
     used = label.used_links | (1 << link.id)
-    out = []
-    for t in trait_extend(label.trait(side), link, units):
-        if moved_end <= kept_end:
-            cand = Label(t, kept_trait, vertex, route, kept_route, used)
-        else:
-            cand = Label(kept_trait, t, vertex, kept_route, route, used)
-        out.append(cand)
-    return out
+    pieces = trait_extend(trait, link, units)
+    if moved_end <= kept_end:
+        vertex = tuple.__new__(Vertex, (moved_end, kept_end))
+        return [Label(t, kept_trait, vertex, route, kept_route, used) for t in pieces]
+    vertex = tuple.__new__(Vertex, (kept_end, moved_end))
+    return [Label(kept_trait, t, vertex, kept_route, route, used) for t in pieces]
 
 
 def leq_n(l_i: Label, l_j: Label) -> bool:
@@ -232,12 +247,12 @@ def leq_eq(l_i: Label, l_j: Label) -> bool:
 
 def ri_incl_n(l_i: Label, l_j: Label) -> bool:
     """Slot-aligned interval containment."""
-    return l_i.trait_a.ri.contains(l_j.trait_a.ri) and l_i.trait_b.ri.contains(l_j.trait_b.ri)
+    return _holds(l_i.trait_a, l_j.trait_a) and _holds(l_i.trait_b, l_j.trait_b)
 
 
 def ri_incl_x(l_i: Label, l_j: Label) -> bool:
     """Slot-swapped interval containment."""
-    return l_i.trait_a.ri.contains(l_j.trait_b.ri) and l_i.trait_b.ri.contains(l_j.trait_a.ri)
+    return _holds(l_i.trait_a, l_j.trait_b) and _holds(l_i.trait_b, l_j.trait_a)
 
 
 def ri_incl_eq(l_i: Label, l_j: Label) -> bool:

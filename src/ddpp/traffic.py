@@ -156,6 +156,7 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
     one, which is asserted before reporting.
     """
     opts = opts if opts is not None else SearchOptions()
+    opts.validate()
     _validate_events(net, events)
     arrivals = sorted(events, key=lambda ev: (ev.time, ev.id))
     links = list(net.links)

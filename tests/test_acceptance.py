@@ -21,7 +21,6 @@ from ddpp import (
     Link,
     SearchOptions,
     Trait,
-    UnitInterval,
     Vertex,
     PairSearch,
     dominates,
@@ -168,8 +167,8 @@ def test_criterion_3_per_vertex_polynomial_bound(corpus_results):
 
 def test_criterion_4_relation_algebra_exhaustive():
     with criterion(4, "exhaustive relation algebra on the small trait universe"):
-        intervals = [UnitInterval(lo, hi) for lo in range(4) for hi in range(lo + 1, 5)]
-        traits = [Trait(cost, ri) for cost in range(4) for ri in intervals]
+        intervals = [(lo, hi) for lo in range(4) for hi in range(lo + 1, 5)]
+        traits = [Trait(cost, lo, hi) for cost in range(4) for lo, hi in intervals]
         vertex = Vertex("n", "n")
         labels = [Label(t1, t2, vertex) for t1 in traits for t2 in traits]
         sorted_labels = [l for l in labels if trait_leq(l.trait_a, l.trait_b)]
@@ -232,13 +231,13 @@ def _make_link_pool(rng, ends, count=256):
 def _rand_trait(rng, units):
     lo = rng.randint(0, 8 - units)
     hi = rng.randint(lo + units, 8)
-    return Trait(rng.randint(0, 20), UnitInterval(lo, hi))
+    return Trait(rng.randint(0, 20), lo, hi)
 
 
-def _shrunk(rng, base: Trait, units) -> UnitInterval:
-    lo = rng.randint(base.ri.lo, base.ri.hi - units)
-    hi = rng.randint(lo + units, base.ri.hi)
-    return UnitInterval(lo, hi)
+def _shrunk(rng, base: Trait, units) -> tuple[int, int]:
+    lo = rng.randint(base.lo, base.hi - units)
+    hi = rng.randint(lo + units, base.hi)
+    return lo, hi
 
 
 def _extend_both_sides(label, link, units):
@@ -268,16 +267,16 @@ def _preservation_violations(mode: str, trials: int, seed: int) -> int:
         )
         if mode == "base":
             bad = Label(
-                Trait(first.cost + rng.randint(0, 5), _shrunk(rng, first, units)),
-                Trait(second.cost + rng.randint(0, 5), _shrunk(rng, second, units)),
+                Trait(first.cost + rng.randint(0, 5), *_shrunk(rng, first, units)),
+                Trait(second.cost + rng.randint(0, 5), *_shrunk(rng, second, units)),
                 vertex,
             )
         else:
             total = good.trait_a.cost + good.trait_b.cost + rng.randint(0, 6)
             ca = rng.randint(0, total)
             bad = Label(
-                Trait(ca, _shrunk(rng, first, units)),
-                Trait(total - ca, _shrunk(rng, second, units)),
+                Trait(ca, *_shrunk(rng, first, units)),
+                Trait(total - ca, *_shrunk(rng, second, units)),
                 vertex,
             )
         assert dominates(mode, good, bad)

@@ -129,6 +129,9 @@ def test_malformed_documents_exit_one_without_traceback(tmp_path, capsys, comman
 
 GEN_NET = ["gen-net", "--nodes", "6", "--units", "8", "--fill", "0.9", "--seed", "4"]
 GEN_TRAFFIC = ["gen-traffic", "--count", "20", "--seed", "6"]
+# on lobe_network(1099, 1), 1,100 segments, one trail is deeper than the
+# default recursion limit
+LONG_CHAIN = ["--budget", "10"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,13 +145,16 @@ GEN_TRAFFIC = ["gen-traffic", "--count", "20", "--seed", "6"]
     ["oracle", "--max-route-cost", "-1"],
     ["oracle", "--budget", "0"],
     ["compare", "--budget", "-5"],
+    ["oracle"] + LONG_CHAIN,
+    ["compare"] + LONG_CHAIN,
 ], ids=["avg-degree-inf", "avg-degree-nan", "mean-gap-inf", "mean-hold-nan",
         "units-max-beyond-network", "lobe-units-zero", "lobe-m-max-zero",
-        "oracle-negative-limit", "oracle-budget-zero", "compare-budget-negative"])
+        "oracle-negative-limit", "oracle-budget-zero", "compare-budget-negative",
+        "oracle-long-chain-budget", "compare-long-chain-budget"])
 def test_bad_generator_inputs_exit_one_without_traceback(tmp_path, capsys, argv):
     if argv[0] in ("gen-traffic", "oracle", "compare"):
-        argv = argv + ["--net", write_json(tmp_path / "net.json",
-                                           dump_network(lobe_network(2, 8)))]
+        net = lobe_network(1099, 1) if argv[1:] == LONG_CHAIN else lobe_network(2, 8)
+        argv = argv + ["--net", write_json(tmp_path / "net.json", dump_network(net))]
     if argv[0] in ("oracle", "compare"):
         argv = argv + ["--demand", write_json(tmp_path / "demand.json", DEMAND)]
     code = main(argv)

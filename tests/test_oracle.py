@@ -92,6 +92,14 @@ class TestOracleSolve:
         with pytest.raises(BudgetExceeded):
             oracle_solve(net, Demand("n_s", "n_x", 1), budget=10)
 
+    def test_trails_longer_than_the_recursion_limit(self):
+        # 1,100 segments: one trail is deeper than the default recursion limit
+        with pytest.raises(BudgetExceeded):
+            oracle_solve(lobe_network(1099, 1), Demand("n_s", "n_x", 1), budget=10)
+        nodes = [f"v{i}" for i in range(1100)]
+        chain = make_net(1, nodes, [(a, b, 1, [(0, 1)]) for a, b in zip(nodes, nodes[1:])])
+        assert oracle_solve(chain, Demand(nodes[0], nodes[-1], 1)).status == "blocked"
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be >= 1"):

@@ -8,6 +8,7 @@ the conclusions are then checked against the pure relation functions.
 import random
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from conftest import NaiveEfficientSet, assert_feasible, link_units, unit_runs
 
@@ -43,7 +44,8 @@ def interval_strategy(max_units=UNITS_TOTAL):
 
 
 def trait_strategy():
-    return st.builds(Trait, st.integers(0, 20), interval_strategy())
+    return st.builds(lambda cost, ri: Trait(cost, ri.lo, ri.hi),
+                     st.integers(0, 20), interval_strategy())
 
 
 def availability_strategy():
@@ -62,24 +64,24 @@ def link_strategy(link_id=0, ends=("p", "q")):
 
 def better_trait(rng: random.Random, worse: Trait) -> Trait:
     """A trait that is better than or equal to the given one."""
-    lo = rng.randint(0, worse.ri.lo)
-    hi = rng.randint(worse.ri.hi, UNITS_TOTAL)
-    return Trait(rng.randint(0, worse.cost), UnitInterval(lo, hi))
+    lo = rng.randint(0, worse.lo)
+    hi = rng.randint(worse.hi, UNITS_TOTAL)
+    return Trait(rng.randint(0, worse.cost), lo, hi)
 
 
 def worse_trait(rng: random.Random, better: Trait, units: int) -> Trait:
     """A trait worse than or equal to the given one, still wide enough."""
-    lo = rng.randint(better.ri.lo, better.ri.hi - units)
-    hi = rng.randint(lo + units, better.ri.hi)
-    return Trait(better.cost + rng.randint(0, 5), UnitInterval(lo, hi))
+    lo = rng.randint(better.lo, better.hi - units)
+    hi = rng.randint(lo + units, better.hi)
+    return Trait(better.cost + rng.randint(0, 5), lo, hi)
 
 
 @settings(max_examples=300, derandomize=True)
 @given(trait_strategy(), link_strategy(), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
     """Every derivation of a worse trait is covered by one of a better trait."""
-    if worse.ri.length < units:
-        worse = Trait(worse.cost, UnitInterval(worse.ri.lo, min(worse.ri.lo + units, UNITS_TOTAL)))
+    if worse.hi - worse.lo < units:
+        worse = Trait(worse.cost, worse.lo, min(worse.lo + units, UNITS_TOTAL))
     better = better_trait(rng, worse)
     assert trait_leq(better, worse)
     derived_worse = trait_extend(worse, link, units)
@@ -92,13 +94,13 @@ def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
 @given(trait_strategy(), link_strategy(), st.integers(1, 3))
 def test_trait_extension_shrinks_interval(trait, link, units):
     got = trait_extend(trait, link, units)
-    for cand in got:
-        assert trait.ri.contains(cand.ri)
-        assert cand.ri.length >= units
-        assert cand.cost == trait.cost + link.cost
+    for cost, lo, hi in got:
+        assert trait.lo <= lo and hi <= trait.hi
+        assert hi - lo >= units
+        assert cost == trait.cost + link.cost
     # unit-by-unit reference: pins every piece, including the early stop
-    expected = unit_runs(set(range(trait.ri.lo, trait.ri.hi)) & link_units(link), units)
-    assert got == [Trait(trait.cost + link.cost, UnitInterval(lo, hi)) for lo, hi in expected]
+    expected = unit_runs(set(range(trait.lo, trait.hi)) & link_units(link), units)
+    assert got == [Trait(trait.cost + link.cost, lo, hi) for lo, hi in expected]
 
 
 @settings(max_examples=300, derandomize=True)
@@ -119,11 +121,59 @@ def test_remove_interval_is_unit_difference(free_units, data):
     assert (remove_interval(available, window) is None) == (not fits)
 
 
+class LinkSpectrumMachine(RuleBasedStateMachine):
+    """One link's free intervals under the simulator's two writes.
+
+    An allocation cuts a free window out with ``remove_interval``; a
+    release merges a held window back with ``normalize_intervals``.  The
+    model is the set of free units.
+    """
+
+    @initialize(free=st.sets(st.integers(0, 31)))
+    def start(self, free):
+        self.available = normalize_intervals((u, u + 1) for u in free)
+        self.free = set(free)
+        self.held = []
+
+    @precondition(lambda self: self.available)
+    @rule(data=st.data())
+    def allocate(self, data):
+        host = data.draw(st.sampled_from(self.available))
+        lo = data.draw(st.integers(host.lo, host.hi - 1))
+        slots = UnitInterval(lo, data.draw(st.integers(lo + 1, host.hi)))
+        self.available = remove_interval(self.available, slots)
+        self.free -= set(range(slots.lo, slots.hi))
+        self.held.append(slots)
+
+    @rule(window=interval_strategy(32))
+    def refuse_busy_window(self, window):
+        if not set(range(window.lo, window.hi)) <= self.free:
+            assert remove_interval(self.available, window) is None
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def release(self, data):
+        slots = self.held.pop(data.draw(st.integers(0, len(self.held) - 1)))
+        self.available = normalize_intervals(self.available + (slots,))
+        self.free |= set(range(slots.lo, slots.hi))
+
+    @invariant()
+    def canonical_and_equal_to_model(self):
+        assert all(iv.lo < iv.hi for iv in self.available)
+        assert all(a.hi < b.lo for a, b in zip(self.available, self.available[1:]))
+        assert {u for iv in self.available for u in range(iv.lo, iv.hi)} == self.free
+
+
+TestLinkSpectrum = LinkSpectrumMachine.TestCase
+TestLinkSpectrum.settings = settings(max_examples=80, stateful_step_count=30,
+                                     derandomize=True, deadline=None)
+
+
 def _random_label(rng: random.Random, vertex: Vertex, units: int) -> Label:
     def trait():
         lo = rng.randint(0, UNITS_TOTAL - units)
         hi = rng.randint(lo + units, UNITS_TOTAL)
-        return Trait(rng.randint(0, 20), UnitInterval(lo, hi))
+        return Trait(rng.randint(0, 20), lo, hi)
 
     return Label(trait(), trait(), vertex)
 
@@ -140,7 +190,7 @@ def _dominated_label(rng: random.Random, good: Label, mode: str, units: int) -> 
     # cost-sum relation: any per-trait costs work if the sum is no smaller
     total = label_cost(good) + rng.randint(0, 6)
     ca = rng.randint(0, total)
-    return Label(Trait(ca, wa.ri), Trait(total - ca, wb.ri), good.vertex)
+    return Label(Trait(ca, wa.lo, wa.hi), Trait(total - ca, wb.lo, wb.hi), good.vertex)
 
 
 def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
@@ -206,8 +256,8 @@ def test_higher_cost_labels_yield_higher_cost_labels():
         cheap = _random_label(rng, vertex, units)
         extra = rng.randint(0, 9)
         pricey = Label(
-            Trait(cheap.trait_a.cost + extra, cheap.trait_a.ri),
-            Trait(cheap.trait_b.cost, cheap.trait_b.ri),
+            Trait(cheap.trait_a.cost + extra, cheap.trait_a.lo, cheap.trait_a.hi),
+            Trait(cheap.trait_b.cost, cheap.trait_b.lo, cheap.trait_b.hi),
             vertex,
         )
         assert label_cost(cheap) <= label_cost(pricey)
@@ -246,8 +296,8 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
     accepted = []
     peak = 0
     for ca, ia, cb, ib in rows:
-        fast_label = Label(Trait(ca, ia), Trait(cb, ib), vertex)
-        naive_label = Label(Trait(ca, ia), Trait(cb, ib), vertex)
+        fast_label = Label(Trait(ca, ia.lo, ia.hi), Trait(cb, ib.lo, ib.hi), vertex)
+        naive_label = Label(Trait(ca, ia.lo, ia.hi), Trait(cb, ib.lo, ib.hi), vertex)
         got = fast.insert(fast_label)
         expect = naive.insert(naive_label)
         assert got == expect
@@ -255,11 +305,7 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
             accepted.append(fast_label)
 
         def snapshot(labels):
-            return sorted(
-                (l.trait_a.cost, l.trait_a.ri.lo, l.trait_a.ri.hi,
-                 l.trait_b.cost, l.trait_b.ri.lo, l.trait_b.ri.hi)
-                for l in labels
-            )
+            return sorted(l.trait_a + l.trait_b for l in labels)
 
         members = fast.alive_labels()
         assert snapshot(members) == snapshot(naive.members)
@@ -274,12 +320,12 @@ def test_sorted_cross_implies_normal_witnesses():
     """The two witness pairs that pin the same-node comparison rules."""
     v = Vertex("n", "n")
     # sorted pair where aligned holds and swapped does not
-    li = Label(Trait(1, UnitInterval(0, 4)), Trait(3, UnitInterval(0, 4)), v)
-    lj = Label(Trait(2, UnitInterval(0, 2)), Trait(3, UnitInterval(0, 2)), v)
+    li = Label(Trait(1, 0, 4), Trait(3, 0, 4), v)
+    lj = Label(Trait(2, 0, 2), Trait(3, 0, 2), v)
     assert leq_n(li, lj) and not leq_x(li, lj)
     # unsorted pair where swapped holds and aligned does not
-    ui = Label(Trait(1, UnitInterval(0, 2)), Trait(2, UnitInterval(0, 4)), v)
-    uj = Label(Trait(3, UnitInterval(0, 4)), Trait(2, UnitInterval(0, 2)), v)
+    ui = Label(Trait(1, 0, 2), Trait(2, 0, 4), v)
+    uj = Label(Trait(3, 0, 4), Trait(2, 0, 2), v)
     assert leq_x(ui, uj) and not leq_n(ui, uj)
 
 

@@ -11,7 +11,6 @@ from ddpp import (
     PairSearch,
     SearchOptions,
     Trait,
-    UnitInterval,
     Vertex,
     lobe_network,
     oracle_solve,
@@ -109,8 +108,7 @@ class TestExpand:
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        root = Label(Trait(0, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
-                     Vertex("s", "s"))
+        root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
         cands = search.expand(root)
         # one candidate per incident link, not per link and side
         assert len(cands) == 2
@@ -120,16 +118,14 @@ class TestExpand:
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label(Trait(1, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
-                    Vertex("k", "s"), used_links=0b11)
+        lab = Label(Trait(1, 0, 4), Trait(0, 0, 4), Vertex("k", "s"), used_links=0b11)
         assert search.expand(lab) == []
 
     def test_route_cost_limit_drops_candidates(self):
         net = make_net(4, ["d", "k", "s"], [("s", "k", 11, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1),
                             SearchOptions(mode="base", max_route_cost=10))
-        root = Label(Trait(0, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
-                     Vertex("s", "s"))
+        root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
         assert search.expand(root) == []
         relaxed = PairSearch(net, Demand("s", "d", 1),
                              SearchOptions(mode="base", max_route_cost=11))
@@ -140,8 +136,7 @@ class TestExpand:
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 5, [(0, 4)]),
                         ("s", "d", 4, [(0, 4)])])
-        root = Label(Trait(0, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
-                     Vertex("s", "s"))
+        root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
         for limit, reached in ((5, {Vertex("d", "s")}),
                                (6, {Vertex("d", "s"), Vertex("k", "s")})):
             search = PairSearch(net, Demand("s", "d", 1),
@@ -153,7 +148,7 @@ class TestExpand:
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 1, [(0, 4)]),
                         ("s", "k", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label(Trait(1, UnitInterval(0, 4)), Trait(0, UnitInterval(0, 4)),
+        lab = Label(Trait(1, 0, 4), Trait(0, 0, 4),
                     Vertex("k", "s"), route_a=(0, None), used_links=0b001)
         cands = search.expand(lab)
         # side a from k: k-d and the parallel k-s; side b from s: the parallel
@@ -169,7 +164,7 @@ class TestExpand:
 
 
 def lab_at(v, ca, ia, cb, ib):
-    return Label(Trait(ca, UnitInterval(*ia)), Trait(cb, UnitInterval(*ib)), v)
+    return Label(Trait(ca, *ia), Trait(cb, *ib), v)
 
 
 class TestEfficientSet:
@@ -233,8 +228,7 @@ class TestReconstruct:
     def test_root_label_rejected(self):
         from ddpp import reconstruct
 
-        root = Label(Trait(0, UnitInterval(0, 1)), Trait(0, UnitInterval(0, 1)),
-                     Vertex("s", "s"))
+        root = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("s", "s"))
         with pytest.raises(ValueError, match="root"):
             reconstruct(root, lobe_network(1, 1), 1)
 
@@ -326,6 +320,33 @@ class TestStatsAndModes:
         search.run()
         with pytest.raises(RuntimeError):
             search.run()
+
+
+def test_layer_seams_are_called_through_module_attributes(monkeypatch):
+    """A per-layer tracer wraps ``search.label_extend`` and
+    ``spectrum_core.trait_extend`` by attribute, so a solve must call both
+    through those names, one trait extension per label extension."""
+    import ddpp.search
+    import ddpp.spectrum_core
+
+    calls = {"label_extend": 0, "trait_extend": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(ddpp.search, "label_extend")
+    count(ddpp.spectrum_core, "trait_extend")
+    sol = solve(random_network(8, 3.0, 16, 0.85, 3), Demand("n0", "n7", 2),
+                SearchOptions(mode="base"))
+    assert sol.stats.labels_generated > 1
+    assert calls["label_extend"] > 0
+    assert calls["trait_extend"] == calls["label_extend"]
 
 
 class TestLimitedVariant:

@@ -149,6 +149,10 @@ class TestRun:
             with pytest.raises(ValueError, match="malformed time or hold"):
                 run(net, [TrafficEvent(0, time, "n_s", "n_x", 1, hold)])
 
+    def test_rejects_bad_options_without_arrivals(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            run(lobe_network(1, 2), [], SearchOptions(mode="bogus"))
+
     def test_malformed_traffic_documents(self):
         with pytest.raises(ValueError):
             load_traffic({"nope": []})
