@@ -73,8 +73,8 @@ class Network:
 
 
 def _validate(net: Network) -> None:
-    if net.unit_count < 1:
-        raise NetworkError(f"unit count must be positive, got {net.unit_count}")
+    if not _is_int(net.unit_count) or net.unit_count < 1:
+        raise NetworkError(f"'units' must be a positive integer, got {net.unit_count!r}")
     if not net.nodes:
         raise NetworkError("network has no nodes")
     if len(set(net.nodes)) != len(net.nodes):
@@ -89,10 +89,14 @@ def _validate(net: Network) -> None:
         for end in link.ends:
             if end not in node_set:
                 raise NetworkError(f"link {link.id} references unknown node {end!r}")
+        if not _is_int(link.cost):
+            raise NetworkError(f"link {link.id}: cost must be an integer, got {link.cost!r}")
         if link.cost < 0:
             raise NetworkError(f"link {link.id} has negative cost {link.cost}")
         previous_hi = None
         for iv in link.available:
+            if not (_is_int(iv.lo) and _is_int(iv.hi)):
+                raise NetworkError(f"link {link.id}: interval {iv.to_doc()!r} must be [lo, hi]")
             if iv.hi > net.unit_count:
                 raise NetworkError(
                     f"interval [{iv.lo}, {iv.hi}) exceeds unit count "
@@ -116,6 +120,8 @@ class Demand:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"demand endpoints must differ, got {self.src!r} twice")
+        if not _is_int(self.units):
+            raise ValueError(f"demand units {self.units!r} is not an integer")
         if self.units < 1:
             raise ValueError(f"demanded units must be positive, got {self.units}")
 
@@ -155,17 +161,15 @@ def load_network(doc: dict) -> Network:
     Interval lists are normalized to the maximal disjoint form, so
     touching or overlapping input intervals are merged.  Every violation
     is reported with the offending element.  This checks the document's
-    shape and types; the model invariants (known link ends, non-negative
-    costs, intervals within the unit count, dense link ids, distinct
-    nodes) are left to ``Network``'s own validation.
+    shape; the model invariants (a positive integer unit count, known link
+    ends, non-negative integer costs, integer intervals within the unit
+    count, dense link ids, distinct nodes) are left to ``Network``'s own
+    validation.
     """
     _require(isinstance(doc, dict), "network document must be an object")
     _require("units" in doc, "network document lacks 'units'")
     _require("nodes" in doc, "network document lacks 'nodes'")
     _require("links" in doc, "network document lacks 'links'")
-    units = doc["units"]
-    _require(_is_int(units) and units >= 1,
-             f"'units' must be a positive integer, got {units!r}")
     nodes = doc["nodes"]
     _require(isinstance(nodes, list) and nodes, "'nodes' must be a non-empty list")
     for node in nodes:
@@ -188,8 +192,6 @@ def load_network(doc: dict) -> Network:
                  f"link {link_id}: 'ends' must name two nodes")
         for end in ends:
             _require(isinstance(end, str), f"link {link_id} references unknown node {end!r}")
-        cost = entry["cost"]
-        _require(_is_int(cost), f"link {link_id}: cost must be an integer, got {cost!r}")
         _require(isinstance(entry["available"], list),
                  f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
         intervals = []
@@ -203,11 +205,11 @@ def load_network(doc: dict) -> Network:
             _require(lo >= 0 and lo < hi,
                      f"link {link_id}: malformed interval [{lo}, {hi})")
             intervals.append(UnitInterval(lo, hi))
-        links.append(Link(link_id, (ends[0], ends[1]), cost,
+        links.append(Link(link_id, (ends[0], ends[1]), entry["cost"],
                           normalize_intervals(intervals)))
 
     links.sort(key=lambda l: l.id)
-    return Network(units, tuple(nodes), tuple(links))
+    return Network(doc["units"], tuple(nodes), tuple(links))
 
 
 def dump_network(net: Network) -> dict:
@@ -233,10 +235,8 @@ def load_demand(doc: dict) -> Demand:
         _require(key in doc, f"demand document lacks {key!r}")
     for key in ("src", "dst"):
         _require(isinstance(doc[key], str), f"demand {key} {doc[key]!r} is not a string")
-    units = doc["units"]
-    _require(_is_int(units), f"demand units {units!r} is not an integer")
     try:
-        return Demand(doc["src"], doc["dst"], units)
+        return Demand(doc["src"], doc["dst"], doc["units"])
     except ValueError as exc:
         raise NetworkError(str(exc)) from exc
 

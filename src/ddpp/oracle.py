@@ -120,16 +120,22 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
     Depth-first over links in id order, on an explicit stack so a trail may
     outgrow the recursion limit; two traversal orders of the same link set
     are the same route for cost and spectrum purposes, so only the
-    first-found sequence is kept as the witness.
+    first-found sequence is kept as the witness.  The trail walked so far
+    is a cons list ``(last link id, rest)`` ending in ``None``, so a push
+    costs O(1); it becomes a tuple only when a new link set reaches dst.
     """
     incidence = {node: incident_links(net, node) for node in net.nodes}
     found: dict[int, tuple[int, ...]] = {}
     # links pushed in reverse id order pop in id order: the recursive pre-order
-    stack = [(src, 0, ())]
+    stack = [(src, 0, None)]
     while stack:
-        node, mask, sequence = stack.pop()
-        if node == dst and sequence and mask not in found:
-            found[mask] = sequence
+        node, mask, trail = stack.pop()
+        if node == dst and trail is not None and mask not in found:
+            sequence, cell = [], trail
+            while cell is not None:
+                link_id, cell = cell
+                sequence.append(link_id)
+            found[mask] = tuple(reversed(sequence))
             if len(found) > cap:
                 raise BudgetExceeded(
                     f"trail enumeration exceeded the budget of {cap}"
@@ -137,7 +143,7 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
         for link in reversed(incidence[node]):
             bit = 1 << link.id
             if not mask & bit:
-                stack.append((link.other_end(node), mask | bit, sequence + (link.id,)))
+                stack.append((link.other_end(node), mask | bit, (link.id, trail)))
     return found
 
 

@@ -16,18 +16,20 @@ consistent: extending a label never lowers its key, keys pop in
 nondecreasing order, and because ``h`` of the destination is 0 the first
 label settled at the destination vertex (both routes ended there) is
 optimal.  All labels at one vertex share its ``h``, so dominance is
-unchanged.  A vertex with a node that cannot reach the destination in the
-view has no ``h``; labels there can never finish and are dropped.
+unchanged.  ``h`` is defined on the nodes that reach the destination in the
+view, and that node set is closed under view adjacency, so every vertex
+reached from a root whose node has ``h`` has ``h`` on both nodes; a root
+without ``h`` blocks the demand before any pop.
 
 Ties are broken by a fixed total order: key, vertex, the two interval
-starts, then a generation sequence number, so a solve is deterministic for
-fixed inputs.
+starts, then the push order, so a solve is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import time
 from dataclasses import asdict, dataclass
 
@@ -166,13 +168,9 @@ class EfficientSet:
     member, since by transitivity that member would be dominated too, so
     nothing collected before the rejection needed evicting.  A property
     test pins this structure to the pure relations in spectrum_core.
-
-    ``h`` is the vertex's lower bound on the cost still to come, shared by
-    all its labels; the search adds it to their queue keys.
     """
 
-    def __init__(self, same_node: bool, mode: str, h: int = 0) -> None:
-        self.h = h
+    def __init__(self, same_node: bool, mode: str) -> None:
         self._same = same_node
         self._prime = mode == "prime"
         # (lo_a, hi_a) -> (lo_b, hi_b) -> _Staircase (base) or (label_cost, Label) (prime)
@@ -301,7 +299,6 @@ class PairSearch:
         self._h = self._distances_to(demand.dst)
         self._dest = Vertex(demand.dst, demand.dst)
         self._sets: dict[Vertex, EfficientSet] = {}
-        self._seq = 0
         self._ran = False
 
     def _distances_to(self, target: str) -> dict[str, int]:
@@ -321,23 +318,13 @@ class PairSearch:
                     heapq.heappush(heap, (nd, other))
         return dist
 
-    def _set_for(self, vertex: Vertex) -> EfficientSet | None:
-        """The vertex's efficient set, or None when a node of the vertex
-        cannot reach the destination."""
+    def _set_for(self, vertex: Vertex) -> EfficientSet:
+        """The vertex's efficient set, created on first use; both nodes of
+        every vertex the search reaches have ``h``."""
         found = self._sets.get(vertex)
         if found is None:
-            ha = self._h.get(vertex.a)
-            hb = self._h.get(vertex.b)
-            if ha is None or hb is None:
-                return None
-            found = EfficientSet(vertex.same_node, self.opts.mode, ha + hb)
-            self._sets[vertex] = found
+            found = self._sets[vertex] = EfficientSet(vertex.same_node, self.opts.mode)
         return found
-
-    @staticmethod
-    def _queue_key(label: Label, h: int) -> tuple:
-        ta, tb = label.trait_a, label.trait_b
-        return (ta[0] + tb[0] + h, label.vertex, ta[1], tb[1], label.seq)
 
     @property
     def destination_count(self) -> int:
@@ -351,11 +338,11 @@ class PairSearch:
         Both vertex nodes contribute their links; at a same-node vertex
         only slot a is extended, because slots are interchangeable there
         and the slot-b expansion reappears one step later with the roles
-        swapped.  Only links of the usable-link view are tried.  Under a
+        swapped.  Only links of the usable-link view are tried, so the far
+        end of each has ``h`` whenever the label's nodes do.  Under a
         route-cost limit, a link is not appended when the extended route,
         plus the cheapest way on from the link's far end to the
-        destination, would cost more than the limit; a far end that cannot
-        reach the destination is left to the search's dead-vertex drop.
+        destination, would cost more than the limit.
         """
         out: list[Label] = []
         a, b = label.vertex
@@ -368,12 +355,9 @@ class PairSearch:
                 if label.uses(link.id):
                     continue
                 if limit is not None and (spent + link.cost
-                                          + h.get(link.other_end(node), 0) > limit):
+                                          + h[link.other_end(node)] > limit):
                     continue
-                for cand in label_extend(label, link, side, self.demand.units):
-                    self._seq += 1
-                    cand.seq = self._seq
-                    out.append(cand)
+                out += label_extend(label, link, side, self.demand.units)
         return out
 
     def run(self) -> Solution:
@@ -381,25 +365,25 @@ class PairSearch:
 
         A label's key is its cost plus its vertex's ``h(a) + h(b)``, and
         keys must pop in nondecreasing order; a decrease is an internal
-        error.  A label at a vertex without ``h`` is dropped, so a root
-        that cannot reach the destination blocks the demand with no pop.
-        The first destination label settled is returned; with
-        ``enumerate_all`` the queue is drained first, so the destination's
-        efficient set ends complete.
+        error.  A source that cannot reach the destination in the view
+        blocks the demand with no pop.  The first destination label settled
+        is returned; with ``enumerate_all`` the queue is drained first, so
+        the destination's efficient set ends complete.
         """
         if self._ran:
             raise RuntimeError("PairSearch.run may only be called once")
         self._ran = True
         started = time.perf_counter()
         stats = self.stats
+        h = self._h
         full = (0, 0, self.net.unit_count)
         root = Label(full, full, Vertex(self.demand.src, self.demand.src))
         stats.labels_generated = 1
         heap: list[tuple[tuple, Label]] = []
-        root_set = self._set_for(root.vertex)
-        if root_set is not None:
-            root_set.insert(root)
-            heap.append((self._queue_key(root, root_set.h), root))
+        pushes = itertools.count()
+        if self.demand.src in h:
+            self._set_for(root.vertex).insert(root)
+            heap.append(((2 * h[self.demand.src], root.vertex, 0, 0, next(pushes)), root))
         best: Label | None = None
         last_key = None
 
@@ -422,12 +406,12 @@ class PairSearch:
                 continue
             for cand in self.expand(label):
                 stats.labels_generated += 1
-                store = self._set_for(cand.vertex)
-                if store is None:
-                    continue  # dropped: the candidate is referenced nowhere else
-                accepted, removed = store.insert(cand)
+                accepted, removed = self._set_for(cand.vertex).insert(cand)
                 if accepted:
-                    heapq.heappush(heap, (self._queue_key(cand, store.h), cand))
+                    (ca, la, _), (cb, lb, _) = cand.trait_a, cand.trait_b
+                    va, vb = cand.vertex
+                    heapq.heappush(heap, ((ca + cb + h[va] + h[vb], cand.vertex,
+                                           la, lb, next(pushes)), cand))
                 else:
                     removed += 1  # the candidate itself
                 stats.labels_dominated += removed

@@ -68,7 +68,7 @@ def normalize_intervals(items) -> tuple[UnitInterval, ...]:
     canonical form: ascending, pairwise disjoint, never adjacent.
     """
     ivs = sorted(
-        it if isinstance(it, UnitInterval) else UnitInterval(int(it[0]), int(it[1]))
+        it if isinstance(it, UnitInterval) else UnitInterval(it[0], it[1])
         for it in items
     )
     merged: list[UnitInterval] = []
@@ -187,7 +187,6 @@ class Label:
     route_a: tuple | None = None
     route_b: tuple | None = None
     used_links: int = 0
-    seq: int = 0
     alive: bool = True
 
     def uses(self, link_id: int) -> bool:

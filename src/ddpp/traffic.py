@@ -139,6 +139,8 @@ def _validate_events(net: Network, events) -> None:
             raise NetworkError(f"event {ev.id} references unknown nodes")
         if ev.src == ev.dst:
             raise ValueError(f"event {ev.id} has equal endpoints")
+        if not _is_int(ev.units):
+            raise ValueError(f"event {ev.id}: units must be an integer, got {ev.units!r}")
         if not 1 <= ev.units <= net.unit_count:
             raise ValueError(f"event {ev.id} demands {ev.units} of {net.unit_count} units")
         if not (0 <= ev.time < math.inf and 0 < ev.hold < math.inf):

@@ -1,9 +1,13 @@
 """Network model: documents, validation, and the instance generators."""
 
+import random
+
 import pytest
 
 from ddpp import (
     Demand,
+    Link,
+    Network,
     NetworkError,
     dump_demand,
     dump_network,
@@ -11,6 +15,7 @@ from ddpp import (
     load_demand,
     load_network,
     lobe_network,
+    normalize_intervals,
     random_network,
 )
 from ddpp.net_model import validate_demand
@@ -36,6 +41,10 @@ class TestLoadNetwork:
         doc["links"][0]["available"] = [[6, 10]]
         with pytest.raises(NetworkError, match="exceeds unit count"):
             load_network(doc)
+        net = load_network(minimal_doc())
+        for units in (8.0, True):
+            with pytest.raises(NetworkError, match="'units' must be a positive integer"):
+                Network(units, net.nodes, net.links)
 
     def test_adjacent_intervals_merged(self):
         doc = minimal_doc()
@@ -69,6 +78,13 @@ class TestLoadNetwork:
         doc["links"][0]["cost"] = -1
         with pytest.raises(NetworkError, match="cost"):
             load_network(doc)
+        # fractional costs would make the search's A* bound sums inexact
+        net = random_network(8, 3.0, 8, 0.9, 0)
+        rng = random.Random(0)
+        links = tuple(Link(l.id, l.ends, rng.choice((0.1, 0.2, 0.3, 0.7, 1.1)), l.available)
+                      for l in net.links)
+        with pytest.raises(NetworkError, match="cost must be an integer"):
+            Network(net.unit_count, net.nodes, links)
 
     def test_malformed_interval(self):
         doc = minimal_doc()
@@ -78,6 +94,11 @@ class TestLoadNetwork:
         doc["links"][0]["available"] = 5
         with pytest.raises(NetworkError, match="'available' must be a list"):
             load_network(doc)
+        # pair bounds are not coerced, so Network sees and rejects them
+        assert normalize_intervals([(0.5, 2.7)])[0].to_doc() == [0.5, 2.7]
+        link = Link(0, ("a", "b"), 1, normalize_intervals([(0.5, 2.7)]))
+        with pytest.raises(NetworkError, match=r"interval \[0.5, 2.7\] must be \[lo, hi\]"):
+            Network(8, ("a", "b"), (link,))
 
     def test_missing_keys(self):
         with pytest.raises(NetworkError, match="lacks 'units'"):
@@ -118,6 +139,9 @@ class TestDemandDocs:
                     {"src": "a", "dst": "b"}):
             with pytest.raises(NetworkError):
                 load_demand(doc)
+        for units in (2.5, True):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Demand("n0", "n5", units)
 
     def test_validate_against_network(self):
         net = load_network(minimal_doc())

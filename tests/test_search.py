@@ -122,7 +122,8 @@ class TestExpand:
         assert search.expand(lab) == []
 
     def test_route_cost_limit_drops_candidates(self):
-        net = make_net(4, ["d", "k", "s"], [("s", "k", 11, [(0, 4)])])
+        net = make_net(4, ["d", "k", "s"],
+                       [("s", "k", 11, [(0, 4)]), ("k", "d", 0, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1),
                             SearchOptions(mode="base", max_route_cost=10))
         root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
@@ -422,15 +423,20 @@ class TestUsableLinkView:
         net = random_network(10, 3.0, 16, 0.6, seed)
         for units in (1, 3, 5):
             demand = Demand("n0", "n9", units)
-            h = PairSearch(net, demand)._h
+            search = PairSearch(net, demand)
+            h = search._h
             assert h == view_distances(net, demand.dst, units)
             assert h[demand.dst] == 0
             for link in net.links:
                 if not usable(link, units):
                     continue
+                # closed under view adjacency: both ends have h or neither
+                assert (link.ends[0] in h) == (link.ends[1] in h)
                 for u, v in (link.ends, link.ends[::-1]):
                     if u in h:
                         assert h[u] <= link.cost + h[v]
+            search.run()
+            assert all(v.a in h and v.b in h for v in search._sets)
 
     @pytest.mark.parametrize("mode", ["base", "prime"])
     def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):
@@ -453,7 +459,6 @@ class TestUsableLinkView:
         demand = Demand("s", "d", 2)
         search = PairSearch(net, demand, SearchOptions(mode=mode))
         assert "x" not in search._h and "y" not in search._h
-        assert search._set_for(Vertex("a", "x")) is None
         sol = search.run()
         assert not any({"x", "y"} & {v.a, v.b} for v in search._sets)
         without = solve(make_net(8, ["a", "d", "s", "x", "y"], core), demand,

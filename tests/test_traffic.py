@@ -145,6 +145,9 @@ class TestRun:
                       TrafficEvent(0, 1.0, "n_s", "n_x", 1, 1.0)])
         with pytest.raises(ValueError, match="demands"):
             run(net, [TrafficEvent(0, 0.0, "n_s", "n_x", 3, 1.0)])
+        for units in (1.5, True):
+            with pytest.raises(ValueError, match="units must be an integer"):
+                run(net, [TrafficEvent(0, 0.0, "n_s", "n_x", units, 1.0)])
         for time, hold in ((float("nan"), 1.0), (0.0, float("inf")), (-1.0, 1.0)):
             with pytest.raises(ValueError, match="malformed time or hold"):
                 run(net, [TrafficEvent(0, time, "n_s", "n_x", 1, hold)])
