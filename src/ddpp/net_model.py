@@ -81,6 +81,8 @@ def _validate(net: Network) -> None:
         raise NetworkError("duplicate node identifiers")
     node_set = set(net.nodes)
     for index, link in enumerate(net.links):
+        if not _is_int(link.id):
+            raise NetworkError(f"link id {link.id!r} is not an integer")
         if link.id != index:
             raise NetworkError(
                 f"link ids must be dense 0..{len(net.links) - 1}; "
@@ -275,9 +277,11 @@ def random_network(
 
     A random spanning tree guarantees connectivity; extra links between
     distinct, not-yet-linked node pairs raise the link count to
-    round(avg_degree * n / 2).  Costs are uniform integers in [1, 100] and
-    each unit of each link is available independently with probability
-    ``fill``.  Deterministic for a fixed seed.
+    round(avg_degree * n / 2).  Costs are uniform integers in [1, 100].
+    Each link's units are drawn one at a time, in ascending order, each
+    available independently with probability ``fill``, and the link stores
+    each maximal run of available units as one interval.  Deterministic for
+    a fixed seed.
     """
     if n < 2:
         raise NetworkError(f"need at least 2 nodes, got {n}")
@@ -316,8 +320,16 @@ def random_network(
     links = []
     for link_id, ends in enumerate(edges):
         cost = rng.randint(1, 100)
-        free = [u for u in range(unit_count) if rng.random() < fill]
-        links.append(
-            Link(link_id, ends, cost, normalize_intervals((u, u + 1) for u in free))
-        )
+        runs = []
+        start = None  # first unit of the open run of available units
+        for u in range(unit_count):
+            if rng.random() < fill:
+                if start is None:
+                    start = u
+            elif start is not None:
+                runs.append(UnitInterval(start, u))
+                start = None
+        if start is not None:
+            runs.append(UnitInterval(start, unit_count))
+        links.append(Link(link_id, ends, cost, tuple(runs)))
     return Network(unit_count, tuple(names), tuple(links))

@@ -33,7 +33,7 @@ import itertools
 import time
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Network, incident_links, validate_demand
+from .net_model import Demand, Network, validate_demand
 from .spectrum_core import MODES, Label, UnitInterval, Vertex, label_cost, label_extend
 
 
@@ -290,12 +290,12 @@ class PairSearch:
         self.demand = demand
         self.stats = SearchStats()
         units = demand.units
-        # the usable-link view: only links with a wide enough free run
-        self._view = {
-            node: tuple(link for link in incident_links(net, node)
-                        if any(iv.length >= units for iv in link.available))
-            for node in net.nodes
-        }
+        # the usable-link view: only links with a wide enough free run;
+        # each link is tested once, then listed at both of its ends
+        usable = [any(iv.hi - iv.lo >= units for iv in link.available)
+                  for link in net.links]
+        self._view = {node: tuple(link for link in links if usable[link.id])
+                      for node, links in net._incidence.items()}
         self._h = self._distances_to(demand.dst)
         self._dest = Vertex(demand.dst, demand.dst)
         self._sets: dict[Vertex, EfficientSet] = {}

@@ -1,5 +1,8 @@
 """Network model: documents, validation, and the instance generators."""
 
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -72,6 +75,14 @@ class TestLoadNetwork:
         doc["links"][0]["id"] = 5
         with pytest.raises(NetworkError, match="dense"):
             load_network(doc)
+
+    @pytest.mark.parametrize("index, bad_id", [(0, 0.0), (0, False), (1, True)])
+    def test_non_integer_link_id(self, index, bad_id):
+        # each id equals its position, so only the type check can catch it
+        links = list(random_network(6, 2.5, 8, 0.9, 1).links)
+        links[index] = dataclasses.replace(links[index], id=bad_id)
+        with pytest.raises(NetworkError, match=f"link id {bad_id!r} is not an integer"):
+            Network(8, tuple(f"n{i}" for i in range(6)), tuple(links))
 
     def test_negative_cost(self):
         doc = minimal_doc()
@@ -217,6 +228,33 @@ class TestRandomNetwork:
         assert dump_network(random_network(8, 3, 8, 0.7, 42)) != dump_network(
             random_network(8, 3, 8, 0.7, 43)
         )
+
+    def test_documents_are_pinned(self):
+        # sha256 of each sorted-key document: a change to the draws, their
+        # order or the stored runs changes a digest
+        pinned = {
+            (8, 3.0, 1, 0.0, 11): "76185277194cbc1747d9b98640842aa17c9a20077a3dae1b43a6691b987b2c70",
+            (8, 3.0, 32, 0.0, 11): "73ba840d00f2ebab74f5bded7500a692f2a98b95ba9e5460c64cde19a054a93d",
+            (8, 3.0, 320, 0.0, 11): "3ed45ce839bd1331b9e0b993dad42379eef096b69e1b32611bb148537955e2b8",
+            (8, 3.0, 1, 0.5, 11): "64ecf62c9703e34b912f55a988a8286aeef6a304962f4fccf6302c4fbcda39e2",
+            (8, 3.0, 32, 0.5, 11): "e6d4f59fe01cb8f19c87475b0754db2b728f910375bc50354c195b7fdd30cf9b",
+            (8, 3.0, 320, 0.5, 11): "f078402016f4e0407f16ece9c811113920a5f48c58cedfed5fd0adf9e4335f40",
+            (8, 3.0, 1, 0.85, 11): "141b85e3e6326fffce39f0c60e14557274cdc99df11f30fbae0a75b437a43295",
+            (8, 3.0, 32, 0.85, 11): "b6771c4c9272058ee3226d456925ddfb8a7ff628a034317c7329c477b6b6a6b6",
+            (8, 3.0, 320, 0.85, 11): "510973b0fdc41ec26bcda533c8c5d6d2ab7e3ed925e47cf1a1b6da25d70b80ff",
+            (8, 3.0, 1, 1.0, 11): "b8eaa7ce89a6359b98cc8ed80ab36d12368980215164d2fbe54b2e1708a557ec",
+            (8, 3.0, 32, 1.0, 11): "e2b20a3e388c8af180e3ae1b64e63eabced5264740ad98334ecff8063882125b",
+            (8, 3.0, 320, 1.0, 11): "dfb46de32724a69c5d7bea3f4cd68e3e1b7246360779e3c7fa1c8e4030209c35",
+            # the simulate benchmark's dev network
+            (20, 3.0, 320, 1.0, 20231023):
+                "3f23c09a765ca49d7a67f208a237043ce433b1f8e50edd32260920e1b53d36bf",
+        }
+        got = {
+            args: hashlib.sha256(json.dumps(dump_network(random_network(*args)),
+                                            sort_keys=True).encode()).hexdigest()
+            for args in pinned
+        }
+        assert got == pinned
 
     def test_unsatisfiable_degree(self):
         with pytest.raises(NetworkError, match="unsatisfiable degree"):

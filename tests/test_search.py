@@ -12,6 +12,7 @@ from ddpp import (
     SearchOptions,
     Trait,
     Vertex,
+    incident_links,
     lobe_network,
     oracle_solve,
     random_network,
@@ -427,6 +428,10 @@ class TestUsableLinkView:
             h = search._h
             assert h == view_distances(net, demand.dst, units)
             assert h[demand.dst] == 0
+            assert search._view == {
+                node: tuple(l for l in incident_links(net, node) if usable(l, units))
+                for node in net.nodes
+            }
             for link in net.links:
                 if not usable(link, units):
                     continue
@@ -437,6 +442,15 @@ class TestUsableLinkView:
                         assert h[u] <= link.cost + h[v]
             search.run()
             assert all(v.a in h and v.b in h for v in search._sets)
+
+    def test_view_lists_parallel_links_and_self_loop_once(self):
+        net = make_net(8, ["a", "b", "c"],
+                       [("a", "b", 1, FULL8), ("a", "b", 2, [(0, 1), (3, 4)]),
+                        ("b", "b", 1, FULL8), ("a", "b", 3, [(2, 8)]),
+                        ("b", "c", 1, FULL8), ("c", "c", 1, [(0, 1)])])
+        view = PairSearch(net, Demand("a", "c", 2))._view
+        assert {node: [l.id for l in links] for node, links in view.items()} == {
+            "a": [0, 3], "b": [0, 2, 3, 4], "c": [4]}
 
     @pytest.mark.parametrize("mode", ["base", "prime"])
     def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):
