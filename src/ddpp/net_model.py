@@ -73,42 +73,47 @@ class Network:
 
 
 def _validate(net: Network) -> None:
-    if not _is_int(net.unit_count) or net.unit_count < 1:
-        raise NetworkError(f"'units' must be a positive integer, got {net.unit_count!r}")
-    if not net.nodes:
+    # `type(v) is int or _is_int(v)` equals `_is_int(v)`; the first test
+    # spares the call for the plain ints every real network holds
+    units = net.unit_count
+    if not _is_int(units) or units < 1:
+        raise NetworkError(f"'units' must be a positive integer, got {units!r}")
+    nodes = net.nodes
+    if not nodes:
         raise NetworkError("network has no nodes")
-    if len(set(net.nodes)) != len(net.nodes):
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
         raise NetworkError("duplicate node identifiers")
-    node_set = set(net.nodes)
     for index, link in enumerate(net.links):
-        if not _is_int(link.id):
-            raise NetworkError(f"link id {link.id!r} is not an integer")
-        if link.id != index:
+        link_id = link.id
+        if not (type(link_id) is int or _is_int(link_id)):
+            raise NetworkError(f"link id {link_id!r} is not an integer")
+        if link_id != index:
             raise NetworkError(
                 f"link ids must be dense 0..{len(net.links) - 1}; "
-                f"position {index} holds id {link.id}"
+                f"position {index} holds id {link_id}"
             )
         for end in link.ends:
             if end not in node_set:
-                raise NetworkError(f"link {link.id} references unknown node {end!r}")
-        if not _is_int(link.cost):
-            raise NetworkError(f"link {link.id}: cost must be an integer, got {link.cost!r}")
-        if link.cost < 0:
-            raise NetworkError(f"link {link.id} has negative cost {link.cost}")
+                raise NetworkError(f"link {link_id} references unknown node {end!r}")
+        cost = link.cost
+        if not (type(cost) is int or _is_int(cost)):
+            raise NetworkError(f"link {link_id}: cost must be an integer, got {cost!r}")
+        if cost < 0:
+            raise NetworkError(f"link {link_id} has negative cost {cost}")
         previous_hi = None
         for iv in link.available:
-            if not (_is_int(iv.lo) and _is_int(iv.hi)):
-                raise NetworkError(f"link {link.id}: interval {iv.to_doc()!r} must be [lo, hi]")
-            if iv.hi > net.unit_count:
+            lo = iv.lo
+            hi = iv.hi
+            if not ((type(lo) is int or _is_int(lo)) and (type(hi) is int or _is_int(hi))):
+                raise NetworkError(f"link {link_id}: interval {iv.to_doc()!r} must be [lo, hi]")
+            if hi > units:
                 raise NetworkError(
-                    f"interval [{iv.lo}, {iv.hi}) exceeds unit count "
-                    f"{net.unit_count} on link {link.id}"
+                    f"interval [{lo}, {hi}) exceeds unit count {units} on link {link_id}"
                 )
-            if previous_hi is not None and iv.lo <= previous_hi:
-                raise NetworkError(
-                    f"intervals on link {link.id} are not maximal disjoint"
-                )
-            previous_hi = iv.hi
+            if previous_hi is not None and lo <= previous_hi:
+                raise NetworkError(f"intervals on link {link_id} are not maximal disjoint")
+            previous_hi = hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,9 +157,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise NetworkError(message)
+def _is_number(value) -> bool:
+    """A JSON number: ``int`` or ``float`` but not ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_network(doc: dict) -> Network:
@@ -166,49 +171,58 @@ def load_network(doc: dict) -> Network:
     shape; the model invariants (a positive integer unit count, known link
     ends, non-negative integer costs, integer intervals within the unit
     count, dense link ids, distinct nodes) are left to ``Network``'s own
-    validation.
+    validation.  Each message is formatted only when its check fails.
     """
-    _require(isinstance(doc, dict), "network document must be an object")
-    _require("units" in doc, "network document lacks 'units'")
-    _require("nodes" in doc, "network document lacks 'nodes'")
-    _require("links" in doc, "network document lacks 'links'")
+    if not isinstance(doc, dict):
+        raise NetworkError("network document must be an object")
+    for key in ("units", "nodes", "links"):
+        if key not in doc:
+            raise NetworkError(f"network document lacks {key!r}")
     nodes = doc["nodes"]
-    _require(isinstance(nodes, list) and nodes, "'nodes' must be a non-empty list")
+    if not (isinstance(nodes, list) and nodes):
+        raise NetworkError("'nodes' must be a non-empty list")
     for node in nodes:
-        _require(isinstance(node, str), f"node identifier {node!r} is not a string")
+        if not isinstance(node, str):
+            raise NetworkError(f"node identifier {node!r} is not a string")
 
     raw_links = doc["links"]
-    _require(isinstance(raw_links, list), "'links' must be a list")
+    if not isinstance(raw_links, list):
+        raise NetworkError("'links' must be a list")
     seen_ids: set[int] = set()
     links: list[Link] = []
     for entry in raw_links:
-        _require(isinstance(entry, dict), f"link entry {entry!r} is not an object")
+        if not isinstance(entry, dict):
+            raise NetworkError(f"link entry {entry!r} is not an object")
         for key in ("id", "ends", "cost", "available"):
-            _require(key in entry, f"link entry lacks {key!r}: {entry!r}")
+            if key not in entry:
+                raise NetworkError(f"link entry lacks {key!r}: {entry!r}")
         link_id = entry["id"]
-        _require(_is_int(link_id), f"link id {link_id!r} is not an integer")
-        _require(link_id not in seen_ids, f"duplicate link id {link_id}")
+        if not _is_int(link_id):
+            raise NetworkError(f"link id {link_id!r} is not an integer")
+        if link_id in seen_ids:
+            raise NetworkError(f"duplicate link id {link_id}")
         seen_ids.add(link_id)
         ends = entry["ends"]
-        _require(isinstance(ends, list) and len(ends) == 2,
-                 f"link {link_id}: 'ends' must name two nodes")
+        if not (isinstance(ends, list) and len(ends) == 2):
+            raise NetworkError(f"link {link_id}: 'ends' must name two nodes")
         for end in ends:
-            _require(isinstance(end, str), f"link {link_id} references unknown node {end!r}")
-        _require(isinstance(entry["available"], list),
-                 f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
-        intervals = []
-        for pair in entry["available"]:
-            _require(isinstance(pair, list) and len(pair) == 2
-                     and all(_is_int(v) for v in pair),
-                     f"link {link_id}: interval {pair!r} must be [lo, hi]")
+            if not isinstance(end, str):
+                raise NetworkError(f"link {link_id} references unknown node {end!r}")
+        available = entry["available"]
+        if not isinstance(available, list):
+            raise NetworkError(f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
+        for pair in available:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and (type(pair[0]) is int or _is_int(pair[0]))
+                    and (type(pair[1]) is int or _is_int(pair[1]))):
+                raise NetworkError(f"link {link_id}: interval {pair!r} must be [lo, hi]")
             lo, hi = pair
-            # checked here, not left to Network: UnitInterval would raise a
-            # plain ValueError, not NetworkError
-            _require(lo >= 0 and lo < hi,
-                     f"link {link_id}: malformed interval [{lo}, {hi})")
-            intervals.append(UnitInterval(lo, hi))
+            # checked here, not left to normalize_intervals: it would raise
+            # a plain ValueError, not NetworkError
+            if lo < 0 or hi <= lo:
+                raise NetworkError(f"link {link_id}: malformed interval [{lo}, {hi})")
         links.append(Link(link_id, (ends[0], ends[1]), entry["cost"],
-                          normalize_intervals(intervals)))
+                          normalize_intervals(available)))
 
     links.sort(key=lambda l: l.id)
     return Network(doc["units"], tuple(nodes), tuple(links))
@@ -232,11 +246,14 @@ def dump_network(net: Network) -> dict:
 
 
 def load_demand(doc: dict) -> Demand:
-    _require(isinstance(doc, dict), "demand document must be an object")
+    if not isinstance(doc, dict):
+        raise NetworkError("demand document must be an object")
     for key in ("src", "dst", "units"):
-        _require(key in doc, f"demand document lacks {key!r}")
+        if key not in doc:
+            raise NetworkError(f"demand document lacks {key!r}")
     for key in ("src", "dst"):
-        _require(isinstance(doc[key], str), f"demand {key} {doc[key]!r} is not a string")
+        if not isinstance(doc[key], str):
+            raise NetworkError(f"demand {key} {doc[key]!r} is not a string")
     try:
         return Demand(doc["src"], doc["dst"], doc["units"])
     except ValueError as exc:
@@ -256,10 +273,14 @@ def lobe_network(m: int, unit_count: int) -> Network:
     available on every link, and every disjoint pair costs 2^(m+1) - 1,
     the sum of all the power-of-two links.
     """
+    if not _is_int(m):
+        raise NetworkError(f"segment parameter must be an integer, got {m!r}")
     if m < 1:
-        raise ValueError(f"segment parameter must be >= 1, got {m}")
+        raise NetworkError(f"segment parameter must be >= 1, got {m}")
+    if not _is_int(unit_count):
+        raise NetworkError(f"unit count must be an integer, got {unit_count!r}")
     if unit_count < 1:
-        raise ValueError(f"unit count must be >= 1, got {unit_count}")
+        raise NetworkError(f"unit count must be >= 1, got {unit_count}")
     chain = ["n_s"] + [f"n_{i}" for i in range(1, m + 1)] + ["n_x"]
     full = (UnitInterval(0, unit_count),)
     links = []
@@ -283,12 +304,20 @@ def random_network(
     each maximal run of available units as one interval.  Deterministic for
     a fixed seed.
     """
+    if not _is_int(n):
+        raise NetworkError(f"node count must be an integer, got {n!r}")
     if n < 2:
         raise NetworkError(f"need at least 2 nodes, got {n}")
+    if not _is_number(fill):
+        raise NetworkError(f"fill must be a number, got {fill!r}")
     if not 0.0 <= fill <= 1.0:
         raise NetworkError(f"fill must be within [0, 1], got {fill}")
+    if not _is_int(unit_count):
+        raise NetworkError(f"unit count must be an integer, got {unit_count!r}")
     if unit_count < 1:
         raise NetworkError(f"unit count must be >= 1, got {unit_count}")
+    if not _is_number(avg_degree):
+        raise NetworkError(f"avg_degree must be a number, got {avg_degree!r}")
     if not math.isfinite(avg_degree):
         raise NetworkError(f"avg_degree must be finite, got {avg_degree}")
     target = int(round(avg_degree * n / 2))

@@ -64,20 +64,38 @@ class UnitInterval:
 def normalize_intervals(items) -> tuple[UnitInterval, ...]:
     """Sort intervals and merge overlapping or touching ones.
 
-    Accepts UnitInterval instances or (lo, hi) pairs.  The result is the
-    canonical form: ascending, pairwise disjoint, never adjacent.
+    Accepts UnitInterval instances or (lo, hi) pairs, each validated as
+    ``UnitInterval`` validates.  The result is the canonical form:
+    ascending, pairwise disjoint, never adjacent.  Sorting and merging
+    work on plain pairs.  An output interval equal to an input
+    UnitInterval is that instance; any other is built once.
     """
-    ivs = sorted(
-        it if isinstance(it, UnitInterval) else UnitInterval(it[0], it[1])
-        for it in items
-    )
-    merged: list[UnitInterval] = []
-    for iv in ivs:
-        if merged and iv.lo <= merged[-1].hi:
-            if iv.hi > merged[-1].hi:
-                merged[-1] = UnitInterval(merged[-1].lo, iv.hi)
+    pairs = []
+    given = {}  # input UnitIntervals by bounds
+    for it in items:
+        if isinstance(it, UnitInterval):
+            pair = (it.lo, it.hi)
+            given[pair] = it
         else:
-            merged.append(iv)
+            lo = it[0]
+            hi = it[1]
+            if lo < 0 or hi <= lo:
+                raise ValueError(f"malformed interval [{lo}, {hi})")
+            pair = (lo, hi)
+        pairs.append(pair)
+    if not pairs:
+        return ()
+    pairs.sort()
+    merged: list[UnitInterval] = []
+    run_lo, run_hi = pairs[0]
+    for lo, hi in pairs:
+        if lo > run_hi:
+            merged.append(given.get((run_lo, run_hi)) or UnitInterval(run_lo, run_hi))
+            run_lo = lo
+            run_hi = hi
+        elif hi > run_hi:
+            run_hi = hi
+    merged.append(given.get((run_lo, run_hi)) or UnitInterval(run_lo, run_hi))
     return tuple(merged)
 
 

@@ -6,6 +6,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import unit_runs
 
 from ddpp import (
     Demand,
@@ -18,6 +21,7 @@ from ddpp import (
     load_demand,
     load_network,
     lobe_network,
+    UnitInterval,
     normalize_intervals,
     random_network,
 )
@@ -133,6 +137,155 @@ class TestLoadNetwork:
             assert load_network(dump_network(net)) == net
 
 
+def edited(**changes):
+    """minimal_doc() with top-level keys replaced (None deletes the key)."""
+    doc = minimal_doc()
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+def with_link(**changes):
+    """minimal_doc() with link 0's keys replaced (None deletes the key)."""
+    doc = minimal_doc()
+    for key, value in changes.items():
+        if value is None:
+            del doc["links"][0][key]
+        else:
+            doc["links"][0][key] = value
+    return doc
+
+
+GOOD_LINK = {"id": 0, "ends": ["a", "b"], "cost": 100, "available": [[0, 8]]}
+
+# every rejection site of the loaders, with its exact message; a document
+# breaking two rules pins which check runs first
+LOADER_MESSAGES = [
+    (load_network, [], "network document must be an object"),
+    (load_network, edited(units=None), "network document lacks 'units'"),
+    (load_network, edited(nodes=None), "network document lacks 'nodes'"),
+    (load_network, edited(links=None), "network document lacks 'links'"),
+    (load_network, edited(units=None, links=None), "network document lacks 'units'"),
+    (load_network, edited(nodes=[]), "'nodes' must be a non-empty list"),
+    (load_network, edited(nodes="ab"), "'nodes' must be a non-empty list"),
+    (load_network, edited(nodes=["a", 1, None]), "node identifier 1 is not a string"),
+    (load_network, edited(nodes=[], links=5), "'nodes' must be a non-empty list"),
+    (load_network, edited(links={"0": GOOD_LINK}), "'links' must be a list"),
+    (load_network, edited(links=[5]), "link entry 5 is not an object"),
+    (load_network, edited(links=[GOOD_LINK, ["x"]]), "link entry ['x'] is not an object"),
+    (load_network, with_link(cost=None),
+     "link entry lacks 'cost': {'id': 0, 'ends': ['a', 'b'], 'available': [[0, 8]]}"),
+    (load_network, with_link(id=None, available=None),
+     "link entry lacks 'id': {'ends': ['a', 'b'], 'cost': 100}"),
+    (load_network, with_link(id="0"), "link id '0' is not an integer"),
+    (load_network, with_link(id=True), "link id True is not an integer"),
+    (load_network, with_link(id=1.0, ends=5), "link id 1.0 is not an integer"),
+    (load_network, edited(links=[GOOD_LINK, dict(GOOD_LINK)]), "duplicate link id 0"),
+    (load_network, with_link(ends=["a"]), "link 0: 'ends' must name two nodes"),
+    (load_network, with_link(ends="ab"), "link 0: 'ends' must name two nodes"),
+    (load_network, with_link(ends=["a", "b", "a"]), "link 0: 'ends' must name two nodes"),
+    (load_network, with_link(ends=["a", 3]), "link 0 references unknown node 3"),
+    (load_network, with_link(ends=[["a"], "b"], available=5),
+     "link 0 references unknown node ['a']"),
+    (load_network, with_link(available=5),
+     "link 0: 'available' must be a list of [lo, hi] pairs"),
+    (load_network, with_link(available={"0": 8}),
+     "link 0: 'available' must be a list of [lo, hi] pairs"),
+    (load_network, with_link(available=[[0]]), "link 0: interval [0] must be [lo, hi]"),
+    (load_network, with_link(available=[[0, 2, 4]]),
+     "link 0: interval [0, 2, 4] must be [lo, hi]"),
+    (load_network, with_link(available=[(0, 8)]), "link 0: interval (0, 8) must be [lo, hi]"),
+    (load_network, with_link(available=[[0, 1.5]]), "link 0: interval [0, 1.5] must be [lo, hi]"),
+    (load_network, with_link(available=[[True, 3]]),
+     "link 0: interval [True, 3] must be [lo, hi]"),
+    (load_network, with_link(available=[["0", 3]]), "link 0: interval ['0', 3] must be [lo, hi]"),
+    (load_network, with_link(available=[[0, 2], None]), "link 0: interval None must be [lo, hi]"),
+    (load_network, with_link(available=[[5, 2]]), "link 0: malformed interval [5, 2)"),
+    (load_network, with_link(available=[[3, 3]]), "link 0: malformed interval [3, 3)"),
+    (load_network, with_link(available=[[-1, 2]]), "link 0: malformed interval [-1, 2)"),
+    # a neighbour that would merge over the bad pair does not hide it
+    (load_network, with_link(available=[[0, 6], [4, 2]]), "link 0: malformed interval [4, 2)"),
+    (load_network, with_link(available=[[5, 2], [0, 1.5]]), "link 0: malformed interval [5, 2)"),
+    # the loader's checks on a later link run before the model gate
+    (load_network, edited(links=[dict(GOOD_LINK, cost=-1), {"id": 1}]),
+     "link entry lacks 'ends': {'id': 1}"),
+    # the model gate, reached through the loader
+    (load_network, edited(units=0), "'units' must be a positive integer, got 0"),
+    (load_network, edited(units=8.0), "'units' must be a positive integer, got 8.0"),
+    (load_network, edited(nodes=["a", "b", "a"]), "duplicate node identifiers"),
+    (load_network, with_link(id=5), "link ids must be dense 0..0; position 0 holds id 5"),
+    (load_network, with_link(ends=["a", "ghost"]), "link 0 references unknown node 'ghost'"),
+    (load_network, with_link(cost="1"), "link 0: cost must be an integer, got '1'"),
+    (load_network, with_link(cost=-1), "link 0 has negative cost -1"),
+    (load_network, with_link(available=[[6, 10]]), "interval [6, 10) exceeds unit count 8 on link 0"),
+    (load_demand, [], "demand document must be an object"),
+    (load_demand, {"dst": "b", "units": 1}, "demand document lacks 'src'"),
+    (load_demand, {"src": "a", "units": 1}, "demand document lacks 'dst'"),
+    (load_demand, {"src": "a", "dst": "b"}, "demand document lacks 'units'"),
+    (load_demand, {"src": ["a"], "dst": 7, "units": 1}, "demand src ['a'] is not a string"),
+    (load_demand, {"src": "a", "dst": 7, "units": 1}, "demand dst 7 is not a string"),
+    (load_demand, {"src": "a", "dst": "a", "units": 1},
+     "demand endpoints must differ, got 'a' twice"),
+    (load_demand, {"src": "a", "dst": "b", "units": True}, "demand units True is not an integer"),
+    (load_demand, {"src": "a", "dst": "b", "units": 2.5}, "demand units 2.5 is not an integer"),
+    (load_demand, {"src": "a", "dst": "b", "units": 0}, "demanded units must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("loader, doc, message", LOADER_MESSAGES)
+def test_loader_messages_are_pinned(loader, doc, message):
+    with pytest.raises(NetworkError) as caught:
+        loader(doc)
+    assert str(caught.value) == message
+
+
+CANON_UNITS = 16
+valid_pairs = st.lists(
+    st.integers(0, CANON_UNITS - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, min(lo + 6, CANON_UNITS)))),
+    max_size=8,
+)
+
+
+class TestCanonicalIntervals:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(valid_pairs)
+    def test_loaded_intervals_are_the_maximal_runs(self, pairs):
+        units = {u for lo, hi in pairs for u in range(lo, hi)}
+        runs = tuple(UnitInterval(lo, hi) for lo, hi in unit_runs(units, 1))
+        doc = with_link(available=[[lo, hi] for lo, hi in pairs])
+        doc["units"] = CANON_UNITS
+        assert load_network(doc).links[0].available == runs
+        assert normalize_intervals(pairs) == runs
+        assert normalize_intervals(UnitInterval(lo, hi) for lo, hi in pairs) == runs
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(valid_pairs, st.integers(0, 8), st.data())
+    def test_malformed_pair_raises_inside_a_merged_run(self, pairs, at, data):
+        # the bad pair lies within a good one, so a merge would swallow it
+        lo, hi = data.draw(valid_pairs.filter(bool))[0]
+        bad = data.draw(st.sampled_from([(hi - 1, lo), (lo, lo), (-1, hi)]))
+        pairs = pairs + [(lo, hi)]
+        pairs.insert(min(at, len(pairs)), bad)
+        doc = with_link(available=[list(pair) for pair in pairs])
+        doc["units"] = CANON_UNITS
+        with pytest.raises(NetworkError) as caught:
+            load_network(doc)
+        assert str(caught.value) == f"link 0: malformed interval [{bad[0]}, {bad[1]})"
+        with pytest.raises(ValueError) as caught:
+            normalize_intervals(pairs)
+        assert str(caught.value) == f"malformed interval [{bad[0]}, {bad[1]})"
+
+    def test_equal_input_intervals_are_reused(self):
+        kept = UnitInterval(0, 2)
+        out = normalize_intervals([UnitInterval(5, 8), kept, (6, 7)])
+        assert out == (UnitInterval(0, 2), UnitInterval(5, 8))
+        assert out[0] is kept
+
+
 class TestDemandDocs:
     def test_round_trip(self):
         demand = load_demand({"src": "a", "dst": "b", "units": 2})
@@ -188,6 +341,17 @@ class TestLobe:
             lobe_network(0, 1)
         with pytest.raises(ValueError):
             lobe_network(1, 0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.0, 1), "segment parameter must be an integer, got 2.0"),
+        ((True, 1), "segment parameter must be an integer, got True"),
+        ((2, 1.0), "unit count must be an integer, got 1.0"),
+        ((2, "4"), "unit count must be an integer, got '4'"),
+    ])
+    def test_rejects_non_integer_counts(self, args, message):
+        with pytest.raises(NetworkError) as caught:
+            lobe_network(*args)
+        assert str(caught.value) == message
 
 
 class TestRandomNetwork:
@@ -255,6 +419,19 @@ class TestRandomNetwork:
             for args in pinned
         }
         assert got == pinned
+
+    @pytest.mark.parametrize("args, message", [
+        ((6, 2.5, 8.0, 0.9, 1), "unit count must be an integer, got 8.0"),
+        ((6.0, 2.5, 8, 0.9, 1), "node count must be an integer, got 6.0"),
+        ((6, 2.5, 8, "0.9", 1), "fill must be a number, got '0.9'"),
+        ((6, "3", 8, 0.9, 1), "avg_degree must be a number, got '3'"),
+        ((6, 2.5, True, 0.9, 1), "unit count must be an integer, got True"),
+        ((6, 2.5, 8, None, 1), "fill must be a number, got None"),
+    ])
+    def test_rejects_non_numeric_parameters(self, args, message):
+        with pytest.raises(NetworkError) as caught:
+            random_network(*args)
+        assert str(caught.value) == message
 
     def test_unsatisfiable_degree(self):
         with pytest.raises(NetworkError, match="unsatisfiable degree"):
