@@ -21,16 +21,19 @@ view, and that node set is closed under view adjacency, so every vertex
 reached from a root whose node has ``h`` has ``h`` on both nodes; a root
 without ``h`` blocks the demand before any pop.
 
-Ties are broken by a fixed total order: key, vertex, the two interval
-starts, then the push order, so a solve is deterministic for fixed inputs.
+Each queue entry is one flat tuple ``(key, vertex, lo_a, lo_b, push,
+label)``, so ties are broken by a fixed total order: key, vertex, the two
+interval starts, then the push number, which is unique, so labels are never
+compared and a solve is deterministic for fixed inputs.  The view lists
+each link as ``(link, 1 << link.id, far end)``, so the used-links test and
+the step to the far end cost no call.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-import itertools
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, validate_demand
@@ -105,7 +108,9 @@ class _Staircase:
     """2-D cost Pareto front: cost_a strictly increasing, cost_b strictly
     decreasing.  Any two labels with the same interval pair are comparable
     on cost alone, so within one interval bucket the undominated labels
-    form exactly this staircase."""
+    form exactly this staircase.  A candidate ``(ca, cb)`` is covered when
+    the member at ``bisect_right(cost_a, ca) - 1`` exists and has
+    ``cost_b <= cb``; ``EfficientSet.insert`` runs that test inline."""
 
     __slots__ = ("cost_a", "cost_b", "labels")
 
@@ -114,14 +119,9 @@ class _Staircase:
         self.cost_b: list[int] = []
         self.labels: list[Label] = []
 
-    def covers(self, ca: int, cb: int) -> bool:
-        """Some member has cost_a <= ca and cost_b <= cb."""
-        pos = bisect.bisect_right(self.cost_a, ca)
-        return pos > 0 and self.cost_b[pos - 1] <= cb
-
     def evict(self, ca: int, cb: int) -> list[Label]:
         """Remove and return members with cost_a >= ca and cost_b >= cb."""
-        start = bisect.bisect_left(self.cost_a, ca)
+        start = bisect_left(self.cost_a, ca)
         end = start
         while end < len(self.cost_b) and self.cost_b[end] >= cb:
             end += 1
@@ -133,7 +133,7 @@ class _Staircase:
         return victims
 
     def add(self, ca: int, cb: int, label: Label) -> None:
-        pos = bisect.bisect_left(self.cost_a, ca)
+        pos = bisect_left(self.cost_a, ca)
         self.cost_a.insert(pos, ca)
         self.cost_b.insert(pos, cb)
         self.labels.insert(pos, label)
@@ -161,13 +161,20 @@ class EfficientSet:
     it; inside such a row only the slot-b keys are compared.  At same-node
     vertices the candidate is also compared with its slots swapped, which
     is the cross comparison.  The pass rejects on the first dominating
-    bucket and otherwise collects the buckets the candidate contains, to
-    evict from after the pass; a bucket, and then its row, is deleted as
-    soon as it empties.  One pass is exact because the set is an antichain:
-    if a member dominates the candidate, the candidate dominates no other
-    member, since by transitivity that member would be dominated too, so
-    nothing collected before the rejection needed evicting.  A property
-    test pins this structure to the pure relations in spectrum_core.
+    bucket, testing a staircase inline with one bisection, and otherwise
+    collects each bucket the candidate contains as a victim
+    ``(row key, row, bucket key, entry, costs)``: the row dict and the
+    bucket's entry it was found in, with the candidate's costs in that
+    comparison's slot order.  Eviction works on those objects directly, so
+    it neither looks a bucket up again nor rebuilds a key.  A bucket, and
+    then its row, is deleted as soon as it empties; a bucket that both
+    slot orders collected is skipped the second time once it is gone (its
+    prime label dead, its staircase empty).  One pass is exact because the
+    set is an antichain: if a member dominates the candidate, the candidate
+    dominates no other member, since by transitivity that member would be
+    dominated too, so nothing collected before the rejection needed
+    evicting.  A property test pins this structure to the pure relations in
+    spectrum_core.
     """
 
     def __init__(self, same_node: bool, mode: str) -> None:
@@ -197,35 +204,40 @@ class EfficientSet:
         # the candidate as (slot-a interval, slot-b interval, costs) per comparison
         aligned = (la, ha, lb, hb, ca, cb)
         views = (aligned, (lb, hb, la, ha, cb, ca)) if self._same else (aligned,)
+        rows = self._rows
 
         victims = []
-        for rkey, row in self._rows.items():
+        for rkey, row in rows.items():
             lo, hi = rkey
             for va, wa, vb, wb, xa, xb in views:
                 if lo <= va and wa <= hi:
                     for (blo, bhi), entry in row.items():
-                        if blo <= vb and wb <= bhi and (
-                            entry[0] <= xa if prime else entry.covers(xa, xb)
-                        ):
-                            return False, 0
+                        if blo <= vb and wb <= bhi:
+                            if prime:
+                                if entry[0] <= xa:
+                                    return False, 0
+                            else:
+                                pos = bisect_right(entry.cost_a, xa)
+                                if pos and entry.cost_b[pos - 1] <= xb:
+                                    return False, 0
                 if va <= lo and hi <= wa:
                     for ckey, entry in row.items():
                         if vb <= ckey[0] and ckey[1] <= wb and (
                             not prime or entry[0] >= xa
                         ):
-                            victims.append((rkey, ckey, xa, xb))
+                            victims.append((rkey, row, ckey, entry, xa, xb))
 
         removed = 0
-        rows = self._rows
-        for rkey, ckey, xa, xb in victims:
-            row = rows.get(rkey)
-            entry = None if row is None else row.get(ckey)
-            if entry is None:
-                continue  # already emptied through the other slot order
+        for rkey, row, ckey, entry, xa, xb in victims:
             if prime:
-                entry[1].alive = False
+                victim = entry[1]
+                if not victim.alive:
+                    continue  # already evicted through the other slot order
+                victim.alive = False
                 removed += 1
             else:
+                if not entry.labels:
+                    continue  # already emptied through the other slot order
                 dead = entry.evict(xa, xb)
                 for victim in dead:
                     victim.alive = False
@@ -291,10 +303,12 @@ class PairSearch:
         self.stats = SearchStats()
         units = demand.units
         # the usable-link view: only links with a wide enough free run;
-        # each link is tested once, then listed at both of its ends
+        # each link is tested once, then listed at both of its ends as
+        # (link, its used-links bit, the far end from that node)
         usable = [any(iv.hi - iv.lo >= units for iv in link.available)
                   for link in net.links]
-        self._view = {node: tuple(link for link in links if usable[link.id])
+        self._view = {node: tuple((link, 1 << link.id, link.other_end(node))
+                                  for link in links if usable[link.id])
                       for node, links in net._incidence.items()}
         self._h = self._distances_to(demand.dst)
         self._dest = Vertex(demand.dst, demand.dst)
@@ -310,21 +324,12 @@ class PairSearch:
             d, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
-            for link in self._view[node]:
-                other = link.other_end(node)
+            for link, _, other in self._view[node]:
                 nd = d + link.cost
                 if other not in dist or nd < dist[other]:
                     dist[other] = nd
                     heapq.heappush(heap, (nd, other))
         return dist
-
-    def _set_for(self, vertex: Vertex) -> EfficientSet:
-        """The vertex's efficient set, created on first use; both nodes of
-        every vertex the search reaches have ``h``."""
-        found = self._sets.get(vertex)
-        if found is None:
-            found = self._sets[vertex] = EfficientSet(vertex.same_node, self.opts.mode)
-        return found
 
     @property
     def destination_count(self) -> int:
@@ -339,25 +344,28 @@ class PairSearch:
         only slot a is extended, because slots are interchangeable there
         and the slot-b expansion reappears one step later with the roles
         swapped.  Only links of the usable-link view are tried, so the far
-        end of each has ``h`` whenever the label's nodes do.  Under a
+        end of each has ``h`` whenever the label's nodes do; a link the
+        label already uses is skipped by one test of its bit.  Under a
         route-cost limit, a link is not appended when the extended route,
         plus the cheapest way on from the link's far end to the
         destination, would cost more than the limit.
         """
         out: list[Label] = []
         a, b = label.vertex
-        sides = (("a", a),) if a == b else (("a", a), ("b", b))
+        used = label.used_links
         limit = self.opts.max_route_cost
+        units = self.demand.units
         h = self._h
-        for side, node in sides:
-            spent = (label.trait_a if side == "a" else label.trait_b)[0]
-            for link in self._view[node]:
-                if label.uses(link.id):
+        view = self._view
+        sides = ((("a", a, label.trait_a[0]),) if a == b
+                 else (("a", a, label.trait_a[0]), ("b", b, label.trait_b[0])))
+        for side, node, spent in sides:
+            for link, bit, far in view[node]:
+                if used & bit:
                     continue
-                if limit is not None and (spent + link.cost
-                                          + h[link.other_end(node)] > limit):
+                if limit is not None and spent + link.cost + h[far] > limit:
                     continue
-                out += label_extend(label, link, side, self.demand.units)
+                out += label_extend(label, link, side, units)
         return out
 
     def run(self) -> Solution:
@@ -365,10 +373,15 @@ class PairSearch:
 
         A label's key is its cost plus its vertex's ``h(a) + h(b)``, and
         keys must pop in nondecreasing order; a decrease is an internal
-        error.  A source that cannot reach the destination in the view
-        blocks the demand with no pop.  The first destination label settled
-        is returned; with ``enumerate_all`` the queue is drained first, so
-        the destination's efficient set ends complete.
+        error.  Queue entries are flat tuples ``(key, vertex, lo_a, lo_b,
+        push, label)``: key, then vertex, then the two interval starts,
+        then the push number break ties, and push numbers are unique, so
+        labels are never compared.  Efficient sets are created here, the
+        root's included, on a vertex's first candidate.  A source that
+        cannot reach the destination in the view blocks the demand with no
+        pop.  The first destination label settled is returned; with
+        ``enumerate_all`` the queue is drained first, so the destination's
+        efficient set ends complete.
         """
         if self._ran:
             raise RuntimeError("PairSearch.run may only be called once")
@@ -376,49 +389,67 @@ class PairSearch:
         started = time.perf_counter()
         stats = self.stats
         h = self._h
+        sets = self._sets
+        mode = self.opts.mode
+        dest = self._dest
+        enumerate_all = self.opts.enumerate_all
+        expand = self.expand
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        src = self.demand.src
         full = (0, 0, self.net.unit_count)
-        root = Label(full, full, Vertex(self.demand.src, self.demand.src))
-        stats.labels_generated = 1
-        heap: list[tuple[tuple, Label]] = []
-        pushes = itertools.count()
-        if self.demand.src in h:
-            self._set_for(root.vertex).insert(root)
-            heap.append(((2 * h[self.demand.src], root.vertex, 0, 0, next(pushes)), root))
+        root = Label(full, full, Vertex(src, src))
+        heap: list[tuple] = []
+        push = 0
+        if src in h:
+            root_set = sets[root.vertex] = EfficientSet(True, mode)
+            root_set.insert(root)
+            heap.append((2 * h[src], root.vertex, 0, 0, push, root))
+            push += 1
+        generated = 1
+        dominated = settled = pops = 0
         best: Label | None = None
-        last_key = None
+        last_key = 0  # costs and h are non-negative
 
         while heap:
-            key, label = heapq.heappop(heap)
-            stats.queue_pops += 1
+            key, vertex, _, _, _, label = heappop(heap)
+            pops += 1
             if not label.alive:
                 continue
-            if last_key is not None and key[0] < last_key:
+            if key < last_key:
                 raise RuntimeError("internal invariant breach: pop keys decreased")
-            last_key = key[0]
-            stats.labels_settled += 1
-            if label.vertex == self._dest:
+            last_key = key
+            settled += 1
+            if vertex == dest:
                 # terminal: extending past the destination cannot help,
                 # costs only grow and intervals only shrink
                 if best is None:
                     best = label
-                    if not self.opts.enumerate_all:
+                    if not enumerate_all:
                         break
                 continue
-            for cand in self.expand(label):
-                stats.labels_generated += 1
-                accepted, removed = self._set_for(cand.vertex).insert(cand)
+            cands = expand(label)
+            generated += len(cands)
+            for cand in cands:
+                vertex = cand.vertex
+                found = sets.get(vertex)
+                if found is None:
+                    found = sets[vertex] = EfficientSet(vertex[0] == vertex[1], mode)
+                accepted, removed = found.insert(cand)
                 if accepted:
                     (ca, la, _), (cb, lb, _) = cand.trait_a, cand.trait_b
-                    va, vb = cand.vertex
-                    heapq.heappush(heap, ((ca + cb + h[va] + h[vb], cand.vertex,
-                                           la, lb, next(pushes)), cand))
+                    heappush(heap, (ca + cb + h[vertex[0]] + h[vertex[1]], vertex,
+                                    la, lb, push, cand))
+                    push += 1
                 else:
                     removed += 1  # the candidate itself
-                stats.labels_dominated += removed
+                dominated += removed
 
-        stats.max_labels_per_vertex = max(
-            (s.peak for s in self._sets.values()), default=0
-        )
+        stats.labels_generated = generated
+        stats.labels_dominated = dominated
+        stats.labels_settled = settled
+        stats.queue_pops = pops
+        stats.max_labels_per_vertex = max((s.peak for s in sets.values()), default=0)
         stats.wall_time = time.perf_counter() - started
         if best is None:
             return Solution("blocked", None, None, None, stats)

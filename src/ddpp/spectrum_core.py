@@ -223,7 +223,8 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     the link; the other trait and route are copied.  The new vertex is
     canonicalized; when the node order flips, both traits move to the other
     slot with their routes.  Raises if the link is not incident to the
-    chosen side's node or is already used by either route.
+    chosen side's node or is already used by either route, which is one
+    test of the link's bit in ``used_links``.
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
@@ -236,9 +237,10 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
         moved_end, kept_end = link.other_end(b), a
         trait, kept_trait, kept_route = label.trait_b, label.trait_a, label.route_a
         route = (link.id, label.route_b)
-    if label.uses(link.id):
+    bit = 1 << link.id
+    if label.used_links & bit:
         raise ValueError(f"link {link.id} already used by this label")
-    used = label.used_links | (1 << link.id)
+    used = label.used_links | bit
     pieces = trait_extend(trait, link, units)
     if moved_end <= kept_end:
         vertex = tuple.__new__(Vertex, (moved_end, kept_end))

@@ -154,8 +154,12 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
     canonical intervals, and a heap of departures that carry their own
     allocations.  An allocation or release replaces only the links it
     touches, and each arrival's snapshot network reuses every other link
-    as it is.  After the last departure every link must equal its initial
-    one, which is asserted before reporting.
+    as it is.  An arrival with no release or allocation since the previous
+    one reuses that arrival's snapshot, whose links are unchanged, and
+    arrivals before the first release or allocation solve on ``net``
+    itself; every snapshot built is validated in full.  After the last
+    departure every link must equal its initial one, which is asserted
+    before reporting.
     """
     opts = opts if opts is not None else SearchOptions()
     opts.validate()
@@ -179,11 +183,14 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
     routed = blocked = 0
     label_counts: list[int] = []
     wall_times: list[float] = []
+    snapshot: Network | None = net  # None once `links` no longer matches it
     for ev in arrivals:
         while departures and departures[0][0] <= ev.time:
             _, event_id, allocations = heapq.heappop(departures)
             release(event_id, allocations)
-        snapshot = Network(net.unit_count, net.nodes, tuple(links))
+            snapshot = None
+        if snapshot is None:
+            snapshot = Network(net.unit_count, net.nodes, tuple(links))
         sol = solve(snapshot, Demand(ev.src, ev.dst, ev.units), opts)
         label_counts.append(sol.stats.labels_generated)
         wall_times.append(sol.stats.wall_time)
@@ -201,6 +208,7 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
                         f"allocation breach: link {link_id} lacks units for event {ev.id}"
                     )
                 links[link_id] = Link(link.id, link.ends, link.cost, remaining)
+        snapshot = None
         heapq.heappush(departures, (ev.time + ev.hold, ev.id, allocations))
 
     while departures:

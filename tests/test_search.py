@@ -317,6 +317,52 @@ class TestStatsAndModes:
             (863, 488, 375, 375, 64),
         )
 
+    # Larger instances: the lobe benchmark's lobe_network(10, 1), whose sets
+    # never exceed one interval bucket, and fragmented random networks whose
+    # sets reach many rows and buckets with multi-label staircases.  Each
+    # maps to the fingerprint, then the most rows and buckets any one set
+    # ends with.
+    LOBE10_NODES = ["n_s", *(f"n_{i}" for i in range(1, 11)), "n_x"]
+    GOLDEN_LARGER = {
+        ("lobe", 10, 1, "base"): (
+            ("routed", 2047, (LOBE10_NODES, list(range(1, 22, 2)), [0, 1]),
+             (LOBE10_NODES, list(range(0, 22, 2)), [0, 1]),
+             (14287, 8156, 6131, 6131, 1024)), 1, 1),
+        ("random", 12, 64, 0.85, 3, 2, "base"): (
+            ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
+             (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
+             (4916, 1478, 906, 911, 188)), 20, 188),
+        ("random", 12, 64, 0.85, 3, 2, "prime"): (
+            ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
+             (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
+             (4897, 1501, 899, 904, 175)), 20, 175),
+        ("random", 20, 320, 0.9, 11, 8, "base"): (
+            ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
+             (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
+             (3987, 603, 859, 859, 225)), 15, 225),
+        ("random", 20, 320, 0.9, 11, 8, "prime"): (
+            ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
+             (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
+             (3987, 603, 859, 859, 225)), 15, 225),
+    }
+
+    def test_counters_match_golden_on_larger_instances(self):
+        for case, expect in self.GOLDEN_LARGER.items():
+            if case[0] == "lobe":
+                _, m, units, mode = case
+                net, demand = lobe_network(m, units), Demand("n_s", "n_x", units)
+                opts = SearchOptions(mode=mode, enumerate_all=True)
+            else:
+                _, n, units_total, fill, seed, units, mode = case
+                net = random_network(n, 3.0, units_total, fill, seed)
+                demand = Demand("n0", f"n{n - 1}", units)
+                opts = SearchOptions(mode=mode)
+            search = PairSearch(net, demand, opts)
+            sol = search.run()
+            rows = max(len(s._rows) for s in search._sets.values())
+            buckets = max(sum(map(len, s._rows.values())) for s in search._sets.values())
+            assert (self._fingerprint(sol), rows, buckets) == expect, case
+
     def test_run_only_once(self):
         search = PairSearch(lobe_network(1, 1), Demand("n_s", "n_x", 1))
         search.run()
@@ -429,7 +475,8 @@ class TestUsableLinkView:
             assert h == view_distances(net, demand.dst, units)
             assert h[demand.dst] == 0
             assert search._view == {
-                node: tuple(l for l in incident_links(net, node) if usable(l, units))
+                node: tuple((l, 1 << l.id, l.other_end(node))
+                            for l in incident_links(net, node) if usable(l, units))
                 for node in net.nodes
             }
             for link in net.links:
@@ -449,8 +496,11 @@ class TestUsableLinkView:
                         ("b", "b", 1, FULL8), ("a", "b", 3, [(2, 8)]),
                         ("b", "c", 1, FULL8), ("c", "c", 1, [(0, 1)])])
         view = PairSearch(net, Demand("a", "c", 2))._view
-        assert {node: [l.id for l in links] for node, links in view.items()} == {
-            "a": [0, 3], "b": [0, 2, 3, 4], "c": [4]}
+        assert {node: [(l.id, bit, far) for l, bit, far in steps]
+                for node, steps in view.items()} == {
+            "a": [(0, 1, "b"), (3, 8, "b")],
+            "b": [(0, 1, "a"), (2, 4, "b"), (3, 8, "a"), (4, 16, "c")],
+            "c": [(4, 16, "b")]}
 
     @pytest.mark.parametrize("mode", ["base", "prime"])
     def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):

@@ -188,6 +188,35 @@ class TestAllocationSemantics:
         report = run(net, events)
         assert report.routed == 1 and report.blocked == 1
 
+    def test_snapshot_rebuilt_only_after_a_change(self, monkeypatch):
+        # 0 routes on the initial network; 1 and 2 are blocked with nothing
+        # released or allocated between them, so they share one snapshot;
+        # 3 arrives after 0 departs and gets a fresh, fully restored one
+        net = lobe_network(2, 1)
+        events = [TrafficEvent(0, 0.0, "n_s", "n_x", 1, 10.0),
+                  TrafficEvent(1, 1.0, "n_s", "n_x", 1, 1.0),
+                  TrafficEvent(2, 2.0, "n_s", "n_x", 1, 1.0),
+                  TrafficEvent(3, 20.0, "n_s", "n_x", 1, 1.0)]
+        seen, built = [], []
+        inner_solve, inner_network = ddpp.traffic.solve, ddpp.traffic.Network
+
+        def recording_solve(snapshot, demand, opts=None):
+            seen.append(snapshot)
+            return inner_solve(snapshot, demand, opts)
+
+        def counting_network(*args):
+            built.append(inner_network(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ddpp.traffic, "solve", recording_solve)
+        monkeypatch.setattr(ddpp.traffic, "Network", counting_network)
+        report = run(net, events)
+        assert (report.routed, report.blocked) == (2, 2)
+        assert seen[0] is net
+        assert seen[1] is seen[2] is built[0]
+        assert seen[3] is built[1] and len(built) == 2
+        assert seen[1].links != net.links and seen[3].links == net.links
+
 
 class TestGoldenReplay:
     FIELDS = ("offered", "routed", "blocked", "blocking_probability", "mean_labels",
