@@ -13,7 +13,6 @@ from .net_model import (
     NetworkError,
     dump_demand,
     dump_network,
-    incident_links,
     load_demand,
     load_network,
     lobe_network,
@@ -88,7 +87,6 @@ __all__ = [
     "dump_network",
     "dump_traffic",
     "gen_traffic",
-    "incident_links",
     "label_cost",
     "label_extend",
     "leq_eq",

@@ -63,7 +63,9 @@ class Network:
         _validate(self)
 
     @cached_property
-    def _incidence(self) -> dict[str, tuple[Link, ...]]:
+    def incidence(self) -> dict[str, tuple[Link, ...]]:
+        """Each node's incident links, in link-id order, as a tuple; a
+        self-loop is listed once."""
         table: dict[str, list[Link]] = {node: [] for node in self.nodes}
         for link in self.links:
             table[link.ends[0]].append(link)
@@ -81,6 +83,9 @@ def _validate(net: Network) -> None:
     nodes = net.nodes
     if not nodes:
         raise NetworkError("network has no nodes")
+    for node in nodes:
+        if not isinstance(node, str):
+            raise NetworkError(f"node identifier {node!r} is not a string")
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise NetworkError("duplicate node identifiers")
@@ -93,8 +98,10 @@ def _validate(net: Network) -> None:
                 f"link ids must be dense 0..{len(net.links) - 1}; "
                 f"position {index} holds id {link_id}"
             )
+        if not (isinstance(link.ends, tuple) and len(link.ends) == 2):
+            raise NetworkError(f"link {link_id}: 'ends' must name two nodes")
         for end in link.ends:
-            if end not in node_set:
+            if not (isinstance(end, str) and end in node_set):
                 raise NetworkError(f"link {link_id} references unknown node {end!r}")
         cost = link.cost
         if not (type(cost) is int or _is_int(cost)):
@@ -136,20 +143,12 @@ class Demand:
 def validate_demand(net: Network, demand: Demand) -> None:
     """Check a demand against a concrete network."""
     for node in (demand.src, demand.dst):
-        if node not in net._incidence:
+        if node not in net.incidence:
             raise NetworkError(f"demand references unknown node {node!r}")
     if demand.units > net.unit_count:
         raise ValueError(
             f"demanded units {demand.units} exceed unit count {net.unit_count}"
         )
-
-
-def incident_links(net: Network, node: str) -> list[Link]:
-    """All links with the node as an endpoint, ordered by link id."""
-    try:
-        return list(net._incidence[node])
-    except KeyError:
-        raise NetworkError(f"unknown node {node!r}") from None
 
 
 def _is_int(value) -> bool:

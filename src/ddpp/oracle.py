@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .net_model import Demand, Network, dump_demand, dump_network, incident_links, validate_demand
+from .net_model import Demand, Network, dump_demand, dump_network, validate_demand
 from .search import SearchOptions, Solution, solve
 from .spectrum_core import UnitInterval
 
@@ -124,7 +124,7 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
     is a cons list ``(last link id, rest)`` ending in ``None``, so a push
     costs O(1); it becomes a tuple only when a new link set reaches dst.
     """
-    incidence = {node: incident_links(net, node) for node in net.nodes}
+    incidence = net.incidence
     found: dict[int, tuple[int, ...]] = {}
     # links pushed in reverse id order pop in id order: the recursive pre-order
     stack = [(src, 0, None)]

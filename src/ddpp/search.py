@@ -36,17 +36,19 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Network, validate_demand
+from .net_model import Demand, Network, _is_int, validate_demand
 from .spectrum_core import MODES, Label, UnitInterval, Vertex, label_cost, label_extend
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOptions:
+    """Search settings, checked on construction and frozen so they stay checked."""
+
     mode: str = "prime"
     max_route_cost: int | None = None
     enumerate_all: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.max_route_cost is not None:
@@ -55,6 +57,8 @@ class SearchOptions:
                     "max_route_cost requires mode 'base'; the cost-sum relation "
                     "is not exact under a per-route limit"
                 )
+            if not _is_int(self.max_route_cost):
+                raise ValueError(f"max_route_cost must be an integer, got {self.max_route_cost!r}")
             if self.max_route_cost < 0:
                 raise ValueError(f"max_route_cost must be >= 0, got {self.max_route_cost}")
 
@@ -104,41 +108,6 @@ class Solution:
         return doc
 
 
-class _Staircase:
-    """2-D cost Pareto front: cost_a strictly increasing, cost_b strictly
-    decreasing.  Any two labels with the same interval pair are comparable
-    on cost alone, so within one interval bucket the undominated labels
-    form exactly this staircase.  A candidate ``(ca, cb)`` is covered when
-    the member at ``bisect_right(cost_a, ca) - 1`` exists and has
-    ``cost_b <= cb``; ``EfficientSet.insert`` runs that test inline."""
-
-    __slots__ = ("cost_a", "cost_b", "labels")
-
-    def __init__(self) -> None:
-        self.cost_a: list[int] = []
-        self.cost_b: list[int] = []
-        self.labels: list[Label] = []
-
-    def evict(self, ca: int, cb: int) -> list[Label]:
-        """Remove and return members with cost_a >= ca and cost_b >= cb."""
-        start = bisect_left(self.cost_a, ca)
-        end = start
-        while end < len(self.cost_b) and self.cost_b[end] >= cb:
-            end += 1
-        victims = self.labels[start:end]
-        if victims:
-            del self.cost_a[start:end]
-            del self.cost_b[start:end]
-            del self.labels[start:end]
-        return victims
-
-    def add(self, ca: int, cb: int, label: Label) -> None:
-        pos = bisect_left(self.cost_a, ca)
-        self.cost_a.insert(pos, ca)
-        self.cost_b.insert(pos, cb)
-        self.labels.insert(pos, label)
-
-
 class EfficientSet:
     """Undominated labels at one vertex.
 
@@ -152,16 +121,20 @@ class EfficientSet:
     in two levels: a row per slot-a interval ``(lo_a, hi_a)``, and in it a
     bucket per slot-b interval ``(lo_b, hi_b)``.  Dominance between buckets
     reduces to componentwise interval containment; within a bucket it
-    reduces to cost comparison, held as a 2-D staircase in base mode and a
-    single cheapest ``(label_cost, label)`` entry in prime mode (equal
-    intervals make any two labels cost-comparable there).
+    reduces to cost comparison (equal intervals make any two labels
+    cost-comparable).  A prime-mode bucket is the cheapest ``(label_cost,
+    label)``; a base-mode bucket is the 2-D cost staircase ``(cost_a,
+    cost_b, labels)``, three parallel lists with ``cost_a`` strictly
+    increasing and ``cost_b`` strictly decreasing, which covers costs
+    ``(xa, xb)`` when the member at ``bisect_right(cost_a, xa) - 1`` exists
+    and has ``cost_b <= xb``.
 
     ``insert`` makes one pass over the rows.  A row is visited only when
     its key can contain the candidate's slot-a interval or be contained in
     it; inside such a row only the slot-b keys are compared.  At same-node
     vertices the candidate is also compared with its slots swapped, which
     is the cross comparison.  The pass rejects on the first dominating
-    bucket, testing a staircase inline with one bisection, and otherwise
+    bucket, testing a staircase with one bisection, and otherwise
     collects each bucket the candidate contains as a victim
     ``(row key, row, bucket key, entry, costs)``: the row dict and the
     bucket's entry it was found in, with the candidate's costs in that
@@ -180,7 +153,7 @@ class EfficientSet:
     def __init__(self, same_node: bool, mode: str) -> None:
         self._same = same_node
         self._prime = mode == "prime"
-        # (lo_a, hi_a) -> (lo_b, hi_b) -> _Staircase (base) or (label_cost, Label) (prime)
+        # (lo_a, hi_a) -> (lo_b, hi_b) -> (cost_a, cost_b, labels) or (label_cost, Label)
         self._rows: dict[tuple[int, int], dict[tuple[int, int], object]] = {}
         self._alive = 0
         self.peak = 0
@@ -192,7 +165,7 @@ class EfficientSet:
         if self._prime:
             return [entry[1] for row in self._rows.values() for entry in row.values()]
         return [label for row in self._rows.values()
-                for stair in row.values() for label in stair.labels]
+                for bucket in row.values() for label in bucket[2]]
 
     def insert(self, label: Label) -> tuple[bool, int]:
         """Insert if undominated; returns (accepted, members_removed)."""
@@ -217,8 +190,8 @@ class EfficientSet:
                                 if entry[0] <= xa:
                                     return False, 0
                             else:
-                                pos = bisect_right(entry.cost_a, xa)
-                                if pos and entry.cost_b[pos - 1] <= xb:
+                                pos = bisect_right(entry[0], xa)
+                                if pos and entry[1][pos - 1] <= xb:
                                     return False, 0
                 if va <= lo and hi <= wa:
                     for ckey, entry in row.items():
@@ -236,13 +209,17 @@ class EfficientSet:
                 victim.alive = False
                 removed += 1
             else:
-                if not entry.labels:
+                cost_a, cost_b, labels = entry
+                if not labels:
                     continue  # already emptied through the other slot order
-                dead = entry.evict(xa, xb)
-                for victim in dead:
+                start = end = bisect_left(cost_a, xa)
+                while end < len(cost_b) and cost_b[end] >= xb:
+                    end += 1
+                for victim in labels[start:end]:
                     victim.alive = False
-                removed += len(dead)
-                if entry.labels:
+                removed += end - start
+                del cost_a[start:end], cost_b[start:end], labels[start:end]
+                if labels:
                     continue
             del row[ckey]
             if not row:
@@ -255,10 +232,15 @@ class EfficientSet:
         if prime:
             row[(lb, hb)] = (ca, label)
         else:
-            stair = row.get((lb, hb))
-            if stair is None:
-                stair = row[(lb, hb)] = _Staircase()
-            stair.add(ca, cb, label)
+            bucket = row.get((lb, hb))
+            if bucket is None:
+                row[(lb, hb)] = ([ca], [cb], [label])
+            else:
+                cost_a, cost_b, labels = bucket
+                pos = bisect_left(cost_a, ca)
+                cost_a.insert(pos, ca)
+                cost_b.insert(pos, cb)
+                labels.insert(pos, label)
         self._alive += 1
         if self._alive > self.peak:
             self.peak = self._alive
@@ -296,7 +278,6 @@ class PairSearch:
 
     def __init__(self, net: Network, demand: Demand, opts: SearchOptions | None = None):
         self.opts = opts if opts is not None else SearchOptions()
-        self.opts.validate()
         validate_demand(net, demand)
         self.net = net
         self.demand = demand
@@ -309,7 +290,7 @@ class PairSearch:
                   for link in net.links]
         self._view = {node: tuple((link, 1 << link.id, link.other_end(node))
                                   for link in links if usable[link.id])
-                      for node, links in net._incidence.items()}
+                      for node, links in net.incidence.items()}
         self._h = self._distances_to(demand.dst)
         self._dest = Vertex(demand.dst, demand.dst)
         self._sets: dict[Vertex, EfficientSet] = {}

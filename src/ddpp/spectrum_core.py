@@ -45,10 +45,6 @@ class UnitInterval:
         if self.lo < 0 or self.hi <= self.lo:
             raise ValueError(f"malformed interval [{self.lo}, {self.hi})")
 
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
-
     def contains(self, other: "UnitInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -127,10 +123,6 @@ class Trait(namedtuple("_Trait", "cost lo hi")):
         UnitInterval(lo, hi)  # raises on a malformed interval
         return tuple.__new__(cls, (cost, lo, hi))
 
-    @property
-    def ri(self) -> UnitInterval:
-        return UnitInterval(self.lo, self.hi)
-
 
 def trait_leq(t_i: tuple, t_j: tuple) -> bool:
     """True when t_i is better than or equal to t_j.
@@ -206,9 +198,6 @@ class Label:
     route_b: tuple | None = None
     used_links: int = 0
     alive: bool = True
-
-    def uses(self, link_id: int) -> bool:
-        return (self.used_links >> link_id) & 1 == 1
 
 
 def label_cost(label: Label) -> int:

@@ -162,9 +162,8 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
     before reporting.
     """
     opts = opts if opts is not None else SearchOptions()
-    opts.validate()
-    _validate_events(net, events)
     arrivals = sorted(events, key=lambda ev: (ev.time, ev.id))
+    _validate_events(net, arrivals)
     links = list(net.links)
     # (time, id, allocations): ids are unique, so allocations never compare
     departures: list[tuple[float, int, list]] = []

@@ -325,7 +325,7 @@ def test_criterion_6_limited_variant(corpus_results):
                 raise AssertionError(f"limited mismatch, bundle filed: {path}")
 
         with pytest.raises(ValueError):
-            SearchOptions(mode="prime", max_route_cost=limit).validate()
+            SearchOptions(mode="prime", max_route_cost=limit)
         print(f"  K={limit} (60th percentile of {len(leg_costs)} route costs)", end=" ")
 
 

@@ -17,7 +17,6 @@ from ddpp import (
     NetworkError,
     dump_demand,
     dump_network,
-    incident_links,
     load_demand,
     load_network,
     lobe_network,
@@ -114,6 +113,21 @@ class TestLoadNetwork:
         link = Link(0, ("a", "b"), 1, normalize_intervals([(0.5, 2.7)]))
         with pytest.raises(NetworkError, match=r"interval \[0.5, 2.7\] must be \[lo, hi\]"):
             Network(8, ("a", "b"), (link,))
+
+    @pytest.mark.parametrize("nodes, ends, message", [
+        ((["a"],), None, "node identifier ['a'] is not a string"),
+        (("a", 1, "c"), ("a", 1), "node identifier 1 is not a string"),
+        (("a", "b"), ("a",), "link 0: 'ends' must name two nodes"),
+        (("a", "b", "c"), ("a", "b", "c"), "link 0: 'ends' must name two nodes"),
+        (("a", "b"), ["a", "b"], "link 0: 'ends' must name two nodes"),
+        (("a", "b"), ("a", ["b"]), "link 0 references unknown node ['b']"),
+    ], ids=["unhashable-node", "non-string-node", "one-end", "three-ends",
+            "list-ends", "unhashable-end"])
+    def test_model_owns_node_ids_and_link_ends(self, nodes, ends, message):
+        links = () if ends is None else (Link(0, ends, 1, (UnitInterval(0, 4),)),)
+        with pytest.raises(NetworkError) as caught:
+            Network(4, nodes, links)
+        assert str(caught.value) == message
 
     def test_missing_keys(self):
         with pytest.raises(NetworkError, match="lacks 'units'"):
@@ -374,7 +388,7 @@ class TestRandomNetwork:
             frontier = [net.nodes[0]]
             while frontier:
                 node = frontier.pop()
-                for link in incident_links(net, node):
+                for link in net.incidence[node]:
                     other = link.other_end(node)
                     if other not in reached:
                         reached.add(other)
@@ -446,15 +460,10 @@ class TestRandomNetwork:
 class TestIncidentLinks:
     def test_lobe_middle_node(self):
         net = lobe_network(2, 1)
-        links = incident_links(net, "n_1")
-        assert len(links) == 4
+        links = net.incidence["n_1"]
+        assert type(links) is tuple and len(links) == 4
         assert [l.id for l in links] == sorted(l.id for l in links)
 
     def test_two_node_endpoint(self):
         net = load_network(minimal_doc())
-        assert [l.id for l in incident_links(net, "b")] == [0]
-
-    def test_unknown_node(self):
-        net = load_network(minimal_doc())
-        with pytest.raises(NetworkError, match="unknown node"):
-            incident_links(net, "zz")
+        assert [l.id for l in net.incidence["b"]] == [0]

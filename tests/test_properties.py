@@ -203,7 +203,7 @@ def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
     out = []
     for side in ("a", "b"):
         node = label.vertex.a if side == "a" else label.vertex.b
-        if node in link.ends and not label.uses(link.id):
+        if node in link.ends and not label.used_links & (1 << link.id):
             out.extend(label_extend(label, link, side, units))
     return out
 
@@ -306,6 +306,14 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
 
         def snapshot(labels):
             return sorted(l.trait_a + l.trait_b for l in labels)
+
+        if mode == "base":
+            # each bucket is a staircase: cost_a rising, cost_b falling
+            for row in fast._rows.values():
+                for cost_a, cost_b, labels in row.values():
+                    assert len(cost_a) == len(cost_b) == len(labels)
+                    assert all(x < y for x, y in zip(cost_a, cost_a[1:]))
+                    assert all(x > y for x, y in zip(cost_b, cost_b[1:]))
 
         members = fast.alive_labels()
         assert snapshot(members) == snapshot(naive.members)

@@ -1,5 +1,7 @@
 """Pair search: solve, expansion, efficient sets, and reconstruction."""
 
+import dataclasses
+
 import pytest
 
 from conftest import assert_feasible, make_net
@@ -12,7 +14,6 @@ from ddpp import (
     SearchOptions,
     Trait,
     Vertex,
-    incident_links,
     lobe_network,
     oracle_solve,
     random_network,
@@ -92,6 +93,23 @@ class TestSolveExamples:
                   SearchOptions(mode="prime", max_route_cost=10))
         with pytest.raises(ValueError, match="unknown mode"):
             solve(triangle(), Demand("a", "c", 1), SearchOptions(mode="fancy"))
+        for limit in ("5", 2.5, True):
+            with pytest.raises(ValueError, match="max_route_cost must be an integer"):
+                SearchOptions(mode="base", max_route_cost=limit)
+
+    def test_options_are_frozen(self):
+        # a search validates its options once, so they must not change after
+        net, demand = lobe_network(2, 1), Demand("n_s", "n_x", 1)
+        opts = SearchOptions("base", 4)
+        search = PairSearch(net, demand, opts)
+        for field, value in (("mode", "prime"), ("max_route_cost", None),
+                             ("enumerate_all", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(opts, field, value)
+        # prime mode is not exact under a limit and would block this demand
+        sol = search.run()
+        assert sol.routed
+        assert sol.total_cost == oracle_solve(net, demand, max_route_cost=4).min_cost == 7
 
     def test_deterministic_documents(self):
         net = triangle()
@@ -446,7 +464,7 @@ class TestLimitedVariant:
 
 
 def usable(link, units):
-    return any(iv.length >= units for iv in link.available)
+    return any(iv.hi - iv.lo >= units for iv in link.available)
 
 
 def view_distances(net, dst, units):
@@ -476,7 +494,7 @@ class TestUsableLinkView:
             assert h[demand.dst] == 0
             assert search._view == {
                 node: tuple((l, 1 << l.id, l.other_end(node))
-                            for l in incident_links(net, node) if usable(l, units))
+                            for l in net.incidence[node] if usable(l, units))
                 for node in net.nodes
             }
             for link in net.links:

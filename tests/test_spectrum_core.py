@@ -66,7 +66,7 @@ class TestTrait:
     def test_fields_and_interval(self):
         t = Trait(2, 1, 5)
         assert t == (2, 1, 5)
-        assert (t.cost, t.lo, t.hi, t.ri) == (2, 1, 5, iv(1, 5))
+        assert (t.cost, t.lo, t.hi) == (2, 1, 5)
 
     def test_copies_and_pickles_as_itself(self):
         for value in (Trait(2, 1, 5), Vertex("b", "a")):

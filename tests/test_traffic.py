@@ -152,6 +152,15 @@ class TestRun:
             with pytest.raises(ValueError, match="malformed time or hold"):
                 run(net, [TrafficEvent(0, time, "n_s", "n_x", 1, hold)])
 
+    def test_iterator_and_list_give_equal_reports(self):
+        net = random_network(6, 2.5, 4, 0.8, 21)
+        events = gen_traffic(net, 20, 4.0, 0.2, (1, 2), 3)
+        from_list = run(net, events).to_doc()
+        from_iter = run(net, iter(events)).to_doc()
+        assert from_list["offered"] == 20
+        del from_list["mean_wall_time"], from_iter["mean_wall_time"]
+        assert from_iter == from_list
+
     def test_rejects_bad_options_without_arrivals(self):
         with pytest.raises(ValueError, match="unknown mode"):
             run(lobe_network(1, 2), [], SearchOptions(mode="bogus"))
