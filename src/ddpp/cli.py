@@ -86,12 +86,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lobe_bench(args) -> int:
-    if args.m_max < 1 or args.units < 1:
-        raise ValueError(f"--m-max and --units must be >= 1, got {args.m_max} and {args.units}")
+    if args.m_max < 1:
+        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["m", "labels_at_destination", "labels_generated", "wall_time"])
     for m in range(1, args.m_max + 1):
-        net = lobe_network(m, args.units)
+        net = lobe_network(m, 1)
         opts = SearchOptions(mode=args.relation, enumerate_all=True)
         search = PairSearch(net, Demand("n_s", "n_x", 1), opts)
         sol = search.run()
@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser("lobe-bench", help="worst-case growth table (CSV)")
     bench_p.add_argument("--m-max", type=int, required=True)
     bench_p.add_argument("--relation", required=True, choices=("base", "prime"))
-    bench_p.add_argument("--units", type=int, default=1)
     bench_p.set_defaults(handler=cmd_lobe_bench)
 
     gen_net_p = sub.add_parser("gen-net", help="random connected instance")

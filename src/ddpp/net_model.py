@@ -40,9 +40,6 @@ class Link:
     cost: int
     available: tuple[UnitInterval, ...]
 
-    def touches(self, node: str) -> bool:
-        return node in self.ends
-
     def other_end(self, node: str) -> str:
         if node == self.ends[0]:
             return self.ends[1]
@@ -108,8 +105,13 @@ def _validate(net: Network) -> None:
             raise NetworkError(f"link {link_id}: cost must be an integer, got {cost!r}")
         if cost < 0:
             raise NetworkError(f"link {link_id} has negative cost {cost}")
+        available = link.available
+        if type(available) is not tuple:
+            raise NetworkError(f"link {link_id}: 'available' must be a tuple of UnitInterval")
         previous_hi = None
-        for iv in link.available:
+        for iv in available:
+            if type(iv) is not UnitInterval:
+                raise NetworkError(f"link {link_id}: interval {iv!r} must be a UnitInterval")
             lo = iv.lo
             hi = iv.hi
             if not ((type(lo) is int or _is_int(lo)) and (type(hi) is int or _is_int(hi))):
@@ -132,6 +134,9 @@ class Demand:
     units: int
 
     def __post_init__(self) -> None:
+        for key, node in (("src", self.src), ("dst", self.dst)):
+            if not isinstance(node, str):
+                raise ValueError(f"demand {key} {node!r} is not a string")
         if self.src == self.dst:
             raise ValueError(f"demand endpoints must differ, got {self.src!r} twice")
         if not _is_int(self.units):
@@ -169,7 +174,7 @@ def load_network(doc: dict) -> Network:
     is reported with the offending element.  This checks the document's
     shape; the model invariants (a positive integer unit count, known link
     ends, non-negative integer costs, integer intervals within the unit
-    count, dense link ids, distinct nodes) are left to ``Network``'s own
+    count, dense link ids, distinct string nodes) are left to ``Network``'s own
     validation.  Each message is formatted only when its check fails.
     """
     if not isinstance(doc, dict):
@@ -180,9 +185,6 @@ def load_network(doc: dict) -> Network:
     nodes = doc["nodes"]
     if not (isinstance(nodes, list) and nodes):
         raise NetworkError("'nodes' must be a non-empty list")
-    for node in nodes:
-        if not isinstance(node, str):
-            raise NetworkError(f"node identifier {node!r} is not a string")
 
     raw_links = doc["links"]
     if not isinstance(raw_links, list):
@@ -250,9 +252,6 @@ def load_demand(doc: dict) -> Demand:
     for key in ("src", "dst", "units"):
         if key not in doc:
             raise NetworkError(f"demand document lacks {key!r}")
-    for key in ("src", "dst"):
-        if not isinstance(doc[key], str):
-            raise NetworkError(f"demand {key} {doc[key]!r} is not a string")
     try:
         return Demand(doc["src"], doc["dst"], doc["units"])
     except ValueError as exc:

@@ -40,7 +40,7 @@ def _check_trail(net: Network, route) -> None:
     for start in dict.fromkeys(links[0].ends):
         here = start
         for link in links:
-            if not link.touches(here):
+            if here not in link.ends:
                 break
             here = link.other_end(here)
         else:
@@ -158,12 +158,11 @@ def oracle_solve(
     A trail is feasible when it admits at least one interval of the
     demanded width and, if limited, costs at most max_route_cost.
     Unordered pairs are counted once.  Raises BudgetExceeded instead of
-    ever truncating the enumeration, and ValueError on a negative limit or
-    a budget below 1.
+    ever truncating the enumeration, and ValueError on a limit that is not
+    a non-negative integer or a budget below 1.
     """
     validate_demand(net, demand)
-    if max_route_cost is not None and max_route_cost < 0:
-        raise ValueError(f"max_route_cost must be >= 0, got {max_route_cost}")
+    SearchOptions("base", max_route_cost)  # checks the limit as the search does
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     route_sets = _enumerate_route_sets(net, demand.src, demand.dst, budget)

@@ -263,7 +263,7 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
         while route is not None:
             link_id, route = route
             link = net.links[link_id]
-            if not link.touches(here):
+            if here not in link.ends:
                 raise RuntimeError(f"malformed route: link {link_id} does not touch {here!r}")
             here = link.other_end(here)
             nodes.append(here)
@@ -276,8 +276,8 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
 class PairSearch:
     """One solve: mutable per-query state over an immutable network."""
 
-    def __init__(self, net: Network, demand: Demand, opts: SearchOptions | None = None):
-        self.opts = opts if opts is not None else SearchOptions()
+    def __init__(self, net: Network, demand: Demand, opts: SearchOptions = SearchOptions()):
+        self.opts = opts
         validate_demand(net, demand)
         self.net = net
         self.demand = demand
@@ -438,6 +438,6 @@ class PairSearch:
         return Solution("routed", label_cost(best), working, protecting, stats)
 
 
-def solve(net: Network, demand: Demand, opts: SearchOptions | None = None) -> Solution:
+def solve(net: Network, demand: Demand, opts: SearchOptions = SearchOptions()) -> Solution:
     """Find a minimal-cost link-disjoint route pair, or report blocked."""
     return PairSearch(net, demand, opts).run()

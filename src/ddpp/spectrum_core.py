@@ -45,14 +45,6 @@ class UnitInterval:
         if self.lo < 0 or self.hi <= self.lo:
             raise ValueError(f"malformed interval [{self.lo}, {self.hi})")
 
-    def contains(self, other: "UnitInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersect(self, other: "UnitInterval") -> "UnitInterval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return UnitInterval(lo, hi) if lo < hi else None
-
     def to_doc(self) -> list[int]:
         return [self.lo, self.hi]
 
@@ -102,7 +94,7 @@ def remove_interval(intervals, cut: UnitInterval) -> tuple[UnitInterval, ...] | 
     contains the whole window.
     """
     for index, iv in enumerate(intervals):
-        if iv.contains(cut):
+        if iv.lo <= cut.lo and cut.hi <= iv.hi:
             pieces = tuple(UnitInterval(lo, hi)
                            for lo, hi in ((iv.lo, cut.lo), (cut.hi, iv.hi)) if lo < hi)
             return intervals[:index] + pieces + intervals[index + 1:]

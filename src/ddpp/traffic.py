@@ -103,6 +103,8 @@ def gen_traffic(
     """
     if len(net.nodes) < 2:
         raise ValueError("need at least 2 nodes to generate traffic")
+    if not _is_int(count):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     lo, hi = units_range
@@ -132,6 +134,8 @@ def _validate_events(net: Network, events) -> None:
     seen = set()
     nodes = set(net.nodes)
     for ev in events:
+        if not _is_int(ev.id):
+            raise ValueError(f"event id {ev.id!r} is not an integer")
         if ev.id in seen:
             raise ValueError(f"duplicate event id {ev.id}")
         seen.add(ev.id)
@@ -143,17 +147,17 @@ def _validate_events(net: Network, events) -> None:
             raise ValueError(f"event {ev.id}: units must be an integer, got {ev.units!r}")
         if not 1 <= ev.units <= net.unit_count:
             raise ValueError(f"event {ev.id} demands {ev.units} of {net.unit_count} units")
-        if not (0 <= ev.time < math.inf and 0 < ev.hold < math.inf):
+        if not (_is_finite(ev.time) and ev.time >= 0 and _is_finite(ev.hold) and ev.hold > 0):
             raise ValueError(f"event {ev.id} has a malformed time or hold")
 
 
-def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
+def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimReport:
     """Replay a demand sequence and report blocking and search effort.
 
     The state is one immutable Link per id, holding its free units as
     canonical intervals, and a heap of departures that carry their own
-    allocations.  An allocation or release replaces only the links it
-    touches, and each arrival's snapshot network reuses every other link
+    allocations.  An allocation or release replaces only the links of its
+    routes, and each arrival's snapshot network reuses every other link
     as it is.  An arrival with no release or allocation since the previous
     one reuses that arrival's snapshot, whose links are unchanged, and
     arrivals before the first release or allocation solve on ``net``
@@ -161,9 +165,9 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
     departure every link must equal its initial one, which is asserted
     before reporting.
     """
-    opts = opts if opts is not None else SearchOptions()
-    arrivals = sorted(events, key=lambda ev: (ev.time, ev.id))
+    arrivals = list(events)
     _validate_events(net, arrivals)
+    arrivals.sort(key=lambda ev: (ev.time, ev.id))
     links = list(net.links)
     # (time, id, allocations): ids are unique, so allocations never compare
     departures: list[tuple[float, int, list]] = []
@@ -172,7 +176,7 @@ def run(net: Network, events, opts: SearchOptions | None = None) -> SimReport:
         for link_ids, slots in allocations:
             for link_id in link_ids:
                 link = links[link_id]
-                if any(iv.intersect(slots) for iv in link.available):
+                if any(iv.lo < slots.hi and slots.lo < iv.hi for iv in link.available):
                     raise RuntimeError(
                         f"double release: link {link_id} already holds units of event {event_id}"
                     )

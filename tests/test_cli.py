@@ -140,7 +140,6 @@ LONG_CHAIN = ["--budget", "10"]
     GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "inf"],
     GEN_TRAFFIC + ["--mean-hold", "nan", "--mean-gap", "1.0"],
     GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "1.0", "--units-max", "99"],
-    ["lobe-bench", "--m-max", "2", "--relation", "base", "--units", "0"],
     ["lobe-bench", "--m-max", "0", "--relation", "base"],
     ["oracle", "--max-route-cost", "-1"],
     ["oracle", "--budget", "0"],
@@ -148,7 +147,7 @@ LONG_CHAIN = ["--budget", "10"]
     ["oracle"] + LONG_CHAIN,
     ["compare"] + LONG_CHAIN,
 ], ids=["avg-degree-inf", "avg-degree-nan", "mean-gap-inf", "mean-hold-nan",
-        "units-max-beyond-network", "lobe-units-zero", "lobe-m-max-zero",
+        "units-max-beyond-network", "lobe-m-max-zero",
         "oracle-negative-limit", "oracle-budget-zero", "compare-budget-negative",
         "oracle-long-chain-budget", "compare-long-chain-budget"])
 def test_bad_generator_inputs_exit_one_without_traceback(tmp_path, capsys, argv):
@@ -219,6 +218,16 @@ class TestLobeBench:
         assert code == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert all(int(r[1]) == 1 for r in rows[1:])
+
+    def test_units_flag_is_usage_error(self, capsys):
+        # every lobe link has all units free and the demand is 1 unit, so a
+        # unit count never reached the table; the flag that set it is gone
+        with pytest.raises(SystemExit) as err:
+            main(["lobe-bench", "--m-max", "2", "--relation", "base", "--units", "4"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --units 4" in captured.err
 
 
 class TestGenerateAndSimulate:

@@ -23,6 +23,7 @@ from ddpp import (
     UnitInterval,
     normalize_intervals,
     random_network,
+    solve,
 )
 from ddpp.net_model import validate_demand
 
@@ -127,6 +128,20 @@ class TestLoadNetwork:
         links = () if ends is None else (Link(0, ends, 1, (UnitInterval(0, 4),)),)
         with pytest.raises(NetworkError) as caught:
             Network(4, nodes, links)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("available, message", [
+        (iter([UnitInterval(0, 4)]), "link 0: 'available' must be a tuple of UnitInterval"),
+        ([UnitInterval(0, 4)], "link 0: 'available' must be a tuple of UnitInterval"),
+        (((0, 4),), "link 0: interval (0, 4) must be a UnitInterval"),
+    ], ids=["generator", "list", "plain-pair"])
+    def test_model_owns_available(self, available, message):
+        # a consumed generator left a routable network blocked, a list broke
+        # the simulator's first release, and a pair had no `.lo`
+        links = (Link(0, ("a", "b"), 1, available),
+                 Link(1, ("a", "b"), 2, (UnitInterval(0, 4),)))
+        with pytest.raises(NetworkError) as caught:
+            Network(4, ("a", "b"), links)
         assert str(caught.value) == message
 
     def test_missing_keys(self):
@@ -320,6 +335,10 @@ class TestDemandDocs:
         for units in (2.5, True):
             with pytest.raises(ValueError, match="is not an integer"):
                 Demand("n0", "n5", units)
+
+    def test_demand_owns_its_string_check(self):
+        with pytest.raises(ValueError, match=r"demand src \['n_s'\] is not a string"):
+            solve(lobe_network(1, 2), Demand(["n_s"], "n_x", 1))
 
     def test_validate_against_network(self):
         net = load_network(minimal_doc())

@@ -100,6 +100,11 @@ class TestOracleSolve:
         chain = make_net(1, nodes, [(a, b, 1, [(0, 1)]) for a, b in zip(nodes, nodes[1:])])
         assert oracle_solve(chain, Demand(nodes[0], nodes[-1], 1)).status == "blocked"
 
+    @pytest.mark.parametrize("limit", ["3", 2.5, True])
+    def test_non_integer_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="max_route_cost must be an integer"):
+            oracle_solve(lobe_network(2, 1), Demand("n_s", "n_x", 1), max_route_cost=limit)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be >= 1"):

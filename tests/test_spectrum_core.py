@@ -50,12 +50,6 @@ class TestUnitInterval:
         with pytest.raises(ValueError):
             iv(5, 2)
 
-    def test_containment_and_intersection(self):
-        assert iv(0, 8).contains(iv(2, 6))
-        assert not iv(2, 6).contains(iv(0, 8))
-        assert iv(0, 4).intersect(iv(2, 8)) == iv(2, 4)
-        assert iv(0, 2).intersect(iv(2, 4)) is None
-
     def test_normalize_merges_touching_and_overlapping(self):
         assert normalize_intervals([(0, 3), (3, 5)]) == (iv(0, 5),)
         assert normalize_intervals([(4, 6), (0, 2), (1, 3)]) == (iv(0, 3), iv(4, 6))

@@ -66,6 +66,10 @@ class TestGenTraffic:
         with pytest.raises(ValueError, match="malformed time or hold"):
             gen_traffic(net, 20, 1.0, 1e308, (1, 1), 0)
 
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
+            gen_traffic(lobe_network(1, 2), 2.5, 1.0, 1.0, (1, 1), 0)
+
     def test_document_round_trip(self):
         events = gen_traffic(lobe_network(2, 4), 20, 1.5, 0.7, (1, 2), 11)
         assert load_traffic(dump_traffic(events)) == events
@@ -151,6 +155,16 @@ class TestRun:
         for time, hold in ((float("nan"), 1.0), (0.0, float("inf")), (-1.0, 1.0)):
             with pytest.raises(ValueError, match="malformed time or hold"):
                 run(net, [TrafficEvent(0, time, "n_s", "n_x", 1, hold)])
+
+    def test_mixed_id_types_rejected_before_sorting(self):
+        with pytest.raises(ValueError, match="event id 'a' is not an integer"):
+            run(lobe_network(1, 2), [TrafficEvent(0, 0.0, "n_s", "n_x", 1, 1.0),
+                                     TrafficEvent("a", 0.0, "n_s", "n_x", 1, 1.0)])
+
+    def test_string_time_rejected_before_sorting(self):
+        with pytest.raises(ValueError, match="malformed time or hold"):
+            run(lobe_network(1, 2), [TrafficEvent(0, "0", "n_s", "n_x", 1, 1.0),
+                                     TrafficEvent(1, 0.0, "n_s", "n_x", 1, 1.0)])
 
     def test_iterator_and_list_give_equal_reports(self):
         net = random_network(6, 2.5, 4, 0.8, 21)
@@ -276,3 +290,18 @@ class TestFaultChecks:
             RouteLeg(["s", "t"], [1], UnitInterval(0, 1))))
         with pytest.raises(RuntimeError, match="allocation breach: link 0"):
             run(net, [TrafficEvent(0, 0.0, "s", "t", 1, 1.0)])
+
+    def test_release_of_units_still_free(self, monkeypatch):
+        net = make_net(2, ["s", "t"], [("s", "t", 1, [(0, 2)]), ("s", "t", 1, [(0, 2)])])
+        # an allocation that cuts nothing leaves the held units free
+        monkeypatch.setattr(ddpp.traffic, "remove_interval", lambda available, cut: available)
+        with pytest.raises(RuntimeError, match="double release: link"):
+            run(net, [TrafficEvent(0, 0.0, "s", "t", 1, 1.0)])
+
+    def test_adjacent_windows_on_one_link_release_cleanly(self, monkeypatch):
+        # windows that touch but do not overlap are not a double release
+        net = make_net(2, ["s", "t"], [("s", "t", 1, [(0, 2)])])
+        monkeypatch.setattr(ddpp.traffic, "solve", self._fake_solve(
+            RouteLeg(["s", "t"], [0], UnitInterval(0, 1)),
+            RouteLeg(["s", "t"], [0], UnitInterval(1, 2))))
+        assert run(net, [TrafficEvent(0, 0.0, "s", "t", 1, 1.0)]).routed == 1
