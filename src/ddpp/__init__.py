@@ -39,9 +39,7 @@ from .search import (
 )
 from .spectrum_core import (
     Label,
-    Trait,
     UnitInterval,
-    Vertex,
     dominates,
     label_cost,
     label_extend,
@@ -77,10 +75,8 @@ __all__ = [
     "SearchStats",
     "SimReport",
     "Solution",
-    "Trait",
     "TrafficEvent",
     "UnitInterval",
-    "Vertex",
     "compare",
     "dominates",
     "dump_demand",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .net_model import Demand, Network, dump_demand, dump_network, validate_demand
+from .net_model import Demand, Network, _is_int, dump_demand, dump_network, validate_demand
 from .search import SearchOptions, Solution, solve
 from .spectrum_core import UnitInterval
 
@@ -159,10 +159,12 @@ def oracle_solve(
     demanded width and, if limited, costs at most max_route_cost.
     Unordered pairs are counted once.  Raises BudgetExceeded instead of
     ever truncating the enumeration, and ValueError on a limit that is not
-    a non-negative integer or a budget below 1.
+    a non-negative integer or a budget that is not an integer >= 1.
     """
     validate_demand(net, demand)
     SearchOptions("base", max_route_cost)  # checks the limit as the search does
+    if not _is_int(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     route_sets = _enumerate_route_sets(net, demand.src, demand.dst, budget)

@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, _is_int, validate_demand
-from .spectrum_core import MODES, Label, UnitInterval, Vertex, label_cost, label_extend
+from .spectrum_core import MODES, Label, UnitInterval, label_cost, label_extend
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ class EfficientSet:
     spectrum_core.
     """
 
-    def __init__(self, same_node: bool, mode: str) -> None:
-        self._same = same_node
+    def __init__(self, same: bool, mode: str) -> None:
+        self._same = same
         self._prime = mode == "prime"
         # (lo_a, hi_a) -> (lo_b, hi_b) -> (cost_a, cost_b, labels) or (label_cost, Label)
         self._rows: dict[tuple[int, int], dict[tuple[int, int], object]] = {}
@@ -292,8 +292,8 @@ class PairSearch:
                                   for link in links if usable[link.id])
                       for node, links in net.incidence.items()}
         self._h = self._distances_to(demand.dst)
-        self._dest = Vertex(demand.dst, demand.dst)
-        self._sets: dict[Vertex, EfficientSet] = {}
+        self._dest = (demand.dst, demand.dst)
+        self._sets: dict[tuple[str, str], EfficientSet] = {}
         self._ran = False
 
     def _distances_to(self, target: str) -> dict[str, int]:
@@ -379,7 +379,7 @@ class PairSearch:
         heappop = heapq.heappop
         src = self.demand.src
         full = (0, 0, self.net.unit_count)
-        root = Label(full, full, Vertex(src, src))
+        root = Label(full, full, (src, src))
         heap: list[tuple] = []
         push = 0
         if src in h:

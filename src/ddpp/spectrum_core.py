@@ -7,9 +7,10 @@ link's cost, and a label costs the sum of its two traits.  A label pairs
 two traits, one per route of a protected connection, and lives at a vertex,
 the unordered pair of nodes where the two routes currently end.
 
-On the search's hot path a trait is a bare ``(cost, lo, hi)`` tuple and a
-vertex a ``Vertex``, the named tuple ``(a, b)`` with ``a <= b``, so
-building, hashing and comparing either runs in C.
+A trait is the plain tuple ``(cost, lo, hi)`` and a vertex the plain tuple
+``(a, b)`` with ``a <= b``, so building, hashing and comparing either runs
+in C.  No type enforces that order: ``label_extend`` is the only code that
+orders a pair, and a same-node pair ``(n, n)`` is ordered as written.
 
 Pruning uses one relation per vertex kind, selected by search mode:
 
@@ -28,7 +29,6 @@ Pruning uses one relation per vertex kind, selected by search mode:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 MODES = ("base", "prime")
@@ -101,21 +101,6 @@ def remove_interval(intervals, cut: UnitInterval) -> tuple[UnitInterval, ...] | 
     return None
 
 
-class Trait(namedtuple("_Trait", "cost lo hi")):
-    """One partial route as ``(cost, lo, hi)``: accumulated cost and usable
-    unit interval [lo, hi), validated as ``UnitInterval`` is.  For the API
-    edge and tests: ``trait_extend`` builds bare tuple literals, well formed
-    by construction, as each piece it cuts is at least ``units >= 1`` wide
-    and lies inside a validated link interval.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, cost: int, lo: int, hi: int) -> "Trait":
-        UnitInterval(lo, hi)  # raises on a malformed interval
-        return tuple.__new__(cls, (cost, lo, hi))
-
-
 def trait_leq(t_i: tuple, t_j: tuple) -> bool:
     """True when t_i is better than or equal to t_j.
 
@@ -155,26 +140,13 @@ def trait_extend(trait: tuple, link, units: int) -> list[tuple]:
     return out
 
 
-class Vertex(namedtuple("_Vertex", "a b")):
-    """Canonical unordered pair of network nodes, the tuple ``(a, b)`` with
-    ``a <= b``; hashing and equality are the tuple's own."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: str, b: str) -> "Vertex":
-        return tuple.__new__(cls, (a, b) if a <= b else (b, a))
-
-    @property
-    def same_node(self) -> bool:
-        return self.a == self.b
-
-
 @dataclass(slots=True, eq=False)
 class Label:
     """Search state: a pair of traits, each with the route it summarizes.
 
-    ``trait_a`` and ``trait_b`` are ``(cost, lo, hi)`` tuples; route a
-    ends at ``vertex.a`` and route b at ``vertex.b``.
+    ``trait_a`` and ``trait_b`` are ``(cost, lo, hi)`` tuples.  ``vertex``
+    is the node pair ``(a, b)`` with ``a <= b``; route a ends at ``a`` and
+    route b at ``b``.
     ``route_a`` and ``route_b`` hold the route of the trait in the same
     slot as a shared cons list ``(last link id, rest)`` that ends in
     ``None`` at the source; extending a route puts one new cell in front
@@ -185,7 +157,7 @@ class Label:
 
     trait_a: tuple
     trait_b: tuple
-    vertex: Vertex
+    vertex: tuple[str, str]
     route_a: tuple | None = None
     route_b: tuple | None = None
     used_links: int = 0
@@ -224,9 +196,9 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     used = label.used_links | bit
     pieces = trait_extend(trait, link, units)
     if moved_end <= kept_end:
-        vertex = tuple.__new__(Vertex, (moved_end, kept_end))
+        vertex = (moved_end, kept_end)
         return [Label(t, kept_trait, vertex, route, kept_route, used) for t in pieces]
-    vertex = tuple.__new__(Vertex, (kept_end, moved_end))
+    vertex = (kept_end, moved_end)
     return [Label(kept_trait, t, vertex, kept_route, route, used) for t in pieces]
 
 
@@ -266,7 +238,7 @@ def leq_prime(l_i: Label, l_j: Label) -> bool:
         raise ValueError("labels at different vertices are not comparable")
     if label_cost(l_i) > label_cost(l_j):
         return False
-    if l_i.vertex.same_node:
+    if l_i.vertex[0] == l_i.vertex[1]:
         return ri_incl_eq(l_i, l_j)
     return ri_incl_n(l_i, l_j)
 
@@ -278,7 +250,7 @@ def dominates(mode: str, l_i: Label, l_j: Label) -> bool:
     if mode == "prime":
         return leq_prime(l_i, l_j)
     if mode == "base":
-        if l_i.vertex.same_node:
+        if l_i.vertex[0] == l_i.vertex[1]:
             return leq_eq(l_i, l_j)
         return leq_n(l_i, l_j)
     raise ValueError(f"unknown mode {mode!r}")

@@ -107,10 +107,13 @@ def gen_traffic(
         raise ValueError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if not (isinstance(units_range, (tuple, list)) and len(units_range) == 2
+            and _is_int(units_range[0]) and _is_int(units_range[1])):
+        raise ValueError(f"malformed units range {units_range!r}")
     lo, hi = units_range
     if not 1 <= lo <= hi:
         raise ValueError(f"malformed units range [{lo}, {hi}]")
-    if not (0 < mean_hold < math.inf and 0 < mean_gap < math.inf):
+    if not (_is_finite(mean_hold) and _is_finite(mean_gap) and mean_hold > 0 and mean_gap > 0):
         raise ValueError("mean_hold and mean_gap must be positive and finite")
     rng = random.Random(seed)
     nodes = list(net.nodes)
@@ -139,6 +142,8 @@ def _validate_events(net: Network, events) -> None:
         if ev.id in seen:
             raise ValueError(f"duplicate event id {ev.id}")
         seen.add(ev.id)
+        if not (isinstance(ev.src, str) and isinstance(ev.dst, str)):
+            raise ValueError(f"event {ev.id}: src and dst must be strings")
         if ev.src not in nodes or ev.dst not in nodes:
             raise NetworkError(f"event {ev.id} references unknown nodes")
         if ev.src == ev.dst:

@@ -20,8 +20,6 @@ from ddpp import (
     Label,
     Link,
     SearchOptions,
-    Trait,
-    Vertex,
     PairSearch,
     dominates,
     dump_traffic,
@@ -168,8 +166,8 @@ def test_criterion_3_per_vertex_polynomial_bound(corpus_results):
 def test_criterion_4_relation_algebra_exhaustive():
     with criterion(4, "exhaustive relation algebra on the small trait universe"):
         intervals = [(lo, hi) for lo in range(4) for hi in range(lo + 1, 5)]
-        traits = [Trait(cost, lo, hi) for cost in range(4) for lo, hi in intervals]
-        vertex = Vertex("n", "n")
+        traits = [(cost, lo, hi) for cost in range(4) for lo, hi in intervals]
+        vertex = ("n", "n")
         labels = [Label(t1, t2, vertex) for t1 in traits for t2 in traits]
         sorted_labels = [l for l in labels if trait_leq(l.trait_a, l.trait_b)]
 
@@ -231,19 +229,20 @@ def _make_link_pool(rng, ends, count=256):
 def _rand_trait(rng, units):
     lo = rng.randint(0, 8 - units)
     hi = rng.randint(lo + units, 8)
-    return Trait(rng.randint(0, 20), lo, hi)
+    return (rng.randint(0, 20), lo, hi)
 
 
-def _shrunk(rng, base: Trait, units) -> tuple[int, int]:
-    lo = rng.randint(base.lo, base.hi - units)
-    hi = rng.randint(lo + units, base.hi)
+def _shrunk(rng, base: tuple, units) -> tuple[int, int]:
+    _, b_lo, b_hi = base
+    lo = rng.randint(b_lo, b_hi - units)
+    hi = rng.randint(lo + units, b_hi)
     return lo, hi
 
 
 def _extend_both_sides(label, link, units):
     out = []
     for side in ("a", "b"):
-        node = label.vertex.a if side == "a" else label.vertex.b
+        node = label.vertex[0] if side == "a" else label.vertex[1]
         if node in link.ends:
             out.extend(label_extend(label, link, side, units))
     return out
@@ -258,7 +257,7 @@ def _preservation_violations(mode: str, trials: int, seed: int) -> int:
     violations = 0
     for _ in range(trials):
         same = rng.random() < 0.5
-        vertex = Vertex("n", "n") if same else Vertex("m", "n")
+        vertex = ("n", "n") if same else ("m", "n")
         units = rng.randint(1, 3)
         good = Label(_rand_trait(rng, units), _rand_trait(rng, units), vertex)
         crossed = same and rng.random() < 0.5
@@ -267,16 +266,16 @@ def _preservation_violations(mode: str, trials: int, seed: int) -> int:
         )
         if mode == "base":
             bad = Label(
-                Trait(first.cost + rng.randint(0, 5), *_shrunk(rng, first, units)),
-                Trait(second.cost + rng.randint(0, 5), *_shrunk(rng, second, units)),
+                (first[0] + rng.randint(0, 5), *_shrunk(rng, first, units)),
+                (second[0] + rng.randint(0, 5), *_shrunk(rng, second, units)),
                 vertex,
             )
         else:
-            total = good.trait_a.cost + good.trait_b.cost + rng.randint(0, 6)
+            total = good.trait_a[0] + good.trait_b[0] + rng.randint(0, 6)
             ca = rng.randint(0, total)
             bad = Label(
-                Trait(ca, *_shrunk(rng, first, units)),
-                Trait(total - ca, *_shrunk(rng, second, units)),
+                (ca, *_shrunk(rng, first, units)),
+                (total - ca, *_shrunk(rng, second, units)),
                 vertex,
             )
         assert dominates(mode, good, bad)

@@ -1,12 +1,27 @@
 """Command-line contract: exit codes, documents on stdout, CSV schema."""
 
 import csv
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ddpp import Demand, dump_demand, dump_network, dump_traffic, gen_traffic, lobe_network
+import ddpp.oracle
+from ddpp import (
+    Demand,
+    dump_demand,
+    dump_network,
+    dump_traffic,
+    gen_traffic,
+    load_demand,
+    load_network,
+    lobe_network,
+)
 from ddpp.cli import main
 
 
@@ -50,6 +65,18 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "blocked"
         assert "cost" not in doc
+
+    @pytest.mark.parametrize("relation", ["base", "prime"])
+    def test_all_efficient_gives_the_same_answer(self, lobe_files, capsys, relation):
+        net_file, demand_file = lobe_files
+        argv = ["solve", "--net", net_file, "--demand", demand_file, "--relation", relation]
+        docs = []
+        for extra in ([], ["--all-efficient"]):
+            assert main(argv + extra) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        first, drained = (doc.pop("stats") for doc in docs)
+        assert docs[0] == docs[1]
+        assert drained["labels_settled"] >= first["labels_settled"]
 
     def test_prime_with_route_limit_is_usage_error(self, lobe_files, capsys):
         net_file, demand_file = lobe_files
@@ -201,6 +228,28 @@ class TestOracleAndCompare:
         assert doc["verdicts"] == {"base": True, "prime": True}
         assert not (tmp_path / "bundle.json").exists()
 
+    def test_compare_disagreement_writes_bundle(self, lobe_files, capsys, tmp_path,
+                                                monkeypatch):
+        real = ddpp.oracle.solve
+
+        def off_by_one(net, demand, opts):
+            sol = real(net, demand, opts)
+            return dataclasses.replace(sol, total_cost=sol.total_cost + 1)
+
+        monkeypatch.setattr(ddpp.oracle, "solve", off_by_one)
+        net_file, demand_file = lobe_files
+        bundle = tmp_path / "bundle.json"
+        code = main(["compare", "--net", net_file, "--demand", demand_file,
+                     "--bundle", str(bundle)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["matches"] is False
+        assert captured.err == f"disagreement: counterexample bundle written to {bundle}\n"
+        doc = json.loads(bundle.read_text())
+        assert load_network(doc["network"]) == lobe_network(2, 1)
+        assert load_demand(doc["demand"]) == Demand("n_s", "n_x", 1)
+        assert doc["solutions"]["base"]["cost"] == doc["oracle"]["min_cost"] + 1
+
 
 class TestLobeBench:
     def test_csv_schema_and_counts(self, capsys):
@@ -270,3 +319,42 @@ class TestGenerateAndSimulate:
               "--mean-hold", "1.0", "--mean-gap", "1.0", "--seed", "12"])
         doc = json.loads(capsys.readouterr().out)
         assert doc == dump_traffic(gen_traffic(net, 10, 1.0, 1.0, (1, 1), 12))
+
+
+class TestProcess:
+    """``python -m ddpp.cli`` as a separate process: exit codes and streams."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(ddpp.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "ddpp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_routed_exit_zero(self, lobe_files):
+        net_file, demand_file = lobe_files
+        done = self._run("solve", "--net", net_file, "--demand", demand_file,
+                         "--relation", "prime")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["cost"] == 7
+
+    def test_blocked_exit_three(self, tmp_path):
+        net_file = write_json(tmp_path / "n.json", {
+            "units": 4, "nodes": ["a", "b"],
+            "links": [{"id": 0, "ends": ["a", "b"], "cost": 1, "available": [[0, 4]]}],
+        })
+        demand_file = write_json(tmp_path / "d.json", {"src": "a", "dst": "b", "units": 1})
+        done = self._run("solve", "--net", net_file, "--demand", demand_file,
+                         "--relation", "base")
+        assert done.returncode == 3, done.stderr
+        assert json.loads(done.stdout)["status"] == "blocked"
+
+    def test_bad_document_exit_one(self, tmp_path, lobe_files):
+        _, demand_file = lobe_files
+        net_file = write_json(tmp_path / "n.json", {"units": 4, "nodes": ["a"]})
+        done = self._run("solve", "--net", net_file, "--demand", demand_file,
+                         "--relation", "base")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("ddpp: error:")

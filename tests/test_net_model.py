@@ -122,8 +122,9 @@ class TestLoadNetwork:
         (("a", "b", "c"), ("a", "b", "c"), "link 0: 'ends' must name two nodes"),
         (("a", "b"), ["a", "b"], "link 0: 'ends' must name two nodes"),
         (("a", "b"), ("a", ["b"]), "link 0 references unknown node ['b']"),
+        ((), None, "network has no nodes"),
     ], ids=["unhashable-node", "non-string-node", "one-end", "three-ends",
-            "list-ends", "unhashable-end"])
+            "list-ends", "unhashable-end", "no-nodes"])
     def test_model_owns_node_ids_and_link_ends(self, nodes, ends, message):
         links = () if ends is None else (Link(0, ends, 1, (UnitInterval(0, 4),)),)
         with pytest.raises(NetworkError) as caught:
@@ -134,7 +135,9 @@ class TestLoadNetwork:
         (iter([UnitInterval(0, 4)]), "link 0: 'available' must be a tuple of UnitInterval"),
         ([UnitInterval(0, 4)], "link 0: 'available' must be a tuple of UnitInterval"),
         (((0, 4),), "link 0: interval (0, 4) must be a UnitInterval"),
-    ], ids=["generator", "list", "plain-pair"])
+        ((UnitInterval(0, 2), UnitInterval(2, 4)),
+         "intervals on link 0 are not maximal disjoint"),
+    ], ids=["generator", "list", "plain-pair", "adjacent"])
     def test_model_owns_available(self, available, message):
         # a consumed generator left a routable network blocked, a list broke
         # the simulator's first release, and a pair had no `.lo`
@@ -462,6 +465,17 @@ class TestRandomNetwork:
         ((6, 2.5, 8, None, 1), "fill must be a number, got None"),
     ])
     def test_rejects_non_numeric_parameters(self, args, message):
+        with pytest.raises(NetworkError) as caught:
+            random_network(*args)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2.5, 8, 0.9, 1), "need at least 2 nodes, got 1"),
+        ((6, 2.5, 8, 1.5, 1), "fill must be within [0, 1], got 1.5"),
+        ((6, 2.5, 8, -0.1, 1), "fill must be within [0, 1], got -0.1"),
+        ((6, 2.5, 0, 0.9, 1), "unit count must be >= 1, got 0"),
+    ])
+    def test_rejects_out_of_range_parameters(self, args, message):
         with pytest.raises(NetworkError) as caught:
             random_network(*args)
         assert str(caught.value) == message

@@ -57,6 +57,10 @@ class TestRouteIntervals:
         with pytest.raises(ValueError, match="disconnected"):
             route_intervals(net, [0, 1], 1)
 
+    def test_empty_route(self):
+        with pytest.raises(ValueError, match="empty route"):
+            route_intervals(lobe_network(1, 1), [], 1)
+
 
 class TestOracleSolve:
     def test_lobe_counts_and_minimum(self):
@@ -91,6 +95,9 @@ class TestOracleSolve:
         net = lobe_network(4, 1)
         with pytest.raises(BudgetExceeded):
             oracle_solve(net, Demand("n_s", "n_x", 1), budget=10)
+        # four trails fit a budget of 4, their six candidate pairs do not
+        with pytest.raises(BudgetExceeded, match="6 candidate route pairs exceed"):
+            oracle_solve(lobe_network(1, 1), Demand("n_s", "n_x", 1), budget=4)
 
     def test_trails_longer_than_the_recursion_limit(self):
         # 1,100 segments: one trail is deeper than the default recursion limit
@@ -109,6 +116,12 @@ class TestOracleSolve:
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             oracle_solve(lobe_network(1, 1), Demand("n_s", "n_x", 1), budget=budget)
+
+    @pytest.mark.parametrize("solver", [oracle_solve, compare])
+    @pytest.mark.parametrize("budget", ["3", 2.5, True])
+    def test_non_integer_budget_rejected(self, solver, budget):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            solver(lobe_network(1, 1), Demand("n_s", "n_x", 1), budget=budget)
 
     def test_deterministic_witness(self):
         net = random_network(7, 3, 4, 0.8, 11)

@@ -18,9 +18,7 @@ from ddpp import (
     Link,
     PairSearch,
     SearchOptions,
-    Trait,
     UnitInterval,
-    Vertex,
     dominates,
     label_cost,
     label_extend,
@@ -44,7 +42,7 @@ def interval_strategy(max_units=UNITS_TOTAL):
 
 
 def trait_strategy():
-    return st.builds(lambda cost, ri: Trait(cost, ri.lo, ri.hi),
+    return st.builds(lambda cost, ri: (cost, ri.lo, ri.hi),
                      st.integers(0, 20), interval_strategy())
 
 
@@ -62,26 +60,29 @@ def link_strategy(link_id=0, ends=("p", "q")):
     )
 
 
-def better_trait(rng: random.Random, worse: Trait) -> Trait:
+def better_trait(rng: random.Random, worse: tuple) -> tuple:
     """A trait that is better than or equal to the given one."""
-    lo = rng.randint(0, worse.lo)
-    hi = rng.randint(worse.hi, UNITS_TOTAL)
-    return Trait(rng.randint(0, worse.cost), lo, hi)
+    cost, w_lo, w_hi = worse
+    lo = rng.randint(0, w_lo)
+    hi = rng.randint(w_hi, UNITS_TOTAL)
+    return (rng.randint(0, cost), lo, hi)
 
 
-def worse_trait(rng: random.Random, better: Trait, units: int) -> Trait:
+def worse_trait(rng: random.Random, better: tuple, units: int) -> tuple:
     """A trait worse than or equal to the given one, still wide enough."""
-    lo = rng.randint(better.lo, better.hi - units)
-    hi = rng.randint(lo + units, better.hi)
-    return Trait(better.cost + rng.randint(0, 5), lo, hi)
+    cost, b_lo, b_hi = better
+    lo = rng.randint(b_lo, b_hi - units)
+    hi = rng.randint(lo + units, b_hi)
+    return (cost + rng.randint(0, 5), lo, hi)
 
 
 @settings(max_examples=300, derandomize=True)
 @given(trait_strategy(), link_strategy(), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
     """Every derivation of a worse trait is covered by one of a better trait."""
-    if worse.hi - worse.lo < units:
-        worse = Trait(worse.cost, worse.lo, min(worse.lo + units, UNITS_TOTAL))
+    cost, lo, hi = worse
+    if hi - lo < units:
+        worse = (cost, lo, min(lo + units, UNITS_TOTAL))
     better = better_trait(rng, worse)
     assert trait_leq(better, worse)
     derived_worse = trait_extend(worse, link, units)
@@ -93,14 +94,15 @@ def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
 @settings(max_examples=300, derandomize=True)
 @given(trait_strategy(), link_strategy(), st.integers(1, 3))
 def test_trait_extension_shrinks_interval(trait, link, units):
+    t_cost, t_lo, t_hi = trait
     got = trait_extend(trait, link, units)
     for cost, lo, hi in got:
-        assert trait.lo <= lo and hi <= trait.hi
+        assert t_lo <= lo and hi <= t_hi
         assert hi - lo >= units
-        assert cost == trait.cost + link.cost
+        assert cost == t_cost + link.cost
     # unit-by-unit reference: pins every piece, including the early stop
-    expected = unit_runs(set(range(trait.lo, trait.hi)) & link_units(link), units)
-    assert got == [Trait(trait.cost + link.cost, lo, hi) for lo, hi in expected]
+    expected = unit_runs(set(range(t_lo, t_hi)) & link_units(link), units)
+    assert got == [(t_cost + link.cost, lo, hi) for lo, hi in expected]
 
 
 @settings(max_examples=300, derandomize=True)
@@ -169,28 +171,28 @@ TestLinkSpectrum.settings = settings(max_examples=80, stateful_step_count=30,
                                      derandomize=True, deadline=None)
 
 
-def _random_label(rng: random.Random, vertex: Vertex, units: int) -> Label:
+def _random_label(rng: random.Random, vertex: tuple, units: int) -> Label:
     def trait():
         lo = rng.randint(0, UNITS_TOTAL - units)
         hi = rng.randint(lo + units, UNITS_TOTAL)
-        return Trait(rng.randint(0, 20), lo, hi)
+        return (rng.randint(0, 20), lo, hi)
 
     return Label(trait(), trait(), vertex)
 
 
 def _dominated_label(rng: random.Random, good: Label, mode: str, units: int) -> Label:
     """A label the given one dominates under the given mode, by construction."""
-    crossed = good.vertex.same_node and rng.random() < 0.5
+    crossed = good.vertex[0] == good.vertex[1] and rng.random() < 0.5
     first, second = (good.trait_b, good.trait_a) if crossed else (good.trait_a, good.trait_b)
     if mode == "base":
         return Label(worse_trait(rng, first, units), worse_trait(rng, second, units),
                      good.vertex)
-    wa = worse_trait(rng, first, units)
-    wb = worse_trait(rng, second, units)
+    _, la, ha = worse_trait(rng, first, units)
+    _, lb, hb = worse_trait(rng, second, units)
     # cost-sum relation: any per-trait costs work if the sum is no smaller
     total = label_cost(good) + rng.randint(0, 6)
     ca = rng.randint(0, total)
-    return Label(Trait(ca, wa.lo, wa.hi), Trait(total - ca, wb.lo, wb.hi), good.vertex)
+    return Label((ca, la, ha), (total - ca, lb, hb), good.vertex)
 
 
 def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
@@ -202,7 +204,7 @@ def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
     """
     out = []
     for side in ("a", "b"):
-        node = label.vertex.a if side == "a" else label.vertex.b
+        node = label.vertex[0] if side == "a" else label.vertex[1]
         if node in link.ends and not label.used_links & (1 << link.id):
             out.extend(label_extend(label, link, side, units))
     return out
@@ -215,7 +217,7 @@ def _run_domination_preservation(mode: str, trials: int, seed: int) -> int:
     checked = 0
     while checked < trials:
         same = rng.random() < 0.5
-        vertex = Vertex("n", "n") if same else Vertex("m", "n")
+        vertex = ("n", "n") if same else ("m", "n")
         units = rng.randint(1, 3)
         good = _random_label(rng, vertex, units)
         bad = _dominated_label(rng, good, mode, units)
@@ -251,15 +253,12 @@ def test_higher_cost_labels_yield_higher_cost_labels():
     """Label-cost ordering survives extension under the additive model."""
     rng = random.Random(77)
     for _ in range(2000):
-        vertex = Vertex("m", "n")
+        vertex = ("m", "n")
         units = 1
         cheap = _random_label(rng, vertex, units)
         extra = rng.randint(0, 9)
-        pricey = Label(
-            Trait(cheap.trait_a.cost + extra, cheap.trait_a.lo, cheap.trait_a.hi),
-            Trait(cheap.trait_b.cost, cheap.trait_b.lo, cheap.trait_b.hi),
-            vertex,
-        )
+        cost_a, lo_a, hi_a = cheap.trait_a
+        pricey = Label((cost_a + extra, lo_a, hi_a), cheap.trait_b, vertex)
         assert label_cost(cheap) <= label_cost(pricey)
         avail = normalize_intervals([(0, UNITS_TOTAL)])
         link = Link(3, ("n", "z"), rng.randint(0, 10), avail)
@@ -290,14 +289,14 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
     """
     from ddpp import EfficientSet
 
-    vertex = Vertex("n", "n") if same_node else Vertex("m", "n")
+    vertex = ("n", "n") if same_node else ("m", "n")
     fast = EfficientSet(same_node, mode)
     naive = NaiveEfficientSet(mode)
     accepted = []
     peak = 0
     for ca, ia, cb, ib in rows:
-        fast_label = Label(Trait(ca, ia.lo, ia.hi), Trait(cb, ib.lo, ib.hi), vertex)
-        naive_label = Label(Trait(ca, ia.lo, ia.hi), Trait(cb, ib.lo, ib.hi), vertex)
+        fast_label = Label((ca, ia.lo, ia.hi), (cb, ib.lo, ib.hi), vertex)
+        naive_label = Label((ca, ia.lo, ia.hi), (cb, ib.lo, ib.hi), vertex)
         got = fast.insert(fast_label)
         expect = naive.insert(naive_label)
         assert got == expect
@@ -326,14 +325,14 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
 
 def test_sorted_cross_implies_normal_witnesses():
     """The two witness pairs that pin the same-node comparison rules."""
-    v = Vertex("n", "n")
+    v = ("n", "n")
     # sorted pair where aligned holds and swapped does not
-    li = Label(Trait(1, 0, 4), Trait(3, 0, 4), v)
-    lj = Label(Trait(2, 0, 2), Trait(3, 0, 2), v)
+    li = Label((1, 0, 4), (3, 0, 4), v)
+    lj = Label((2, 0, 2), (3, 0, 2), v)
     assert leq_n(li, lj) and not leq_x(li, lj)
     # unsorted pair where swapped holds and aligned does not
-    ui = Label(Trait(1, 0, 2), Trait(2, 0, 4), v)
-    uj = Label(Trait(3, 0, 4), Trait(2, 0, 2), v)
+    ui = Label((1, 0, 2), (2, 0, 4), v)
+    uj = Label((3, 0, 4), (2, 0, 2), v)
     assert leq_x(ui, uj) and not leq_n(ui, uj)
 
 
@@ -373,7 +372,7 @@ def test_search_matches_oracle_on_every_combination(n, degree, unit_count, fill,
                         assert all(sum(net.links[l].cost for l in leg.links) <= limit
                                    for leg in (sol.working, sol.protecting)), case
                 if enumerate_all:
-                    at_dst = search._sets.get(Vertex(dst, dst))
+                    at_dst = search._sets.get((dst, dst))
                     labels = at_dst.alive_labels() if at_dst is not None else []
                     assert not any(dominates(mode, a, b)
                                    for a in labels for b in labels if a is not b), case

@@ -12,8 +12,6 @@ from ddpp import (
     Label,
     PairSearch,
     SearchOptions,
-    Trait,
-    Vertex,
     lobe_network,
     oracle_solve,
     random_network,
@@ -127,17 +125,17 @@ class TestExpand:
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
+        root = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
         cands = search.expand(root)
         # one candidate per incident link, not per link and side
         assert len(cands) == 2
-        assert {c.vertex for c in cands} == {Vertex("k", "s"), Vertex("d", "s")}
+        assert {c.vertex for c in cands} == {("k", "s"), ("d", "s")}
 
     def test_all_links_used_yields_nothing(self):
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label(Trait(1, 0, 4), Trait(0, 0, 4), Vertex("k", "s"), used_links=0b11)
+        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), used_links=0b11)
         assert search.expand(lab) == []
 
     def test_route_cost_limit_drops_candidates(self):
@@ -145,7 +143,7 @@ class TestExpand:
                        [("s", "k", 11, [(0, 4)]), ("k", "d", 0, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1),
                             SearchOptions(mode="base", max_route_cost=10))
-        root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
+        root = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
         assert search.expand(root) == []
         relaxed = PairSearch(net, Demand("s", "d", 1),
                              SearchOptions(mode="base", max_route_cost=11))
@@ -156,9 +154,8 @@ class TestExpand:
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 5, [(0, 4)]),
                         ("s", "d", 4, [(0, 4)])])
-        root = Label(Trait(0, 0, 4), Trait(0, 0, 4), Vertex("s", "s"))
-        for limit, reached in ((5, {Vertex("d", "s")}),
-                               (6, {Vertex("d", "s"), Vertex("k", "s")})):
+        root = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
+        for limit, reached in ((5, {("d", "s")}), (6, {("d", "s"), ("k", "s")})):
             search = PairSearch(net, Demand("s", "d", 1),
                                 SearchOptions(mode="base", max_route_cost=limit))
             assert {c.vertex for c in search.expand(root)} == reached
@@ -168,36 +165,33 @@ class TestExpand:
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 1, [(0, 4)]),
                         ("s", "k", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label(Trait(1, 0, 4), Trait(0, 0, 4),
-                    Vertex("k", "s"), route_a=(0, None), used_links=0b001)
+        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), route_a=(0, None), used_links=0b001)
         cands = search.expand(lab)
         # side a from k: k-d and the parallel k-s; side b from s: the parallel
-        assert {c.vertex for c in cands} == {
-            Vertex("d", "s"), Vertex("s", "s"), Vertex("k", "k"),
-        }
+        assert {c.vertex for c in cands} == {("d", "s"), ("s", "s"), ("k", "k")}
         assert {(c.vertex, c.route_a, c.route_b) for c in cands} == {
-            (Vertex("d", "s"), (1, (0, None)), None),
-            (Vertex("s", "s"), (2, (0, None)), None),
-            (Vertex("k", "k"), (2, None), (0, None)),
+            (("d", "s"), (1, (0, None)), None),
+            (("s", "s"), (2, (0, None)), None),
+            (("k", "k"), (2, None), (0, None)),
         }
         assert [c.used_links for c in cands] == [0b011, 0b101, 0b101]
 
 
 def lab_at(v, ca, ia, cb, ib):
-    return Label(Trait(ca, *ia), Trait(cb, *ib), v)
+    return Label((ca, *ia), (cb, *ib), v)
 
 
 class TestEfficientSet:
     def test_insert_into_empty_set(self):
         store = EfficientSet(False, "base")
-        accepted, removed = store.insert(lab_at(Vertex("a", "b"), 1, (0, 4), 2, (0, 4)))
+        accepted, removed = store.insert(lab_at(("a", "b"), 1, (0, 4), 2, (0, 4)))
         assert accepted and removed == 0
         assert len(store) == 1
 
     def test_equal_label_rejected_keep_first(self):
         store = EfficientSet(False, "base")
-        first = lab_at(Vertex("a", "b"), 1, (0, 4), 2, (0, 4))
-        twin = lab_at(Vertex("a", "b"), 1, (0, 4), 2, (0, 4))
+        first = lab_at(("a", "b"), 1, (0, 4), 2, (0, 4))
+        twin = lab_at(("a", "b"), 1, (0, 4), 2, (0, 4))
         assert store.insert(first)[0]
         assert store.insert(twin)[0] is False
         assert store.alive_labels() == [first]
@@ -205,16 +199,16 @@ class TestEfficientSet:
 
     def test_prime_equal_cost_equal_resources_rejected(self):
         store = EfficientSet(True, "prime")
-        v = Vertex("n_1", "n_1")
+        v = ("n_1", "n_1")
         assert store.insert(lab_at(v, 0, (0, 1), 3, (0, 1)))[0]
         assert store.insert(lab_at(v, 1, (0, 1), 2, (0, 1)))[0] is False
         assert len(store) == 1
 
     def test_accepted_candidate_removes_dominated(self):
         store = EfficientSet(False, "base")
-        weak = lab_at(Vertex("a", "b"), 5, (0, 2), 5, (0, 2))
+        weak = lab_at(("a", "b"), 5, (0, 2), 5, (0, 2))
         assert store.insert(weak)[0]
-        strong = lab_at(Vertex("a", "b"), 1, (0, 4), 1, (0, 4))
+        strong = lab_at(("a", "b"), 1, (0, 4), 1, (0, 4))
         accepted, removed = store.insert(strong)
         assert accepted and removed == 1
         assert not weak.alive
@@ -222,7 +216,7 @@ class TestEfficientSet:
 
     def test_base_keeps_incomparable_splits(self):
         store = EfficientSet(True, "base")
-        v = Vertex("x", "x")
+        v = ("x", "x")
         for c in range(4, 8):
             assert store.insert(lab_at(v, c, (0, 1), 7 - c, (0, 1)))[0]
         assert len(store) == 4
@@ -248,9 +242,18 @@ class TestReconstruct:
     def test_root_label_rejected(self):
         from ddpp import reconstruct
 
-        root = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("s", "s"))
+        root = Label((0, 0, 1), (0, 0, 1), ("s", "s"))
         with pytest.raises(ValueError, match="root"):
             reconstruct(root, lobe_network(1, 1), 1)
+
+    def test_link_off_the_walked_node_raises(self):
+        from ddpp import reconstruct
+
+        # route a ends at n_x, but link 0 joins n_s and n_1
+        lab = Label((0, 0, 1), (0, 0, 1), ("n_x", "n_x"), route_a=(0, None),
+                    route_b=(2, None))
+        with pytest.raises(RuntimeError, match="link 0 does not touch 'n_x'"):
+            reconstruct(lab, lobe_network(1, 1), 1)
 
 
 class TestStatsAndModes:
@@ -271,8 +274,8 @@ class TestStatsAndModes:
         sol = search.run()
         assert sol.routed and sol.total_cost == 7
         assert search.destination_count == 4
-        for lab in search._sets[Vertex("n_x", "n_x")].alive_labels():
-            assert lab.vertex == Vertex("n_x", "n_x")
+        for lab in search._sets[("n_x", "n_x")].alive_labels():
+            assert lab.vertex == ("n_x", "n_x")
 
     # (nodes, links, slots) of both legs, then (labels_generated,
     # labels_dominated, labels_settled, queue_pops, max_labels_per_vertex)
@@ -380,6 +383,19 @@ class TestStatsAndModes:
             rows = max(len(s._rows) for s in search._sets.values())
             buckets = max(sum(map(len, s._rows.values())) for s in search._sets.values())
             assert (self._fingerprint(sol), rows, buckets) == expect, case
+
+    def test_decreasing_pop_keys_raise(self, monkeypatch):
+        real = PairSearch._distances_to
+
+        def inflated(self, target):
+            # h stops being consistent: the source alone is overestimated
+            h = real(self, target)
+            h[self.demand.src] += 100
+            return h
+
+        monkeypatch.setattr(PairSearch, "_distances_to", inflated)
+        with pytest.raises(RuntimeError, match="pop keys decreased"):
+            solve(lobe_network(2, 1), Demand("n_s", "n_x", 1))
 
     def test_run_only_once(self):
         search = PairSearch(lobe_network(1, 1), Demand("n_s", "n_x", 1))
@@ -506,7 +522,7 @@ class TestUsableLinkView:
                     if u in h:
                         assert h[u] <= link.cost + h[v]
             search.run()
-            assert all(v.a in h and v.b in h for v in search._sets)
+            assert all(a in h and b in h for a, b in search._sets)
 
     def test_view_lists_parallel_links_and_self_loop_once(self):
         net = make_net(8, ["a", "b", "c"],
@@ -542,7 +558,7 @@ class TestUsableLinkView:
         search = PairSearch(net, demand, SearchOptions(mode=mode))
         assert "x" not in search._h and "y" not in search._h
         sol = search.run()
-        assert not any({"x", "y"} & {v.a, v.b} for v in search._sets)
+        assert not any({"x", "y"} & set(v) for v in search._sets)
         without = solve(make_net(8, ["a", "d", "s", "x", "y"], core), demand,
                         SearchOptions(mode=mode))
         assert sol.routed and sol.total_cost == without.total_cost == 6

@@ -1,8 +1,5 @@
 """Unit tests for traits, labels, and the comparison relations."""
 
-import copy
-import pickle
-
 import pytest
 
 from conftest import link_units, unit_runs
@@ -10,9 +7,7 @@ from conftest import link_units, unit_runs
 from ddpp import (
     Label,
     Link,
-    Trait,
     UnitInterval,
-    Vertex,
     dominates,
     label_cost,
     label_extend,
@@ -38,7 +33,7 @@ def mklink(cost, intervals, link_id=0, ends=("a", "b")):
 
 
 def same_node_label(t1, t2, node="n"):
-    return Label(t1, t2, Vertex(node, node))
+    return Label(t1, t2, (node, node))
 
 
 class TestUnitInterval:
@@ -56,36 +51,19 @@ class TestUnitInterval:
         assert normalize_intervals([]) == ()
 
 
-class TestTrait:
-    def test_fields_and_interval(self):
-        t = Trait(2, 1, 5)
-        assert t == (2, 1, 5)
-        assert (t.cost, t.lo, t.hi) == (2, 1, 5)
-
-    def test_copies_and_pickles_as_itself(self):
-        for value in (Trait(2, 1, 5), Vertex("b", "a")):
-            for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-                assert copied == value and type(copied) is type(value)
-
-    def test_malformed_interval_rejected(self):
-        for lo, hi in ((3, 3), (-1, 2), (5, 2)):
-            with pytest.raises(ValueError):
-                Trait(0, lo, hi)
-
-
 class TestTraitRelation:
     def test_both_conjuncts(self):
-        assert trait_leq(Trait(3, 0, 8), Trait(5, 2, 6))
+        assert trait_leq((3, 0, 8), (5, 2, 6))
 
     def test_incomparable_both_ways(self):
-        t1, t2 = Trait(1, 0, 2), Trait(2, 0, 4)
+        t1, t2 = (1, 0, 2), (2, 0, 4)
         assert not trait_leq(t1, t2)
         assert not trait_leq(t2, t1)
 
     def test_reflexive_and_transitive(self):
-        t = Trait(4, 1, 5)
+        t = (4, 1, 5)
         assert trait_leq(t, t)
-        a, b, c = Trait(1, 0, 8), Trait(2, 1, 7), Trait(3, 2, 6)
+        a, b, c = (1, 0, 8), (2, 1, 7), (3, 2, 6)
         assert trait_leq(a, b) and trait_leq(b, c) and trait_leq(a, c)
 
 
@@ -93,7 +71,7 @@ class TestTraitExtend:
     def test_splits_into_maximal_pieces(self):
         # expected values recomputed unit by unit, independent of the
         # interval arithmetic under test
-        t = Trait(5, 2, 8)
+        t = (5, 2, 8)
         k = mklink(3, [(0, 4), (6, 9)])
         expected_runs = unit_runs(set(range(2, 8)) & link_units(k), 2)
         assert expected_runs == [(2, 4), (6, 8)]
@@ -102,104 +80,102 @@ class TestTraitExtend:
         assert all(cost == 8 for cost, _, _ in got)
 
     def test_empty_intersection(self):
-        assert trait_extend(Trait(5, 2, 8), mklink(3, [(0, 2)]), 1) == []
+        assert trait_extend((5, 2, 8), mklink(3, [(0, 2)]), 1) == []
 
     def test_identity_intersection(self):
-        got = trait_extend(Trait(0, 0, 8), mklink(7, [(0, 8)]), 1)
-        assert got == [Trait(7, 0, 8)]
+        got = trait_extend((0, 0, 8), mklink(7, [(0, 8)]), 1)
+        assert got == [(7, 0, 8)]
 
     def test_candidates_shrink_into_parent(self):
-        t = Trait(1, 1, 6)
+        t = (1, 1, 6)
         for _, lo, hi in trait_extend(t, mklink(2, [(0, 3), (4, 8)]), 1):
-            assert t.lo <= lo and hi <= t.hi
-
-
-class TestVertex:
-    def test_canonical_order(self):
-        assert Vertex("b", "a") == Vertex("a", "b")
-        assert Vertex("b", "a").a == "a"
-
-    def test_same_node(self):
-        assert Vertex("x", "x").same_node
-        assert not Vertex("a", "b").same_node
+            assert t[1] <= lo and hi <= t[2]
 
 
 class TestLabelExtend:
     def test_moves_one_end_and_keeps_other_trait(self):
-        lab = Label(Trait(1, 0, 8), Trait(9, 0, 4), Vertex("a", "b"),
+        lab = Label((1, 0, 8), (9, 0, 4), ("a", "b"),
                     route_a=(7, None), route_b=(8, None), used_links=1 << 7 | 1 << 8)
         k = mklink(2, [(0, 8)], link_id=3, ends=("a", "k"))
         (cand,) = label_extend(lab, k, "a", 1)
-        assert cand.vertex == Vertex("b", "k")
+        assert cand.vertex == ("b", "k")
         # node b sorts first, so the kept trait and its route move to slot a
-        assert cand.trait_a == Trait(9, 0, 4)
+        assert cand.trait_a == (9, 0, 4)
         assert cand.route_a is lab.route_b
-        assert cand.trait_b == Trait(3, 0, 8)
+        assert cand.trait_b == (3, 0, 8)
         assert cand.route_b == (3, lab.route_a) and cand.route_b[1] is lab.route_a
         assert cand.used_links == lab.used_links | (1 << 3)
 
     def test_used_link_raises(self):
-        lab = Label(Trait(0, 0, 8), Trait(0, 0, 8), Vertex("a", "b"),
+        lab = Label((0, 0, 8), (0, 0, 8), ("a", "b"),
                     used_links=1 << 3)
         k = mklink(2, [(0, 8)], link_id=3, ends=("a", "k"))
         with pytest.raises(ValueError, match="already used"):
             label_extend(lab, k, "a", 1)
 
+    def test_unknown_side_raises(self):
+        lab = Label((0, 0, 8), (0, 0, 8), ("a", "b"))
+        k = mklink(2, [(0, 8)], link_id=0, ends=("a", "k"))
+        with pytest.raises(ValueError, match="side must be 'a' or 'b', got 'c'"):
+            label_extend(lab, k, "c", 1)
+
     def test_not_incident_raises(self):
-        lab = Label(Trait(0, 0, 8), Trait(0, 0, 8), Vertex("a", "b"))
+        lab = Label((0, 0, 8), (0, 0, 8), ("a", "b"))
         k = mklink(2, [(0, 8)], link_id=0, ends=("c", "d"))
         with pytest.raises(ValueError, match="not incident"):
             label_extend(lab, k, "a", 1)
 
     def test_root_expansion_keeps_full_spectrum_twin(self):
-        root = Label(Trait(0, 0, 8), Trait(0, 0, 8), Vertex("s", "s"))
+        root = Label((0, 0, 8), (0, 0, 8), ("s", "s"))
         k = mklink(4, [(0, 8)], link_id=0, ends=("s", "k"))
         (cand,) = label_extend(root, k, "a", 1)
-        assert cand.vertex == Vertex("k", "s")
+        assert cand.vertex == ("k", "s")
         assert (cand.route_a, cand.route_b) == ((0, None), None)
-        assert cand.trait_b == Trait(0, 0, 8)
+        assert cand.trait_b == (0, 0, 8)
 
     def test_slot_swap_on_canonicalization(self):
         # moving the 'b' end to a node that sorts first flips the slots
-        lab = Label(Trait(1, 0, 4), Trait(2, 0, 8), Vertex("m", "z"),
+        lab = Label((1, 0, 4), (2, 0, 8), ("m", "z"),
                     route_a=(0, None), route_b=(1, None), used_links=0b11)
         k = mklink(1, [(0, 8)], link_id=5, ends=("z", "a"))
         (cand,) = label_extend(lab, k, "b", 1)
-        assert cand.vertex == Vertex("a", "m")
-        assert cand.trait_a == Trait(3, 0, 8)
+        assert cand.vertex == ("a", "m")
+        assert cand.trait_a == (3, 0, 8)
         assert cand.route_a == (5, lab.route_b)
-        assert cand.trait_b == Trait(1, 0, 4)
+        assert cand.trait_b == (1, 0, 4)
         assert cand.route_b is lab.route_a
 
 
 class TestDistinctNodeRelation:
     def test_componentwise(self):
-        v = Vertex("a", "b")
-        li = Label(Trait(1, 0, 4), Trait(1, 0, 4), v)
-        lj = Label(Trait(2, 0, 2), Trait(2, 0, 2), v)
+        v = ("a", "b")
+        li = Label((1, 0, 4), (1, 0, 4), v)
+        lj = Label((2, 0, 2), (2, 0, 2), v)
         assert dominates("base", li, lj)
         assert not dominates("base", lj, li)
 
     def test_incomparable_pair(self):
-        v = Vertex("a", "b")
-        li = Label(Trait(1, 0, 2), Trait(9, 0, 8), v)
-        lj = Label(Trait(2, 0, 8), Trait(1, 0, 8), v)
+        v = ("a", "b")
+        li = Label((1, 0, 2), (9, 0, 8), v)
+        lj = Label((2, 0, 8), (1, 0, 8), v)
         assert not dominates("base", li, lj)
         assert not dominates("base", lj, li)
 
     def test_different_vertices_rejected(self):
-        li = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("a", "b"))
-        lj = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("a", "c"))
+        li = Label((0, 0, 1), (0, 0, 1), ("a", "b"))
+        lj = Label((0, 0, 1), (0, 0, 1), ("a", "c"))
         with pytest.raises(ValueError):
             dominates("base", li, lj)
+        with pytest.raises(ValueError, match="different vertices"):
+            leq_prime(li, lj)
 
 
 class TestSameNodeRelations:
     def test_normal_without_cross(self):
         # sorted labels where the slot-aligned comparison holds but the
         # swapped one fails
-        li = same_node_label(Trait(1, 0, 4), Trait(3, 0, 4))
-        lj = same_node_label(Trait(2, 0, 2), Trait(3, 0, 2))
+        li = same_node_label((1, 0, 4), (3, 0, 4))
+        lj = same_node_label((2, 0, 2), (3, 0, 2))
         assert trait_leq(li.trait_a, li.trait_b) and trait_leq(lj.trait_a, lj.trait_b)
         assert leq_n(li, lj)
         assert not leq_x(li, lj)
@@ -208,8 +184,8 @@ class TestSameNodeRelations:
     def test_cross_without_normal_unsorted(self):
         # both labels have incomparable traits, so neither can be sorted;
         # only the swapped comparison holds
-        li = same_node_label(Trait(1, 0, 2), Trait(2, 0, 4))
-        lj = same_node_label(Trait(3, 0, 4), Trait(2, 0, 2))
+        li = same_node_label((1, 0, 2), (2, 0, 4))
+        lj = same_node_label((3, 0, 4), (2, 0, 2))
         for lab in (li, lj):
             assert not trait_leq(lab.trait_a, lab.trait_b)
             assert not trait_leq(lab.trait_b, lab.trait_a)
@@ -219,26 +195,26 @@ class TestSameNodeRelations:
 
     def test_incomparable_cost_splits(self):
         # equal-resource labels whose cost splits straddle each other
-        li = same_node_label(Trait(0, 0, 1), Trait(7, 0, 1))
-        lj = same_node_label(Trait(1, 0, 1), Trait(6, 0, 1))
+        li = same_node_label((0, 0, 1), (7, 0, 1))
+        lj = same_node_label((1, 0, 1), (6, 0, 1))
         assert not leq_eq(li, lj)
         assert not leq_eq(lj, li)
 
 
 class TestLabelCostAndInclusion:
     def test_cost_is_trait_sum(self):
-        lab = same_node_label(Trait(3, 0, 4), Trait(4, 2, 4))
+        lab = same_node_label((3, 0, 4), (4, 2, 4))
         assert label_cost(lab) == 7
 
     def test_cross_inclusion_without_normal(self):
-        li = same_node_label(Trait(0, 0, 4), Trait(0, 2, 4))
-        lj = same_node_label(Trait(0, 2, 4), Trait(0, 0, 4))
+        li = same_node_label((0, 0, 4), (0, 2, 4))
+        lj = same_node_label((0, 2, 4), (0, 0, 4))
         assert ri_incl_x(li, lj)
         assert not ri_incl_n(li, lj)
         assert ri_incl_eq(li, lj)
 
     def test_identical_labels_included_every_way(self):
-        lab = same_node_label(Trait(1, 1, 3), Trait(2, 0, 2))
+        lab = same_node_label((1, 1, 3), (2, 0, 2))
         assert ri_incl_n(lab, lab)
         assert ri_incl_x(same_node_label(lab.trait_a, lab.trait_a),
                          same_node_label(lab.trait_a, lab.trait_a))
@@ -247,41 +223,41 @@ class TestLabelCostAndInclusion:
 
 class TestPrimeRelation:
     def test_equal_cost_equal_resources(self):
-        li = same_node_label(Trait(0, 0, 1), Trait(7, 0, 1))
-        lj = same_node_label(Trait(1, 0, 1), Trait(6, 0, 1))
+        li = same_node_label((0, 0, 1), (7, 0, 1))
+        lj = same_node_label((1, 0, 1), (6, 0, 1))
         assert leq_prime(li, lj)
         assert leq_prime(lj, li)
 
     def test_cost_conjunct_fails(self):
-        li = same_node_label(Trait(3, 0, 8), Trait(4, 0, 8))
-        lj = same_node_label(Trait(2, 0, 1), Trait(4, 0, 1))
+        li = same_node_label((3, 0, 8), (4, 0, 8))
+        lj = same_node_label((2, 0, 1), (4, 0, 1))
         assert not leq_prime(li, lj)
 
     def test_equal_labels_mutually_dominate(self):
-        li = same_node_label(Trait(2, 0, 3), Trait(5, 1, 3))
-        lj = same_node_label(Trait(2, 0, 3), Trait(5, 1, 3))
+        li = same_node_label((2, 0, 3), (5, 1, 3))
+        lj = same_node_label((2, 0, 3), (5, 1, 3))
         assert leq_prime(li, lj) and leq_prime(lj, li)
 
 
 class TestDominatesDispatch:
     def test_identity_true_in_both_modes(self):
-        lab = Label(Trait(1, 0, 4), Trait(2, 0, 4), Vertex("a", "b"))
+        lab = Label((1, 0, 4), (2, 0, 4), ("a", "b"))
         assert dominates("base", lab, lab)
         assert dominates("prime", lab, lab)
 
     def test_lobe_pair_base_false_prime_true(self):
-        li = same_node_label(Trait(0, 0, 1), Trait(7, 0, 1))
-        lj = same_node_label(Trait(1, 0, 1), Trait(6, 0, 1))
+        li = same_node_label((0, 0, 1), (7, 0, 1))
+        lj = same_node_label((1, 0, 1), (6, 0, 1))
         assert not dominates("base", li, lj)
         assert dominates("prime", li, lj)
 
     def test_distinct_vertices_raise(self):
-        li = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("a", "b"))
-        lj = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("a", "c"))
+        li = Label((0, 0, 1), (0, 0, 1), ("a", "b"))
+        lj = Label((0, 0, 1), (0, 0, 1), ("a", "c"))
         with pytest.raises(ValueError):
             dominates("base", li, lj)
 
     def test_unknown_mode_raises(self):
-        lab = Label(Trait(0, 0, 1), Trait(0, 0, 1), Vertex("a", "b"))
+        lab = Label((0, 0, 1), (0, 0, 1), ("a", "b"))
         with pytest.raises(ValueError):
             dominates("fancy", lab, lab)

@@ -70,6 +70,25 @@ class TestGenTraffic:
         with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
             gen_traffic(lobe_network(1, 2), 2.5, 1.0, 1.0, (1, 1), 0)
 
+    def test_negative_count_and_reversed_units_range_rejected(self):
+        net = lobe_network(1, 2)
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            gen_traffic(net, -1, 1.0, 1.0, (1, 1), 0)
+        with pytest.raises(ValueError, match=r"malformed units range \[2, 1\]"):
+            gen_traffic(net, 5, 1.0, 1.0, (2, 1), 0)
+
+    @pytest.mark.parametrize("mean_hold, mean_gap, units_range, message", [
+        ("1", 1.0, (1, 1), "positive and finite"),
+        (1.0, None, (1, 1), "positive and finite"),
+        (1.0, 1.0, (1.5, 2), "malformed units range"),
+        (1.0, 1.0, ("1", 2), "malformed units range"),
+        (1.0, 1.0, (1,), "malformed units range"),
+    ], ids=["string-hold", "none-gap", "float-units", "string-units", "one-bound"])
+    def test_parameter_types_checked_before_use(self, mean_hold, mean_gap, units_range,
+                                                message):
+        with pytest.raises(ValueError, match=message):
+            gen_traffic(lobe_network(1, 2), 5, mean_hold, mean_gap, units_range, 0)
+
     def test_document_round_trip(self):
         events = gen_traffic(lobe_network(2, 4), 20, 1.5, 0.7, (1, 2), 11)
         assert load_traffic(dump_traffic(events)) == events
@@ -144,6 +163,8 @@ class TestRun:
         net = lobe_network(1, 2)
         with pytest.raises(Exception, match="unknown nodes"):
             run(net, [TrafficEvent(0, 0.0, "n_s", "zz", 1, 1.0)])
+        with pytest.raises(ValueError, match="event 0 has equal endpoints"):
+            run(net, [TrafficEvent(0, 0.0, "n_s", "n_s", 1, 1.0)])
         with pytest.raises(ValueError, match="duplicate event id"):
             run(net, [TrafficEvent(0, 0.0, "n_s", "n_x", 1, 1.0),
                       TrafficEvent(0, 1.0, "n_s", "n_x", 1, 1.0)])
@@ -155,6 +176,10 @@ class TestRun:
         for time, hold in ((float("nan"), 1.0), (0.0, float("inf")), (-1.0, 1.0)):
             with pytest.raises(ValueError, match="malformed time or hold"):
                 run(net, [TrafficEvent(0, time, "n_s", "n_x", 1, hold)])
+
+    def test_non_string_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="event 0: src and dst must be strings"):
+            run(lobe_network(1, 2), [TrafficEvent(0, 0.0, ["n_s"], "n_x", 1, 1.0)])
 
     def test_mixed_id_types_rejected_before_sorting(self):
         with pytest.raises(ValueError, match="event id 'a' is not an integer"):
@@ -297,6 +322,14 @@ class TestFaultChecks:
         monkeypatch.setattr(ddpp.traffic, "remove_interval", lambda available, cut: available)
         with pytest.raises(RuntimeError, match="double release: link"):
             run(net, [TrafficEvent(0, 0.0, "s", "t", 1, 1.0)])
+
+    def test_release_that_drops_its_window(self, monkeypatch):
+        real = ddpp.traffic.normalize_intervals
+        # a release whose merge loses the returned window, its last item
+        monkeypatch.setattr(ddpp.traffic, "normalize_intervals",
+                            lambda items: real(tuple(items)[:-1]))
+        with pytest.raises(RuntimeError, match="spectrum not restored on link"):
+            run(lobe_network(1, 2), [TrafficEvent(0, 0.0, "n_s", "n_x", 1, 1.0)])
 
     def test_adjacent_windows_on_one_link_release_cleanly(self, monkeypatch):
         # windows that touch but do not overlap are not a double release
