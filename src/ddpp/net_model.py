@@ -318,6 +318,8 @@ def random_network(
         raise NetworkError(f"avg_degree must be a number, got {avg_degree!r}")
     if not math.isfinite(avg_degree):
         raise NetworkError(f"avg_degree must be finite, got {avg_degree}")
+    if not _is_int(seed):
+        raise NetworkError(f"seed must be an integer, got {seed!r}")
     target = int(round(avg_degree * n / 2))
     max_links = n * (n - 1) // 2
     if target < n - 1 or target > max_links:

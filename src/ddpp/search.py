@@ -215,6 +215,8 @@ class EfficientSet:
                 start = end = bisect_left(cost_a, xa)
                 while end < len(cost_b) and cost_b[end] >= xb:
                     end += 1
+                if start == end:
+                    continue  # nothing dominated; the bucket is not empty
                 for victim in labels[start:end]:
                     victim.alive = False
                 removed += end - start

@@ -131,10 +131,14 @@ def trait_extend(trait: tuple, link, units: int) -> list[tuple]:
     cost += link.cost
     out = []
     for iv in link.available:
-        if iv.lo >= hi:
+        piece_lo = iv.lo
+        if piece_lo >= hi:
             break
-        piece_lo = iv.lo if iv.lo > lo else lo
-        piece_hi = iv.hi if iv.hi < hi else hi
+        piece_hi = iv.hi
+        if piece_lo < lo:
+            piece_lo = lo
+        if piece_hi > hi:
+            piece_hi = hi
         if piece_hi - piece_lo >= units:
             out.append((cost, piece_lo, piece_hi))
     return out
@@ -173,33 +177,50 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
     """Candidate labels after appending a link to one route of a label.
 
     The chosen side's trait is extended over the link and its route gains
-    the link; the other trait and route are copied.  The new vertex is
-    canonicalized; when the node order flips, both traits move to the other
-    slot with their routes.  Raises if the link is not incident to the
-    chosen side's node or is already used by either route, which is one
-    test of the link's bit in ``used_links``.
+    the link; the other trait and route are copied.  The far end is read
+    from ``link.ends``: the end that is not the chosen side's node, or that
+    node itself for a self-loop.  The new vertex is canonicalized; when the
+    node order flips, both traits move to the other slot with their
+    routes.  Raises if the link is not incident to the chosen side's node
+    or is already used by either route, which is one test of the link's
+    bit in ``used_links``.
     """
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     a, b = label.vertex
     if side == "a":
-        moved_end, kept_end = link.other_end(a), b
+        node, kept_end = a, b
         trait, kept_trait, kept_route = label.trait_a, label.trait_b, label.route_b
         route = (link.id, label.route_a)
-    else:
-        moved_end, kept_end = link.other_end(b), a
+    elif side == "b":
+        node, kept_end = b, a
         trait, kept_trait, kept_route = label.trait_b, label.trait_a, label.route_a
         route = (link.id, label.route_b)
+    else:
+        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+    end_0, end_1 = link.ends
+    if node == end_0:
+        moved_end = end_1
+    elif node == end_1:
+        moved_end = end_0
+    else:
+        raise ValueError(f"link {link.id} is not incident to node {node!r}")
+    used = label.used_links
     bit = 1 << link.id
-    if label.used_links & bit:
+    if used & bit:
         raise ValueError(f"link {link.id} already used by this label")
-    used = label.used_links | bit
+    used |= bit
     pieces = trait_extend(trait, link, units)
+    # loops, not comprehensions: CPython before 3.12 (PEP 709) builds and
+    # calls a function object for each comprehension
+    out = []
     if moved_end <= kept_end:
         vertex = (moved_end, kept_end)
-        return [Label(t, kept_trait, vertex, route, kept_route, used) for t in pieces]
-    vertex = (kept_end, moved_end)
-    return [Label(kept_trait, t, vertex, kept_route, route, used) for t in pieces]
+        for t in pieces:
+            out.append(Label(t, kept_trait, vertex, route, kept_route, used))
+    else:
+        vertex = (kept_end, moved_end)
+        for t in pieces:
+            out.append(Label(kept_trait, t, vertex, kept_route, route, used))
+    return out
 
 
 def leq_n(l_i: Label, l_j: Label) -> bool:

@@ -115,6 +115,8 @@ def gen_traffic(
         raise ValueError(f"malformed units range [{lo}, {hi}]")
     if not (_is_finite(mean_hold) and _is_finite(mean_gap) and mean_hold > 0 and mean_gap > 0):
         raise ValueError("mean_hold and mean_gap must be positive and finite")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     nodes = list(net.nodes)
     now = 0.0

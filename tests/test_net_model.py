@@ -480,6 +480,13 @@ class TestRandomNetwork:
             random_network(*args)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("seed", [None, [1], 1.5, True, "1"],
+                             ids=["none", "list", "float", "bool", "string"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(NetworkError) as caught:
+            random_network(6, 2.5, 8, 0.9, seed)
+        assert str(caught.value) == f"seed must be an integer, got {seed!r}"
+
     def test_unsatisfiable_degree(self):
         with pytest.raises(NetworkError, match="unsatisfiable degree"):
             random_network(8, 1, 4, 1.0, 0)  # below spanning tree

@@ -145,6 +145,38 @@ class TestLabelExtend:
         assert cand.trait_b == (1, 0, 4)
         assert cand.route_b is lab.route_a
 
+    # the far end is read from either end of link.ends, and a self-loop
+    # gives the extended node back; moved_slot is where the grown trait lands
+    @pytest.mark.parametrize("side, vertex, ends, new_vertex, moved_slot", [
+        ("a", ("n", "p"), ("n", "n"), ("n", "p"), "a"),
+        ("b", ("m", "n"), ("n", "n"), ("m", "n"), "b"),
+        ("a", ("n", "p"), ("x", "n"), ("p", "x"), "b"),
+        ("b", ("m", "n"), ("x", "n"), ("m", "x"), "b"),
+        ("a", ("n", "p"), ("c", "n"), ("c", "p"), "a"),
+        ("b", ("m", "n"), ("c", "n"), ("c", "m"), "a"),
+    ], ids=["loop-a", "loop-b", "second-end-a-flips", "second-end-b",
+            "second-end-a", "second-end-b-flips"])
+    def test_far_end_of_self_loop_or_second_end(self, side, vertex, ends, new_vertex,
+                                                moved_slot):
+        lab = Label((1, 0, 4), (2, 2, 8), vertex,
+                    route_a=(0, None), route_b=(1, None), used_links=0b11)
+        k = mklink(5, [(0, 8)], link_id=4, ends=ends)
+        (cand,) = label_extend(lab, k, side, 1)
+        assert cand.vertex == new_vertex
+        slots = {"a": (cand.trait_a, cand.route_a), "b": (cand.trait_b, cand.route_b)}
+        grown_trait, grown_route = slots.pop(moved_slot)
+        (kept_trait, kept_route), = slots.values()
+        if side == "a":
+            (cost, lo, hi), route = lab.trait_a, lab.route_a
+            other_trait, other_route = lab.trait_b, lab.route_b
+        else:
+            (cost, lo, hi), route = lab.trait_b, lab.route_b
+            other_trait, other_route = lab.trait_a, lab.route_a
+        assert grown_trait == (cost + 5, lo, hi)
+        assert grown_route == (4, route) and grown_route[1] is route
+        assert kept_trait == other_trait and kept_route is other_route
+        assert cand.used_links == 0b11 | 1 << 4
+
 
 class TestDistinctNodeRelation:
     def test_componentwise(self):

@@ -89,6 +89,13 @@ class TestGenTraffic:
         with pytest.raises(ValueError, match=message):
             gen_traffic(lobe_network(1, 2), 5, mean_hold, mean_gap, units_range, 0)
 
+    @pytest.mark.parametrize("seed", [None, [1], 1.5, True, "1"],
+                             ids=["none", "list", "float", "bool", "string"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError) as caught:
+            gen_traffic(lobe_network(1, 2), 2, 1.0, 1.0, (1, 1), seed)
+        assert str(caught.value) == f"seed must be an integer, got {seed!r}"
+
     def test_document_round_trip(self):
         events = gen_traffic(lobe_network(2, 4), 20, 1.5, 0.7, (1, 2), 11)
         assert load_traffic(dump_traffic(events)) == events
