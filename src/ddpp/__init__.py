@@ -40,19 +40,10 @@ from .search import (
 from .spectrum_core import (
     Label,
     UnitInterval,
-    dominates,
     label_cost,
     label_extend,
-    leq_eq,
-    leq_n,
-    leq_prime,
-    leq_x,
     normalize_intervals,
-    ri_incl_eq,
-    ri_incl_n,
-    ri_incl_x,
     trait_extend,
-    trait_leq,
 )
 from .traffic import SimReport, TrafficEvent, dump_traffic, gen_traffic, load_traffic, run
 
@@ -78,17 +69,12 @@ __all__ = [
     "TrafficEvent",
     "UnitInterval",
     "compare",
-    "dominates",
     "dump_demand",
     "dump_network",
     "dump_traffic",
     "gen_traffic",
     "label_cost",
     "label_extend",
-    "leq_eq",
-    "leq_n",
-    "leq_prime",
-    "leq_x",
     "load_demand",
     "load_network",
     "load_traffic",
@@ -97,12 +83,8 @@ __all__ = [
     "oracle_solve",
     "random_network",
     "reconstruct",
-    "ri_incl_eq",
-    "ri_incl_n",
-    "ri_incl_x",
     "route_intervals",
     "run",
     "solve",
     "trait_extend",
-    "trait_leq",
 ]

@@ -27,10 +27,19 @@ interval starts, then the push number, which is unique, so labels are never
 compared and a solve is deterministic for fixed inputs.  The view lists
 each link as ``(link, 1 << link.id, far end)``, so the used-links test and
 the step to the far end cost no call.
+
+A search allocates several container objects per accepted candidate (the
+label, its trait and vertex tuples, a route cell and a heap entry), so the
+cyclic garbage collector would run many times per solve, each time
+rescanning the labels still alive and, in its full collections, everything
+the caller holds.  None of these objects forms a reference cycle, so
+reference counting alone frees them; ``PairSearch.run`` therefore pauses
+the collector while it settles labels.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from bisect import bisect_left, bisect_right
@@ -117,6 +126,23 @@ class EfficientSet:
     Killed labels stay in the queue with ``alive`` cleared and are skipped
     on pop.
 
+    The relation is selected by search mode:
+
+    * ``base``: trait-wise comparison (cost and interval of each trait).
+      Exact even under a per-route cost limit, but a vertex can accumulate
+      exponentially many mutually incomparable labels.  At a distinct-node
+      vertex the traits are compared slot-aligned (``leq_n``).  At a vertex
+      whose two nodes coincide the trait slots carry no geographic meaning,
+      so labels are compared both slot-aligned and slot-swapped (``leq_x``);
+      the effective relation ``leq_eq`` is their disjunction.
+    * ``prime``: whole-label cost plus interval containment (``leq_prime``),
+      again aligned at distinct-node vertices and aligned-or-swapped at
+      same-node ones.  Keeps the per-vertex label count polynomially
+      bounded; exact only when route costs are unlimited.
+
+    The named relations are stated one comparison at a time in the tests'
+    reference model, ``tests/reference.py``.
+
     Labels are bucketed by their interval pair, and the buckets are indexed
     in two levels: a row per slot-a interval ``(lo_a, hi_a)``, and in it a
     bucket per slot-b interval ``(lo_b, hi_b)``.  Dominance between buckets
@@ -146,8 +172,8 @@ class EfficientSet:
     set is an antichain: if a member dominates the candidate, the candidate
     dominates no other member, since by transitivity that member would be
     dominated too, so nothing collected before the rejection needed
-    evicting.  A property test pins this structure to the pure relations in
-    spectrum_core.
+    evicting.  A property test pins this structure to the reference
+    relations.
     """
 
     def __init__(self, same: bool, mode: str) -> None:
@@ -352,6 +378,28 @@ class PairSearch:
         return out
 
     def run(self) -> Solution:
+        """Settle labels with the cyclic garbage collector paused.
+
+        The labels, tuples and heap entries a search builds form no
+        reference cycle, so reference counting frees each one and a
+        collection could only rescan them; pausing the collector changes
+        no result.  It is re-enabled when the search returns or raises,
+        and left off if the caller had turned it off.  The collector is
+        process-wide: cyclic garbage made by other threads meanwhile waits
+        until the solve ends.
+        """
+        if self._ran:
+            raise RuntimeError("PairSearch.run may only be called once")
+        self._ran = True
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            return self._settle()
+        finally:
+            if paused:
+                gc.enable()
+
+    def _settle(self) -> Solution:
         """Settle labels over the usable-link view in A* key order.
 
         A label's key is its cost plus its vertex's ``h(a) + h(b)``, and
@@ -366,9 +414,6 @@ class PairSearch:
         ``enumerate_all`` the queue is drained first, so the destination's
         efficient set ends complete.
         """
-        if self._ran:
-            raise RuntimeError("PairSearch.run may only be called once")
-        self._ran = True
         started = time.perf_counter()
         stats = self.stats
         h = self._h

@@ -1,4 +1,4 @@
-"""Traits, labels, and the comparison relations of the pair search.
+"""Traits and labels of the pair search, and the spectrum interval algebra.
 
 A trait summarizes one partial route: the cost accumulated along its links
 plus the single contiguous interval of frequency-slot units still usable on
@@ -11,20 +11,6 @@ A trait is the plain tuple ``(cost, lo, hi)`` and a vertex the plain tuple
 ``(a, b)`` with ``a <= b``, so building, hashing and comparing either runs
 in C.  No type enforces that order: ``label_extend`` is the only code that
 orders a pair, and a same-node pair ``(n, n)`` is ordered as written.
-
-Pruning uses one relation per vertex kind, selected by search mode:
-
-* ``base``: trait-wise comparison (cost and interval of each trait).  Exact
-  even under a per-route cost limit, but a vertex can accumulate
-  exponentially many mutually incomparable labels.  At a distinct-node
-  vertex the traits are compared slot-aligned (``leq_n``).  At a vertex
-  whose two nodes coincide the trait slots carry no geographic meaning, so
-  labels are compared both slot-aligned and slot-swapped (``leq_x``); the
-  effective relation ``leq_eq`` is their disjunction.
-* ``prime``: whole-label cost plus interval containment (``leq_prime``),
-  again aligned at distinct-node vertices and aligned-or-swapped at
-  same-node ones.  Keeps the per-vertex label count polynomially bounded;
-  exact only when route costs are unlimited.
 """
 
 from __future__ import annotations
@@ -99,21 +85,6 @@ def remove_interval(intervals, cut: UnitInterval) -> tuple[UnitInterval, ...] | 
                            for lo, hi in ((iv.lo, cut.lo), (cut.hi, iv.hi)) if lo < hi)
             return intervals[:index] + pieces + intervals[index + 1:]
     return None
-
-
-def trait_leq(t_i: tuple, t_j: tuple) -> bool:
-    """True when t_i is better than or equal to t_j.
-
-    Better means no more expensive and offering at least the same units.
-    The relation is a preorder: reflexive and transitive, but two traits
-    can be incomparable.
-    """
-    return t_i[0] <= t_j[0] and _holds(t_i, t_j)
-
-
-def _holds(t_i: tuple, t_j: tuple) -> bool:
-    """True when t_i's interval contains t_j's."""
-    return t_i[1] <= t_j[1] and t_j[2] <= t_i[2]
 
 
 def trait_extend(trait: tuple, link, units: int) -> list[tuple]:
@@ -221,57 +192,3 @@ def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
         for t in pieces:
             out.append(Label(kept_trait, t, vertex, kept_route, route, used))
     return out
-
-
-def leq_n(l_i: Label, l_j: Label) -> bool:
-    """Slot-aligned trait comparison."""
-    return trait_leq(l_i.trait_a, l_j.trait_a) and trait_leq(l_i.trait_b, l_j.trait_b)
-
-
-def leq_x(l_i: Label, l_j: Label) -> bool:
-    """Slot-swapped trait comparison, meaningful at same-node vertices."""
-    return trait_leq(l_i.trait_a, l_j.trait_b) and trait_leq(l_i.trait_b, l_j.trait_a)
-
-
-def leq_eq(l_i: Label, l_j: Label) -> bool:
-    """Effective same-node comparison: slot-aligned or slot-swapped."""
-    return leq_n(l_i, l_j) or leq_x(l_i, l_j)
-
-
-def ri_incl_n(l_i: Label, l_j: Label) -> bool:
-    """Slot-aligned interval containment."""
-    return _holds(l_i.trait_a, l_j.trait_a) and _holds(l_i.trait_b, l_j.trait_b)
-
-
-def ri_incl_x(l_i: Label, l_j: Label) -> bool:
-    """Slot-swapped interval containment."""
-    return _holds(l_i.trait_a, l_j.trait_b) and _holds(l_i.trait_b, l_j.trait_a)
-
-
-def ri_incl_eq(l_i: Label, l_j: Label) -> bool:
-    """Effective same-node interval containment: aligned or swapped."""
-    return ri_incl_n(l_i, l_j) or ri_incl_x(l_i, l_j)
-
-
-def leq_prime(l_i: Label, l_j: Label) -> bool:
-    """Cost-sum comparison: lower label cost and containing intervals."""
-    if l_i.vertex != l_j.vertex:
-        raise ValueError("labels at different vertices are not comparable")
-    if label_cost(l_i) > label_cost(l_j):
-        return False
-    if l_i.vertex[0] == l_i.vertex[1]:
-        return ri_incl_eq(l_i, l_j)
-    return ri_incl_n(l_i, l_j)
-
-
-def dominates(mode: str, l_i: Label, l_j: Label) -> bool:
-    """Dispatch the active mode's relation on the labels' vertex kind."""
-    if l_i.vertex != l_j.vertex:
-        raise ValueError("labels at different vertices are not comparable")
-    if mode == "prime":
-        return leq_prime(l_i, l_j)
-    if mode == "base":
-        if l_i.vertex[0] == l_i.vertex[1]:
-            return leq_eq(l_i, l_j)
-        return leq_n(l_i, l_j)
-    raise ValueError(f"unknown mode {mode!r}")

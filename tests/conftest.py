@@ -1,9 +1,9 @@
 """Shared test helpers: independent brute-force oracles and checkers.
 
-The helpers here deliberately avoid the interval algebra and relations of
-the package under test wherever they serve as the expected side of a
+The helpers here deliberately avoid the interval algebra and dominance code
+of the package under test wherever they serve as the expected side of a
 comparison: spectrum feasibility is recomputed unit by unit and dominance
-rechecked against the pure relation functions.
+rechecked against the reference relations in ``reference.py``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ddpp import Demand, Link, Network, Solution, dominates
+from ddpp import Demand, Link, Network, Solution
 from ddpp.spectrum_core import normalize_intervals
+from reference import dominates
 
 
 def unit_runs(units: set[int], min_len: int) -> list[tuple[int, int]]:

@@ -21,13 +21,9 @@ from ddpp import (
     Link,
     SearchOptions,
     PairSearch,
-    dominates,
     dump_traffic,
     gen_traffic,
     label_extend,
-    leq_eq,
-    leq_n,
-    leq_x,
     load_traffic,
     lobe_network,
     normalize_intervals,
@@ -35,9 +31,10 @@ from ddpp import (
     random_network,
     run,
     solve,
-    trait_leq,
 )
 from ddpp.oracle import bundle_doc, compare
+
+from reference import dominates, leq_eq, leq_n, leq_x, trait_leq
 
 COUNTEREXAMPLE_DIR = Path(__file__).parent / "counterexamples"
 

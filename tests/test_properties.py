@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from conftest import NaiveEfficientSet, assert_feasible, link_units, unit_runs
+from reference import dominates, leq_n, leq_x, trait_leq
 
 from ddpp import (
     Demand,
@@ -19,16 +20,12 @@ from ddpp import (
     PairSearch,
     SearchOptions,
     UnitInterval,
-    dominates,
     label_cost,
     label_extend,
-    leq_n,
-    leq_x,
     normalize_intervals,
     oracle_solve,
     random_network,
     trait_extend,
-    trait_leq,
 )
 from ddpp.spectrum_core import MODES, remove_interval
 

@@ -1,6 +1,7 @@
 """Pair search: solve, expansion, efficient sets, and reconstruction."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -12,9 +13,11 @@ from ddpp import (
     Label,
     PairSearch,
     SearchOptions,
+    gen_traffic,
     lobe_network,
     oracle_solve,
     random_network,
+    run,
     solve,
 )
 
@@ -396,12 +399,67 @@ class TestStatsAndModes:
         monkeypatch.setattr(PairSearch, "_distances_to", inflated)
         with pytest.raises(RuntimeError, match="pop keys decreased"):
             solve(lobe_network(2, 1), Demand("n_s", "n_x", 1))
+        assert gc.isenabled()  # the collector pause ends when run raises
 
     def test_run_only_once(self):
         search = PairSearch(lobe_network(1, 1), Demand("n_s", "n_x", 1))
         search.run()
         with pytest.raises(RuntimeError):
             search.run()
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic garbage collector and restores the caller's
+    setting; the pause is safe only because a search builds no cycles."""
+
+    def test_enabled_again_after_a_solve(self):
+        assert gc.isenabled()
+        solve(lobe_network(3, 1), Demand("n_s", "n_x", 1))
+        assert gc.isenabled()
+
+    def test_paused_inside_the_search(self, monkeypatch):
+        seen = []
+        real = PairSearch.expand
+
+        def recording(self, label):
+            seen.append(gc.isenabled())
+            return real(self, label)
+
+        monkeypatch.setattr(PairSearch, "expand", recording)
+        solve(lobe_network(3, 1), Demand("n_s", "n_x", 1))
+        assert seen and not any(seen)
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            solve(lobe_network(3, 1), Demand("n_s", "n_x", 1))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_search_and_replay_build_no_reference_cycles(self):
+        lobe = lobe_network(6, 1)
+        routed = random_network(14, 3.0, 32, 0.85, 5)
+        blocked = random_network(12, 3.0, 32, 0.85, 1)
+        traffic_net = random_network(9, 3.0, 8, 0.8, 2)
+        events = gen_traffic(traffic_net, 50, 3.0, 0.25, (1, 2), 2)
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in ("base", "prime"):
+                assert solve(lobe, Demand("n_s", "n_x", 1),
+                             SearchOptions(mode=mode, enumerate_all=True)).routed
+                assert solve(routed, Demand("n0", "n13", 2), SearchOptions(mode=mode)).routed
+                sol = solve(blocked, Demand("n0", "n11", 2), SearchOptions(mode=mode))
+                assert sol.status == "blocked" and sol.stats.queue_pops > 0
+            for limit in (63, 64):  # blocked, then routed, by the limit
+                solve(lobe, Demand("n_s", "n_x", 1),
+                      SearchOptions(mode="base", max_route_cost=limit))
+            report = run(traffic_net, events)
+            assert report.routed and report.blocked
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_layer_seams_are_called_through_module_attributes(monkeypatch):

@@ -3,24 +3,26 @@
 import pytest
 
 from conftest import link_units, unit_runs
+from reference import (
+    dominates,
+    leq_eq,
+    leq_n,
+    leq_prime,
+    leq_x,
+    ri_incl_eq,
+    ri_incl_n,
+    ri_incl_x,
+    trait_leq,
+)
 
 from ddpp import (
     Label,
     Link,
     UnitInterval,
-    dominates,
     label_cost,
     label_extend,
-    leq_eq,
-    leq_n,
-    leq_prime,
-    leq_x,
     normalize_intervals,
-    ri_incl_eq,
-    ri_incl_n,
-    ri_incl_x,
     trait_extend,
-    trait_leq,
 )
 
 
