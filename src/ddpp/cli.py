@@ -24,7 +24,7 @@ from .net_model import (
     random_network,
 )
 from .oracle import DEFAULT_PAIR_BUDGET, BudgetExceeded, bundle_doc, compare, oracle_solve
-from .search import PairSearch, SearchOptions, solve
+from .search import MODES, PairSearch, SearchOptions, solve
 from .traffic import dump_traffic, gen_traffic, load_traffic, run
 
 EXIT_OK = 0
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="route one demand")
     solve_p.add_argument("--net", required=True, help="network document (JSON)")
     solve_p.add_argument("--demand", required=True, help="demand document (JSON)")
-    solve_p.add_argument("--relation", required=True, choices=("base", "prime"))
+    solve_p.add_argument("--relation", required=True, choices=MODES)
     solve_p.add_argument("--max-route-cost", type=int, default=None,
                          help="per-route cost limit (base relation only)")
     solve_p.add_argument("--all-efficient", action="store_true",
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("lobe-bench", help="worst-case growth table (CSV)")
     bench_p.add_argument("--m-max", type=int, required=True)
-    bench_p.add_argument("--relation", required=True, choices=("base", "prime"))
+    bench_p.add_argument("--relation", required=True, choices=MODES)
     bench_p.set_defaults(handler=cmd_lobe_bench)
 
     gen_net_p = sub.add_parser("gen-net", help="random connected instance")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_p = sub.add_parser("simulate", help="replay a traffic file")
     simulate_p.add_argument("--net", required=True)
     simulate_p.add_argument("--traffic", required=True)
-    simulate_p.add_argument("--relation", required=True, choices=("base", "prime"))
+    simulate_p.add_argument("--relation", required=True, choices=MODES)
     simulate_p.set_defaults(handler=cmd_simulate)
 
     return parser

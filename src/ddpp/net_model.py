@@ -166,16 +166,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A finite JSON number; an integer too large for a float is not one."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def load_network(doc: dict) -> Network:
     """Build a validated Network from its document.
 
-    Interval lists are normalized to the maximal disjoint form, so
-    touching or overlapping input intervals are merged.  Every violation
-    is reported with the offending element.  This checks the document's
-    shape; the model invariants (a positive integer unit count, known link
-    ends, non-negative integer costs, integer intervals within the unit
-    count, dense link ids, distinct string nodes) are left to ``Network``'s own
-    validation.  Each message is formatted only when its check fails.
+    Each ``[lo, hi]`` pair becomes a ``UnitInterval``, whose own check
+    rejects a malformed pair, and each link's list is normalized to the
+    maximal disjoint form, so touching or overlapping input intervals are
+    merged.  Every violation is reported with the offending element.
+    This checks the document's shape; the model invariants (a positive
+    integer unit count, known link ends, non-negative integer costs,
+    integer intervals within the unit count, dense link ids, distinct
+    string nodes) are left to ``Network``'s own validation.  Each message
+    is formatted only when its check fails.
     """
     if not isinstance(doc, dict):
         raise NetworkError("network document must be an object")
@@ -212,18 +222,18 @@ def load_network(doc: dict) -> Network:
         available = entry["available"]
         if not isinstance(available, list):
             raise NetworkError(f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
+        intervals = []
         for pair in available:
             if not (isinstance(pair, list) and len(pair) == 2
                     and (type(pair[0]) is int or _is_int(pair[0]))
                     and (type(pair[1]) is int or _is_int(pair[1]))):
                 raise NetworkError(f"link {link_id}: interval {pair!r} must be [lo, hi]")
-            lo, hi = pair
-            # checked here, not left to normalize_intervals: it would raise
-            # a plain ValueError, not NetworkError
-            if lo < 0 or hi <= lo:
-                raise NetworkError(f"link {link_id}: malformed interval [{lo}, {hi})")
+            try:
+                intervals.append(UnitInterval(pair[0], pair[1]))
+            except ValueError as exc:
+                raise NetworkError(f"link {link_id}: {exc}") from exc
         links.append(Link(link_id, (ends[0], ends[1]), entry["cost"],
-                          normalize_intervals(available)))
+                          normalize_intervals(intervals)))
 
     links.sort(key=lambda l: l.id)
     return Network(doc["units"], tuple(nodes), tuple(links))
@@ -316,7 +326,7 @@ def random_network(
         raise NetworkError(f"unit count must be >= 1, got {unit_count}")
     if not _is_number(avg_degree):
         raise NetworkError(f"avg_degree must be a number, got {avg_degree!r}")
-    if not math.isfinite(avg_degree):
+    if not _is_finite(avg_degree):
         raise NetworkError(f"avg_degree must be finite, got {avg_degree}")
     if not _is_int(seed):
         raise NetworkError(f"seed must be an integer, got {seed!r}")

@@ -46,7 +46,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, _is_int, validate_demand
-from .spectrum_core import MODES, Label, UnitInterval, label_cost, label_extend
+from .spectrum_core import Label, UnitInterval, label_cost, label_extend
+
+MODES = ("base", "prime")
 
 
 @dataclass(frozen=True)

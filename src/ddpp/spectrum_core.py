@@ -16,11 +16,10 @@ orders a pair, and a same-node pair ``(n, n)`` is ordered as written.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
-MODES = ("base", "prime")
 
-
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, slots=True)
 class UnitInterval:
     """Half-open interval [lo, hi) of frequency-slot units."""
 
@@ -36,40 +35,29 @@ class UnitInterval:
 
 
 def normalize_intervals(items) -> tuple[UnitInterval, ...]:
-    """Sort intervals and merge overlapping or touching ones.
+    """Sort UnitIntervals and merge overlapping or touching ones.
 
-    Accepts UnitInterval instances or (lo, hi) pairs, each validated as
-    ``UnitInterval`` validates.  The result is the canonical form:
-    ascending, pairwise disjoint, never adjacent.  Sorting and merging
-    work on plain pairs.  An output interval equal to an input
-    UnitInterval is that instance; any other is built once.
+    The result is the canonical form: ascending, pairwise disjoint, never
+    adjacent.  An output interval equal to an input is that instance;
+    any other is built once.
     """
-    pairs = []
-    given = {}  # input UnitIntervals by bounds
-    for it in items:
-        if isinstance(it, UnitInterval):
-            pair = (it.lo, it.hi)
-            given[pair] = it
-        else:
-            lo = it[0]
-            hi = it[1]
-            if lo < 0 or hi <= lo:
-                raise ValueError(f"malformed interval [{lo}, {hi})")
-            pair = (lo, hi)
-        pairs.append(pair)
-    if not pairs:
+    ordered = sorted(items, key=attrgetter("lo", "hi"))
+    if not ordered:
         return ()
-    pairs.sort()
     merged: list[UnitInterval] = []
-    run_lo, run_hi = pairs[0]
-    for lo, hi in pairs:
-        if lo > run_hi:
-            merged.append(given.get((run_lo, run_hi)) or UnitInterval(run_lo, run_hi))
-            run_lo = lo
-            run_hi = hi
-        elif hi > run_hi:
-            run_hi = hi
-    merged.append(given.get((run_lo, run_hi)) or UnitInterval(run_lo, run_hi))
+    run = ordered[0]  # the input equal to the open run [run_lo, run_hi), if any
+    run_lo = run.lo
+    run_hi = run.hi
+    for iv in ordered:
+        if iv.lo > run_hi:
+            merged.append(run or UnitInterval(run_lo, run_hi))
+            run = iv
+            run_lo = iv.lo
+            run_hi = iv.hi
+        elif iv.hi > run_hi:
+            run = iv if iv.lo == run_lo else None
+            run_hi = iv.hi
+    merged.append(run or UnitInterval(run_lo, run_hi))
     return tuple(merged)
 
 

@@ -15,11 +15,10 @@ The traffic document is the cross-tool interface:
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Link, Network, NetworkError, _is_int
+from .net_model import Demand, Link, Network, NetworkError, _is_finite, _is_int
 from .search import SearchOptions, solve
 from .spectrum_core import normalize_intervals, remove_interval
 
@@ -46,15 +45,6 @@ class SimReport:
 
     def to_doc(self) -> dict:
         return asdict(self)
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def load_traffic(doc: dict) -> list[TrafficEvent]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ddpp import Demand, Link, Network, Solution
+from ddpp import Demand, Link, Network, Solution, UnitInterval
 from ddpp.spectrum_core import normalize_intervals
 from reference import dominates
 
@@ -36,7 +36,7 @@ def link_units(link: Link) -> set[int]:
 def make_net(units: int, nodes: list[str], link_specs) -> Network:
     """Network from (end_a, end_b, cost, [(lo, hi), ...]) tuples."""
     links = tuple(
-        Link(i, (a, b), cost, normalize_intervals(ivs))
+        Link(i, (a, b), cost, normalize_intervals(UnitInterval(lo, hi) for lo, hi in ivs))
         for i, (a, b, cost, ivs) in enumerate(link_specs)
     )
     return Network(units, tuple(nodes), links)

@@ -21,6 +21,7 @@ from ddpp import (
     Link,
     SearchOptions,
     PairSearch,
+    UnitInterval,
     dump_traffic,
     gen_traffic,
     label_extend,
@@ -217,7 +218,7 @@ def _make_link_pool(rng, ends, count=256):
     pool = []
     for _ in range(count):
         avail = normalize_intervals(
-            (u, u + 1) for u in range(8) if rng.random() < 0.75
+            UnitInterval(u, u + 1) for u in range(8) if rng.random() < 0.75
         )
         pool.append(Link(5, ends, rng.randint(0, 10), avail))
     return pool

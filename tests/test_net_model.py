@@ -59,6 +59,12 @@ class TestLoadNetwork:
         net = load_network(doc)
         assert [iv.to_doc() for iv in net.links[0].available] == [[0, 5]]
 
+    def test_overlapping_and_touching_intervals_merged(self):
+        doc = minimal_doc()
+        doc["links"][0]["available"] = [[6, 8], [1, 3], [0, 2], [3, 4], [6, 7]]
+        net = load_network(doc)
+        assert [iv.to_doc() for iv in net.links[0].available] == [[0, 4], [6, 8]]
+
     def test_dangling_endpoint(self):
         doc = minimal_doc()
         doc["links"][0]["ends"] = ["a", "ghost"]
@@ -109,9 +115,9 @@ class TestLoadNetwork:
         doc["links"][0]["available"] = 5
         with pytest.raises(NetworkError, match="'available' must be a list"):
             load_network(doc)
-        # pair bounds are not coerced, so Network sees and rejects them
-        assert normalize_intervals([(0.5, 2.7)])[0].to_doc() == [0.5, 2.7]
-        link = Link(0, ("a", "b"), 1, normalize_intervals([(0.5, 2.7)]))
+        # UnitInterval does not coerce its bounds, so Network sees and rejects them
+        assert normalize_intervals([UnitInterval(0.5, 2.7)])[0].to_doc() == [0.5, 2.7]
+        link = Link(0, ("a", "b"), 1, normalize_intervals([UnitInterval(0.5, 2.7)]))
         with pytest.raises(NetworkError, match=r"interval \[0.5, 2.7\] must be \[lo, hi\]"):
             Network(8, ("a", "b"), (link,))
 
@@ -291,8 +297,8 @@ class TestCanonicalIntervals:
         doc = with_link(available=[[lo, hi] for lo, hi in pairs])
         doc["units"] = CANON_UNITS
         assert load_network(doc).links[0].available == runs
-        assert normalize_intervals(pairs) == runs
         assert normalize_intervals(UnitInterval(lo, hi) for lo, hi in pairs) == runs
+        assert normalize_intervals([UnitInterval(lo, hi) for lo, hi in reversed(pairs)]) == runs
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(valid_pairs, st.integers(0, 8), st.data())
@@ -307,15 +313,14 @@ class TestCanonicalIntervals:
         with pytest.raises(NetworkError) as caught:
             load_network(doc)
         assert str(caught.value) == f"link 0: malformed interval [{bad[0]}, {bad[1]})"
-        with pytest.raises(ValueError) as caught:
-            normalize_intervals(pairs)
-        assert str(caught.value) == f"malformed interval [{bad[0]}, {bad[1]})"
 
     def test_equal_input_intervals_are_reused(self):
         kept = UnitInterval(0, 2)
-        out = normalize_intervals([UnitInterval(5, 8), kept, (6, 7)])
+        host = UnitInterval(5, 8)
+        out = normalize_intervals([host, kept, UnitInterval(6, 7)])
         assert out == (UnitInterval(0, 2), UnitInterval(5, 8))
         assert out[0] is kept
+        assert out[1] is host
 
 
 class TestDemandDocs:
@@ -492,9 +497,17 @@ class TestRandomNetwork:
             random_network(8, 1, 4, 1.0, 0)  # below spanning tree
         with pytest.raises(NetworkError, match="unsatisfiable degree"):
             random_network(4, 3.8, 4, 1.0, 0)  # above complete graph
-        for degree in (float("inf"), float("-inf"), float("nan")):
+        for degree in (float("inf"), float("-inf"), float("nan"), 10**400):
             with pytest.raises(NetworkError, match="avg_degree must be finite"):
                 random_network(4, degree, 4, 1.0, 0)
+
+
+class TestLink:
+    def test_other_end_rejects_a_node_off_the_link(self):
+        link = load_network(minimal_doc()).links[0]
+        assert (link.other_end("a"), link.other_end("b")) == ("b", "a")
+        with pytest.raises(ValueError, match="link 0 is not incident to node 'c'"):
+            link.other_end("c")
 
 
 class TestIncidentLinks:

@@ -27,7 +27,8 @@ from ddpp import (
     random_network,
     trait_extend,
 )
-from ddpp.spectrum_core import MODES, remove_interval
+from ddpp.search import MODES
+from ddpp.spectrum_core import remove_interval
 
 UNITS_TOTAL = 8
 
@@ -45,7 +46,7 @@ def trait_strategy():
 
 def availability_strategy():
     return st.sets(st.integers(0, UNITS_TOTAL - 1)).map(
-        lambda units: normalize_intervals((u, u + 1) for u in units)
+        lambda units: normalize_intervals(UnitInterval(u, u + 1) for u in units)
     )
 
 
@@ -107,13 +108,13 @@ def test_trait_extension_shrinks_interval(trait, link, units):
 def test_remove_interval_is_unit_difference(free_units, data):
     """Cutting a window out of the free interval containing it equals the
     unit-set difference, and merging the window back restores the input."""
-    available = normalize_intervals((u, u + 1) for u in free_units)
+    available = normalize_intervals(UnitInterval(u, u + 1) for u in free_units)
     host = data.draw(st.sampled_from(available))
     lo = data.draw(st.integers(host.lo, host.hi - 1))
     cut = UnitInterval(lo, data.draw(st.integers(lo + 1, host.hi)))
     remaining = remove_interval(available, cut)
     assert remaining == normalize_intervals(
-        (u, u + 1) for u in free_units - set(range(cut.lo, cut.hi)))
+        UnitInterval(u, u + 1) for u in free_units - set(range(cut.lo, cut.hi)))
     assert normalize_intervals(remaining + (cut,)) == available
     window = data.draw(interval_strategy(32))
     fits = any(iv.lo <= window.lo and window.hi <= iv.hi for iv in available)
@@ -130,7 +131,7 @@ class LinkSpectrumMachine(RuleBasedStateMachine):
 
     @initialize(free=st.sets(st.integers(0, 31)))
     def start(self, free):
-        self.available = normalize_intervals((u, u + 1) for u in free)
+        self.available = normalize_intervals(UnitInterval(u, u + 1) for u in free)
         self.free = set(free)
         self.held = []
 
@@ -223,7 +224,7 @@ def _run_domination_preservation(mode: str, trials: int, seed: int) -> int:
             continue
         ends = ("n", "z") if rng.random() < 0.5 or same else ("m", "z")
         avail = normalize_intervals(
-            (u, u + 1) for u in range(UNITS_TOTAL) if rng.random() < 0.75
+            UnitInterval(u, u + 1) for u in range(UNITS_TOTAL) if rng.random() < 0.75
         )
         link = Link(5, ends, rng.randint(0, 10), avail)
         derived_bad = _extend_for_props(bad, link, units)
@@ -257,7 +258,7 @@ def test_higher_cost_labels_yield_higher_cost_labels():
         cost_a, lo_a, hi_a = cheap.trait_a
         pricey = Label((cost_a + extra, lo_a, hi_a), cheap.trait_b, vertex)
         assert label_cost(cheap) <= label_cost(pricey)
-        avail = normalize_intervals([(0, UNITS_TOTAL)])
+        avail = normalize_intervals([UnitInterval(0, UNITS_TOTAL)])
         link = Link(3, ("n", "z"), rng.randint(0, 10), avail)
         for worse in _extend_for_props(pricey, link, units):
             for better in _extend_for_props(cheap, link, units):

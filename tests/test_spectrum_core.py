@@ -31,7 +31,7 @@ def iv(lo, hi):
 
 
 def mklink(cost, intervals, link_id=0, ends=("a", "b")):
-    return Link(link_id, ends, cost, normalize_intervals(intervals))
+    return Link(link_id, ends, cost, normalize_intervals(iv(lo, hi) for lo, hi in intervals))
 
 
 def same_node_label(t1, t2, node="n"):
@@ -48,8 +48,8 @@ class TestUnitInterval:
             iv(5, 2)
 
     def test_normalize_merges_touching_and_overlapping(self):
-        assert normalize_intervals([(0, 3), (3, 5)]) == (iv(0, 5),)
-        assert normalize_intervals([(4, 6), (0, 2), (1, 3)]) == (iv(0, 3), iv(4, 6))
+        assert normalize_intervals([iv(0, 3), iv(3, 5)]) == (iv(0, 5),)
+        assert normalize_intervals([iv(4, 6), iv(0, 2), iv(1, 3)]) == (iv(0, 3), iv(4, 6))
         assert normalize_intervals([]) == ()
 
 
