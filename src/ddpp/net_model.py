@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .spectrum_core import UnitInterval, normalize_intervals
+from .spectrum_core import UnitInterval, _is_int, normalize_intervals
 
 
 class NetworkError(ValueError):
@@ -50,7 +50,8 @@ class Link:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable validated network; safe to share between threads."""
+    """Immutable validated network; safe to share between threads.  ``nodes``,
+    ``links`` and each link's ``available`` are tuples, so none can change."""
 
     unit_count: int
     nodes: tuple[str, ...]
@@ -78,6 +79,8 @@ def _validate(net: Network) -> None:
     if not _is_int(units) or units < 1:
         raise NetworkError(f"'units' must be a positive integer, got {units!r}")
     nodes = net.nodes
+    if type(nodes) is not tuple:
+        raise NetworkError("'nodes' must be a tuple of node identifiers")
     if not nodes:
         raise NetworkError("network has no nodes")
     for node in nodes:
@@ -86,6 +89,8 @@ def _validate(net: Network) -> None:
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise NetworkError("duplicate node identifiers")
+    if type(net.links) is not tuple:
+        raise NetworkError("'links' must be a tuple of Link")
     for index, link in enumerate(net.links):
         link_id = link.id
         if not (type(link_id) is int or _is_int(link_id)):
@@ -112,17 +117,13 @@ def _validate(net: Network) -> None:
         for iv in available:
             if type(iv) is not UnitInterval:
                 raise NetworkError(f"link {link_id}: interval {iv!r} must be a UnitInterval")
-            lo = iv.lo
-            hi = iv.hi
-            if not ((type(lo) is int or _is_int(lo)) and (type(hi) is int or _is_int(hi))):
-                raise NetworkError(f"link {link_id}: interval {iv.to_doc()!r} must be [lo, hi]")
-            if hi > units:
+            if iv.hi > units:
                 raise NetworkError(
-                    f"interval [{lo}, {hi}) exceeds unit count {units} on link {link_id}"
+                    f"interval [{iv.lo}, {iv.hi}) exceeds unit count {units} on link {link_id}"
                 )
-            if previous_hi is not None and lo <= previous_hi:
+            if previous_hi is not None and iv.lo <= previous_hi:
                 raise NetworkError(f"intervals on link {link_id} are not maximal disjoint")
-            previous_hi = hi
+            previous_hi = iv.hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,11 +157,6 @@ def validate_demand(net: Network, demand: Demand) -> None:
         )
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: ``int`` but not ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     """A JSON number: ``int`` or ``float`` but not ``bool``."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -177,15 +173,15 @@ def _is_finite(value) -> bool:
 def load_network(doc: dict) -> Network:
     """Build a validated Network from its document.
 
-    Each ``[lo, hi]`` pair becomes a ``UnitInterval``, whose own check
-    rejects a malformed pair, and each link's list is normalized to the
-    maximal disjoint form, so touching or overlapping input intervals are
-    merged.  Every violation is reported with the offending element.
-    This checks the document's shape; the model invariants (a positive
-    integer unit count, known link ends, non-negative integer costs,
-    integer intervals within the unit count, dense link ids, distinct
-    string nodes) are left to ``Network``'s own validation.  Each message
-    is formatted only when its check fails.
+    Each two-element ``[lo, hi]`` list becomes a ``UnitInterval``, the one
+    home of the interval rules (integer bounds, ``0 <= lo < hi``), and
+    each link's list is normalized to the maximal disjoint form, so
+    touching or overlapping input intervals are merged.  Every violation
+    is reported with the offending element.  This checks the document's
+    shape; the model invariants (a positive integer unit count, known link
+    ends, non-negative integer costs, intervals within the unit count,
+    dense link ids, distinct string nodes) are left to ``Network``'s own
+    validation.  Each message is formatted only when its check fails.
     """
     if not isinstance(doc, dict):
         raise NetworkError("network document must be an object")
@@ -224,9 +220,7 @@ def load_network(doc: dict) -> Network:
             raise NetworkError(f"link {link_id}: 'available' must be a list of [lo, hi] pairs")
         intervals = []
         for pair in available:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and (type(pair[0]) is int or _is_int(pair[0]))
-                    and (type(pair[1]) is int or _is_int(pair[1]))):
+            if not (isinstance(pair, list) and len(pair) == 2):
                 raise NetworkError(f"link {link_id}: interval {pair!r} must be [lo, hi]")
             try:
                 intervals.append(UnitInterval(pair[0], pair[1]))

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .net_model import Demand, Network, _is_int, dump_demand, dump_network, validate_demand
+from .net_model import Demand, Network, dump_demand, dump_network, validate_demand
 from .search import SearchOptions, Solution, solve
-from .spectrum_core import UnitInterval
+from .spectrum_core import UnitInterval, _is_int
 
 DEFAULT_PAIR_BUDGET = 1_000_000
 

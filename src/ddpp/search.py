@@ -25,8 +25,8 @@ Each queue entry is one flat tuple ``(key, vertex, lo_a, lo_b, push,
 label)``, so ties are broken by a fixed total order: key, vertex, the two
 interval starts, then the push number, which is unique, so labels are never
 compared and a solve is deterministic for fixed inputs.  The view lists
-each link as ``(link, 1 << link.id, far end)``, so the used-links test and
-the step to the far end cost no call.
+each link as ``(link, 1 << link.id, far end)``, the one home of both:
+``expand`` tests the bit and hands the far end to ``label_extend``.
 
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples, a route cell and a heap entry), so the
@@ -45,8 +45,8 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Network, _is_int, validate_demand
-from .spectrum_core import Label, UnitInterval, label_cost, label_extend
+from .net_model import Demand, Network, validate_demand
+from .spectrum_core import Label, UnitInterval, _is_int, label_cost, label_extend
 
 MODES = ("base", "prime")
 
@@ -62,6 +62,8 @@ class SearchOptions:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        if type(self.enumerate_all) is not bool:
+            raise ValueError(f"enumerate_all must be True or False, got {self.enumerate_all!r}")
         if self.max_route_cost is not None:
             if self.mode != "base":
                 raise ValueError(
@@ -355,11 +357,11 @@ class PairSearch:
         only slot a is extended, because slots are interchangeable there
         and the slot-b expansion reappears one step later with the roles
         swapped.  Only links of the usable-link view are tried, so the far
-        end of each has ``h`` whenever the label's nodes do; a link the
-        label already uses is skipped by one test of its bit.  Under a
-        route-cost limit, a link is not appended when the extended route,
-        plus the cheapest way on from the link's far end to the
-        destination, would cost more than the limit.
+        end of each has ``h`` whenever the label's nodes do.  A link the
+        label already uses is skipped by one test of its view bit, and
+        ``label_extend`` gets the view's far end.  Under a route-cost
+        limit, a link is not appended when the extended route, plus the
+        cheapest way on from the far end, would cost more than the limit.
         """
         out: list[Label] = []
         a, b = label.vertex
@@ -376,7 +378,7 @@ class PairSearch:
                     continue
                 if limit is not None and spent + link.cost + h[far] > limit:
                     continue
-                out += label_extend(label, link, side, units)
+                out += label_extend(label, link, far, side, units)
         return out
 
     def run(self) -> Solution:

@@ -19,16 +19,25 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class UnitInterval:
-    """Half-open interval [lo, hi) of frequency-slot units."""
+    """Half-open interval [lo, hi) of frequency-slot units; the one home of
+    the interval rules: integer bounds, then ``0 <= lo < hi``."""
 
     lo: int
     hi: int
 
     def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi <= self.lo:
-            raise ValueError(f"malformed interval [{self.lo}, {self.hi})")
+        lo, hi = self.lo, self.hi  # `type(v) is int` spares most `_is_int` calls
+        if not ((type(lo) is int or _is_int(lo)) and (type(hi) is int or _is_int(hi))):
+            raise ValueError(f"interval {[lo, hi]!r} must be [lo, hi]")
+        if lo < 0 or hi <= lo:
+            raise ValueError(f"malformed interval [{lo}, {hi})")
 
     def to_doc(self) -> list[int]:
         return [self.lo, self.hi]
@@ -132,51 +141,36 @@ def label_cost(label: Label) -> int:
     return label.trait_a[0] + label.trait_b[0]
 
 
-def label_extend(label: Label, link, side: str, units: int) -> list[Label]:
+def label_extend(label: Label, link, far: str, side: str, units: int) -> list[Label]:
     """Candidate labels after appending a link to one route of a label.
 
-    The chosen side's trait is extended over the link and its route gains
-    the link; the other trait and route are copied.  The far end is read
-    from ``link.ends``: the end that is not the chosen side's node, or that
-    node itself for a self-loop.  The new vertex is canonicalized; when the
-    node order flips, both traits move to the other slot with their
-    routes.  Raises if the link is not incident to the chosen side's node
-    or is already used by either route, which is one test of the link's
-    bit in ``used_links``.
+    The chosen side (``"a"`` or ``"b"``) has its trait extended over the
+    link, and its route gains the link and ends at ``far``, the link's far
+    end from that side's node; the other trait and route are copied.  The
+    caller vouches for ``far`` and that the label does not use the link:
+    ``expand`` reads both off the usable-link view.  The new vertex is
+    canonicalized; when the node order flips, both traits move to the
+    other slot with their routes.
     """
-    a, b = label.vertex
     if side == "a":
-        node, kept_end = a, b
+        kept_end = label.vertex[1]
         trait, kept_trait, kept_route = label.trait_a, label.trait_b, label.route_b
         route = (link.id, label.route_a)
-    elif side == "b":
-        node, kept_end = b, a
+    else:
+        kept_end = label.vertex[0]
         trait, kept_trait, kept_route = label.trait_b, label.trait_a, label.route_a
         route = (link.id, label.route_b)
-    else:
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    end_0, end_1 = link.ends
-    if node == end_0:
-        moved_end = end_1
-    elif node == end_1:
-        moved_end = end_0
-    else:
-        raise ValueError(f"link {link.id} is not incident to node {node!r}")
-    used = label.used_links
-    bit = 1 << link.id
-    if used & bit:
-        raise ValueError(f"link {link.id} already used by this label")
-    used |= bit
+    used = label.used_links | 1 << link.id
     pieces = trait_extend(trait, link, units)
     # loops, not comprehensions: CPython before 3.12 (PEP 709) builds and
     # calls a function object for each comprehension
     out = []
-    if moved_end <= kept_end:
-        vertex = (moved_end, kept_end)
+    if far <= kept_end:
+        vertex = (far, kept_end)
         for t in pieces:
             out.append(Label(t, kept_trait, vertex, route, kept_route, used))
     else:
-        vertex = (kept_end, moved_end)
+        vertex = (kept_end, far)
         for t in pieces:
             out.append(Label(kept_trait, t, vertex, kept_route, route, used))
     return out

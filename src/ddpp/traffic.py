@@ -18,9 +18,9 @@ import heapq
 import random
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Link, Network, NetworkError, _is_finite, _is_int
+from .net_model import Demand, Link, Network, _is_finite, validate_demand
 from .search import SearchOptions, solve
-from .spectrum_core import normalize_intervals, remove_interval
+from .spectrum_core import _is_int, normalize_intervals, remove_interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,24 +126,19 @@ def gen_traffic(
 
 
 def _validate_events(net: Network, events) -> None:
+    """Check ids, times and holds; the demand rules are ``Demand``'s and
+    ``validate_demand``'s, re-raised with the event id and the same type."""
     seen = set()
-    nodes = set(net.nodes)
     for ev in events:
         if not _is_int(ev.id):
             raise ValueError(f"event id {ev.id!r} is not an integer")
         if ev.id in seen:
             raise ValueError(f"duplicate event id {ev.id}")
         seen.add(ev.id)
-        if not (isinstance(ev.src, str) and isinstance(ev.dst, str)):
-            raise ValueError(f"event {ev.id}: src and dst must be strings")
-        if ev.src not in nodes or ev.dst not in nodes:
-            raise NetworkError(f"event {ev.id} references unknown nodes")
-        if ev.src == ev.dst:
-            raise ValueError(f"event {ev.id} has equal endpoints")
-        if not _is_int(ev.units):
-            raise ValueError(f"event {ev.id}: units must be an integer, got {ev.units!r}")
-        if not 1 <= ev.units <= net.unit_count:
-            raise ValueError(f"event {ev.id} demands {ev.units} of {net.unit_count} units")
+        try:
+            validate_demand(net, Demand(ev.src, ev.dst, ev.units))
+        except ValueError as exc:
+            raise type(exc)(f"event {ev.id}: {exc}") from exc
         if not (_is_finite(ev.time) and ev.time >= 0 and _is_finite(ev.hold) and ev.hold > 0):
             raise ValueError(f"event {ev.id} has a malformed time or hold")
 

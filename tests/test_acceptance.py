@@ -242,7 +242,7 @@ def _extend_both_sides(label, link, units):
     for side in ("a", "b"):
         node = label.vertex[0] if side == "a" else label.vertex[1]
         if node in link.ends:
-            out.extend(label_extend(label, link, side, units))
+            out.extend(label_extend(label, link, link.other_end(node), side, units))
     return out
 
 

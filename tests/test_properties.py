@@ -204,7 +204,7 @@ def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
     for side in ("a", "b"):
         node = label.vertex[0] if side == "a" else label.vertex[1]
         if node in link.ends and not label.used_links & (1 << link.id):
-            out.extend(label_extend(label, link, side, units))
+            out.extend(label_extend(label, link, link.other_end(node), side, units))
     return out
 
 

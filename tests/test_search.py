@@ -98,6 +98,12 @@ class TestSolveExamples:
             with pytest.raises(ValueError, match="max_route_cost must be an integer"):
                 SearchOptions(mode="base", max_route_cost=limit)
 
+    def test_enumerate_all_must_be_a_bool(self):
+        # a truthy string would drain the queue as if True were asked for
+        for flag in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match="enumerate_all must be True or False"):
+                SearchOptions(mode="base", enumerate_all=flag)
+
     def test_options_are_frozen(self):
         # a search validates its options once, so they must not change after
         net, demand = lobe_network(2, 1), Demand("n_s", "n_x", 1)
@@ -257,6 +263,21 @@ class TestReconstruct:
                     route_b=(2, None))
         with pytest.raises(RuntimeError, match="link 0 does not touch 'n_x'"):
             reconstruct(lab, lobe_network(1, 1), 1)
+
+    def test_far_end_off_the_link_is_a_malformed_route(self):
+        from ddpp import label_extend, reconstruct
+
+        # label_extend trusts its caller's far end; a wrong one ("zz" is not
+        # an end of link 2) is caught when the route is walked back
+        net = make_net(4, ["a", "b", "s"], [("s", "a", 1, [(0, 4)]),
+                                             ("s", "b", 1, [(0, 4)]),
+                                             ("a", "b", 1, [(0, 4)])])
+        lab = Label((1, 0, 4), (1, 0, 4), ("a", "b"), route_a=(0, None),
+                    route_b=(1, None), used_links=0b11)
+        (bad,) = label_extend(lab, net.links[2], "zz", "a", 1)
+        assert bad.vertex == ("b", "zz")
+        with pytest.raises(RuntimeError, match="malformed route"):
+            reconstruct(bad, net, 1)
 
 
 class TestStatsAndModes:
