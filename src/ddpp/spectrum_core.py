@@ -47,26 +47,17 @@ def normalize_intervals(items) -> tuple[UnitInterval, ...]:
     """Sort UnitIntervals and merge overlapping or touching ones.
 
     The result is the canonical form: ascending, pairwise disjoint, never
-    adjacent.  An output interval equal to an input is that instance;
-    any other is built once.
+    adjacent.  A run that no later input extends is the input that starts
+    it, so a canonical tuple comes back as the same instances.
     """
-    ordered = sorted(items, key=attrgetter("lo", "hi"))
-    if not ordered:
-        return ()
     merged: list[UnitInterval] = []
-    run = ordered[0]  # the input equal to the open run [run_lo, run_hi), if any
-    run_lo = run.lo
-    run_hi = run.hi
-    for iv in ordered:
-        if iv.lo > run_hi:
-            merged.append(run or UnitInterval(run_lo, run_hi))
-            run = iv
-            run_lo = iv.lo
-            run_hi = iv.hi
-        elif iv.hi > run_hi:
-            run = iv if iv.lo == run_lo else None
-            run_hi = iv.hi
-    merged.append(run or UnitInterval(run_lo, run_hi))
+    last = None
+    for iv in sorted(items, key=attrgetter("lo", "hi")):
+        if last is None or iv.lo > last.hi:
+            merged.append(iv)
+            last = iv
+        elif iv.hi > last.hi:
+            last = merged[-1] = UnitInterval(last.lo, iv.hi)
     return tuple(merged)
 
 

@@ -125,10 +125,11 @@ def gen_traffic(
     return events
 
 
-def _validate_events(net: Network, events) -> None:
-    """Check ids, times and holds; the demand rules are ``Demand``'s and
-    ``validate_demand``'s, re-raised with the event id and the same type."""
+def _validate_events(net: Network, events) -> list[Demand]:
+    """Check ids, times and holds and return each event's ``Demand``; errors
+    of ``Demand`` and ``validate_demand`` keep their type and gain the id."""
     seen = set()
+    demands = []
     for ev in events:
         if not _is_int(ev.id):
             raise ValueError(f"event id {ev.id!r} is not an integer")
@@ -136,11 +137,13 @@ def _validate_events(net: Network, events) -> None:
             raise ValueError(f"duplicate event id {ev.id}")
         seen.add(ev.id)
         try:
-            validate_demand(net, Demand(ev.src, ev.dst, ev.units))
+            demands.append(Demand(ev.src, ev.dst, ev.units))
+            validate_demand(net, demands[-1])
         except ValueError as exc:
             raise type(exc)(f"event {ev.id}: {exc}") from exc
         if not (_is_finite(ev.time) and ev.time >= 0 and _is_finite(ev.hold) and ev.hold > 0):
             raise ValueError(f"event {ev.id} has a malformed time or hold")
+    return demands
 
 
 def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimReport:
@@ -149,17 +152,13 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
     The state is one immutable Link per id, holding its free units as
     canonical intervals, and a heap of departures that carry their own
     allocations.  An allocation or release replaces only the links of its
-    routes, and each arrival's snapshot network reuses every other link
-    as it is.  An arrival with no release or allocation since the previous
-    one reuses that arrival's snapshot, whose links are unchanged, and
-    arrivals before the first release or allocation solve on ``net``
-    itself; every snapshot built is validated in full.  After the last
-    departure every link must equal its initial one, which is asserted
-    before reporting.
+    routes, and each arrival solves on a snapshot network of the current
+    links, validated in full.  After the last departure every link must
+    equal its initial one, which is asserted before reporting.
     """
-    arrivals = list(events)
-    _validate_events(net, arrivals)
-    arrivals.sort(key=lambda ev: (ev.time, ev.id))
+    events = list(events)
+    arrivals = sorted(zip(events, _validate_events(net, events)),
+                      key=lambda arrival: (arrival[0].time, arrival[0].id))
     links = list(net.links)
     # (time, id, allocations): ids are unique, so allocations never compare
     departures: list[tuple[float, int, list]] = []
@@ -178,15 +177,11 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
     routed = blocked = 0
     label_counts: list[int] = []
     wall_times: list[float] = []
-    snapshot: Network | None = net  # None once `links` no longer matches it
-    for ev in arrivals:
+    for ev, demand in arrivals:
         while departures and departures[0][0] <= ev.time:
             _, event_id, allocations = heapq.heappop(departures)
             release(event_id, allocations)
-            snapshot = None
-        if snapshot is None:
-            snapshot = Network(net.unit_count, net.nodes, tuple(links))
-        sol = solve(snapshot, Demand(ev.src, ev.dst, ev.units), opts)
+        sol = solve(Network(net.unit_count, net.nodes, tuple(links)), demand, opts)
         label_counts.append(sol.stats.labels_generated)
         wall_times.append(sol.stats.wall_time)
         if not sol.routed:
@@ -203,7 +198,6 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
                         f"allocation breach: link {link_id} lacks units for event {ev.id}"
                     )
                 links[link_id] = Link(link.id, link.ends, link.cost, remaining)
-        snapshot = None
         heapq.heappush(departures, (ev.time + ev.hold, ev.id, allocations))
 
     while departures:

@@ -334,6 +334,21 @@ class TestCanonicalIntervals:
         assert out[0] is kept
         assert out[1] is host
 
+    def test_extended_run_is_built_anew(self):
+        first, second = UnitInterval(0, 3), UnitInterval(2, 5)
+        out = normalize_intervals([first, second])
+        assert out == (UnitInterval(0, 5),)
+        assert out[0] != first and out[0] != second
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(valid_pairs)
+    def test_canonical_tuple_comes_back_as_the_same_instances(self, pairs):
+        canonical = normalize_intervals(UnitInterval(lo, hi) for lo, hi in pairs)
+        for items in (canonical, canonical[::-1]):
+            out = normalize_intervals(items)
+            assert len(out) == len(canonical)
+            assert all(got is kept for got, kept in zip(out, canonical))
+
 
 class TestDemandDocs:
     def test_round_trip(self):

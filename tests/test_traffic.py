@@ -24,6 +24,7 @@ from ddpp import (
     run,
     solve,
 )
+from ddpp.spectrum_core import remove_interval
 
 
 class TestGenTraffic:
@@ -244,10 +245,10 @@ class TestAllocationSemantics:
         report = run(net, events)
         assert report.routed == 1 and report.blocked == 1
 
-    def test_snapshot_rebuilt_only_after_a_change(self, monkeypatch):
-        # 0 routes on the initial network; 1 and 2 are blocked with nothing
-        # released or allocated between them, so they share one snapshot;
-        # 3 arrives after 0 departs and gets a fresh, fully restored one
+    def test_each_arrival_solves_on_the_current_spectrum(self, monkeypatch):
+        # 0 routes on the initial network; 1 and 2 are blocked while 0
+        # holds both lobe routes' unit; 3 arrives after 0 departs and sees
+        # the spectrum restored
         net = lobe_network(2, 1)
         events = [TrafficEvent(0, 0.0, "n_s", "n_x", 1, 10.0),
                   TrafficEvent(1, 1.0, "n_s", "n_x", 1, 1.0),
@@ -257,8 +258,8 @@ class TestAllocationSemantics:
         inner_solve, inner_network = ddpp.traffic.solve, ddpp.traffic.Network
 
         def recording_solve(snapshot, demand, opts=None):
-            seen.append(snapshot)
-            return inner_solve(snapshot, demand, opts)
+            seen.append((snapshot, demand, inner_solve(snapshot, demand, opts)))
+            return seen[-1][2]
 
         def counting_network(*args):
             built.append(inner_network(*args))
@@ -268,10 +269,20 @@ class TestAllocationSemantics:
         monkeypatch.setattr(ddpp.traffic, "Network", counting_network)
         report = run(net, events)
         assert (report.routed, report.blocked) == (2, 2)
-        assert seen[0] is net
-        assert seen[1] is seen[2] is built[0]
-        assert seen[3] is built[1] and len(built) == 2
-        assert seen[1].links != net.links and seen[3].links == net.links
+        assert len(built) == 4
+        assert all(snapshot is network for (snapshot, _, _), network in zip(seen, built))
+        assert [demand for _, demand, _ in seen] == [
+            Demand(ev.src, ev.dst, ev.units) for ev in events]
+        first = seen[0][2]
+        held = {link_id: leg.slots
+                for leg in (first.working, first.protecting) for link_id in leg.links}
+        loaded = tuple(
+            remove_interval(link.available, held[link.id]) if link.id in held
+            else link.available
+            for link in net.links)
+        for snapshot, _, _ in seen[1:3]:
+            assert tuple(link.available for link in snapshot.links) == loaded
+        assert seen[0][0].links == seen[3][0].links == net.links
 
 
 class TestGoldenReplay:
