@@ -6,9 +6,10 @@ interval algebra the search relies on, so the two sides of every
 comparison stay independent.  Routes are trails: a route may revisit a
 node but never reuses a link, and the two routes of a pair share no link.
 
-``compare`` runs the search in every applicable mode against the oracle
-and packages any disagreement as a self-contained counterexample bundle
-for regression replay.
+``compare`` runs the search in every applicable mode against the oracle,
+checks each routed answer's legs unit by unit, and packages any
+disagreement as a self-contained counterexample bundle for regression
+replay.
 """
 
 from __future__ import annotations
@@ -208,6 +209,41 @@ def oracle_solve(
     return OracleResult("routed", best_key[0], best, pair_count)
 
 
+def _legs_hold(net: Network, demand: Demand, sol: Solution,
+               max_route_cost: int | None) -> bool:
+    """True when a routed answer is what it claims, checked unit by unit.
+
+    Each leg is a trail from src to dst within any route-cost limit, and
+    its slots, ``units`` wide, lie in one of ``route_intervals``, so they
+    are free on every link of it; the legs share no link, and the answer's
+    cost is the sum of their links' costs.
+    """
+    total = 0
+    seen: set[int] = set()
+    for leg in (sol.working, sol.protecting):
+        nodes, links = leg.nodes, leg.links
+        distinct = set(links)
+        if (nodes[0] != demand.src or nodes[-1] != demand.dst
+                or len(nodes) != len(links) + 1 or len(distinct) != len(links)
+                or seen & distinct):
+            return False
+        seen |= distinct
+        for here, there, link_id in zip(nodes, nodes[1:], links):
+            if sorted(net.links[link_id].ends) != sorted((here, there)):
+                return False
+        slots = leg.slots
+        if slots.hi - slots.lo != demand.units or not any(
+            iv.lo <= slots.lo and slots.hi <= iv.hi
+            for iv in route_intervals(net, links, demand.units)
+        ):
+            return False
+        cost = sum(net.links[link_id].cost for link_id in links)
+        if max_route_cost is not None and cost > max_route_cost:
+            return False
+        total += cost
+    return total == sol.total_cost
+
+
 @dataclass
 class CompareReport:
     oracle: OracleResult
@@ -245,7 +281,9 @@ def compare(
     """Run the search against the oracle and report agreement per mode.
 
     Both relations are compared unless a route-cost limit is given, in
-    which case only the trait-wise relation applies.
+    which case only the trait-wise relation applies.  A mode agrees when
+    it has the oracle's status and cost and, when routed, its legs pass
+    the unit-by-unit check.
     """
     oracle_res = oracle_solve(net, demand, max_route_cost, budget)
     modes = ("base",) if max_route_cost is not None else ("base", "prime")
@@ -255,7 +293,8 @@ def compare(
         sol = solve(net, demand, SearchOptions(mode=mode, max_route_cost=max_route_cost))
         solutions[mode] = sol
         if oracle_res.routed:
-            verdicts[mode] = sol.routed and sol.total_cost == oracle_res.min_cost
+            verdicts[mode] = (sol.routed and sol.total_cost == oracle_res.min_cost
+                              and _legs_hold(net, demand, sol, max_route_cost))
         else:
             verdicts[mode] = not sol.routed
     return CompareReport(oracle_res, solutions, verdicts, all(verdicts.values()))

@@ -1,7 +1,8 @@
 """Label-setting search for a minimal-cost link-disjoint route pair.
 
 The search graph is implicit: vertices are canonical unordered node pairs,
-and expanding a label appends one network link to one of its two routes.
+and expanding a label appends one network link to one of its two routes,
+keeping each route a path that ends at the destination once it reaches it.
 Each vertex keeps only its undominated labels under the relation selected
 by ``SearchOptions.mode``, and a priority queue with lazy deletion settles
 labels in goal-directed (A*) order.
@@ -294,10 +295,11 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
         nodes, links = [here], []
         while route is not None:
             link_id, route = route
-            link = net.links[link_id]
-            if here not in link.ends:
-                raise RuntimeError(f"malformed route: link {link_id} does not touch {here!r}")
-            here = link.other_end(here)
+            try:
+                here = net.links[link_id].other_end(here)
+            except ValueError:
+                raise RuntimeError(
+                    f"malformed route: link {link_id} does not touch {here!r}") from None
             nodes.append(here)
             links.append(link_id)
         legs.append(RouteLeg(nodes[::-1], links[::-1],
@@ -323,6 +325,14 @@ class PairSearch:
         self._view = {node: tuple((link, 1 << link.id, link.other_end(node))
                                   for link in links if usable[link.id])
                       for node, links in net.incidence.items()}
+        # a route's nodes are the ends of its links and the source, so a node
+        # is on it when the route uses one of the node's view links; the
+        # source's self-loops stand in for the source itself, as the
+        # source's own links do for a route that is not empty
+        self._touching = {node: sum(bit for _, bit, _ in steps)
+                          for node, steps in self._view.items()}
+        self._source_loops = sum(bit for _, bit, far in self._view[demand.src]
+                                 if far == demand.src)
         self._h = self._distances_to(demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
@@ -351,30 +361,49 @@ class PairSearch:
         return len(found) if found is not None else 0
 
     def expand(self, label: Label) -> list[Label]:
-        """Candidate labels from appending one unused incident link.
+        """Candidate labels from appending one incident link, keeping each
+        route a path.
 
         Both vertex nodes contribute their links; at a same-node vertex
         only slot a is extended, because slots are interchangeable there
         and the slot-b expansion reappears one step later with the roles
-        swapped.  Only links of the usable-link view are tried, so the far
-        end of each has ``h`` whenever the label's nodes do.  A link the
-        label already uses is skipped by one test of its view bit, and
+        swapped.  A route that has reached the destination is not
+        extended, and a link is skipped when the label already uses it or
+        when its far end is already on the extending route, the source
+        included.  Only links of the usable-link view are tried, so the far
+        end of each has ``h`` whenever the label's nodes do, and
         ``label_extend`` gets the view's far end.  Under a route-cost
         limit, a link is not appended when the extended route, plus the
         cheapest way on from the far end, would cost more than the limit.
+
+        Keeping routes paths loses no answer: a trail that revisits a node
+        or walks on past the destination contains a path from the source to
+        the destination over a subset of its links.  That path stays
+        disjoint from the other route, costs no more, has every free
+        interval of the trail inside one of its own, and so also stays
+        within any route-cost limit.  The oracle still enumerates trails, so its
+        differential tests check this claim.
         """
         out: list[Label] = []
         a, b = label.vertex
         used = label.used_links
+        links_a = label.links_a
         limit = self.opts.max_route_cost
         units = self.demand.units
+        dst = self.demand.dst
         h = self._h
         view = self._view
-        sides = ((("a", a, label.trait_a[0]),) if a == b
-                 else (("a", a, label.trait_a[0]), ("b", b, label.trait_b[0])))
-        for side, node, spent in sides:
+        touching = self._touching
+        loops = self._source_loops
+        sides = ((("a", a, label.trait_a[0], links_a),) if a == b
+                 else (("a", a, label.trait_a[0], links_a),
+                       ("b", b, label.trait_b[0], used ^ links_a)))
+        for side, node, spent, route in sides:
+            if node == dst:
+                continue
+            route |= loops
             for link, bit, far in view[node]:
-                if used & bit:
+                if used & bit or route & touching[far]:
                     continue
                 if limit is not None and spent + link.cost + h[far] > limit:
                     continue

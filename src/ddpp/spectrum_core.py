@@ -115,7 +115,8 @@ class Label:
     ``None`` at the source; extending a route puts one new cell in front
     of the list it extends, and the cells behind it stay shared.
     ``used_links`` is a bitset over link ids covering both routes, so a
-    disjointness check is a single mask test.
+    disjointness check is a single mask test.  ``links_a`` is the part of
+    it that route a uses, so route b's links are ``used_links ^ links_a``.
     """
 
     trait_a: tuple
@@ -124,6 +125,7 @@ class Label:
     route_a: tuple | None = None
     route_b: tuple | None = None
     used_links: int = 0
+    links_a: int = 0
     alive: bool = True
 
 
@@ -141,17 +143,20 @@ def label_extend(label: Label, link, far: str, side: str, units: int) -> list[La
     caller vouches for ``far`` and that the label does not use the link:
     ``expand`` reads both off the usable-link view.  The new vertex is
     canonicalized; when the node order flips, both traits move to the
-    other slot with their routes.
+    other slot with their routes and link sets.
     """
+    bit = 1 << link.id
+    used = label.used_links | bit
     if side == "a":
         kept_end = label.vertex[1]
         trait, kept_trait, kept_route = label.trait_a, label.trait_b, label.route_b
         route = (link.id, label.route_a)
+        links = label.links_a | bit
     else:
         kept_end = label.vertex[0]
         trait, kept_trait, kept_route = label.trait_b, label.trait_a, label.route_a
         route = (link.id, label.route_b)
-    used = label.used_links | 1 << link.id
+        links = (label.used_links ^ label.links_a) | bit
     pieces = trait_extend(trait, link, units)
     # loops, not comprehensions: CPython before 3.12 (PEP 709) builds and
     # calls a function object for each comprehension
@@ -159,9 +164,10 @@ def label_extend(label: Label, link, far: str, side: str, units: int) -> list[La
     if far <= kept_end:
         vertex = (far, kept_end)
         for t in pieces:
-            out.append(Label(t, kept_trait, vertex, route, kept_route, used))
+            out.append(Label(t, kept_trait, vertex, route, kept_route, used, links))
     else:
         vertex = (kept_end, far)
+        kept_links = used ^ links
         for t in pieces:
-            out.append(Label(kept_trait, t, vertex, kept_route, route, used))
+            out.append(Label(kept_trait, t, vertex, kept_route, route, used, kept_links))
     return out

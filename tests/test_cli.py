@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,32 @@ from ddpp import (
     lobe_network,
 )
 from ddpp.cli import main
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def workflow_run_lines(text: str) -> list[str]:
+    """Shell lines of a workflow's ``run:`` steps, read without a YAML
+    parser: the value of a one-line ``run:``, or each line of a ``run: |``
+    block, which is indented deeper than its key."""
+    lines = []
+    block = None  # column of the open block's ``run`` key
+    for line in text.splitlines():
+        stripped = line.strip()
+        if block is not None:
+            if not stripped or len(line) - len(line.lstrip()) > block:
+                if stripped:
+                    lines.append(stripped)
+                continue
+            block = None
+        match = re.match(r"(\s*(?:- )?)run:\s*(.*)$", line)
+        if match:
+            if match.group(2) == "|":
+                block = len(match.group(1))
+            else:
+                lines.append(match.group(2))
+    return lines
 
 
 def write_json(path, doc):
@@ -325,12 +353,30 @@ class TestProcess:
     """``python -m ddpp.cli`` as a separate process: exit codes and streams."""
 
     @staticmethod
-    def _run(*argv):
+    def _env(**extra):
         src = str(Path(ddpp.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        return subprocess.run([sys.executable, "-m", "ddpp.cli", *argv], env=env,
+        return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+
+    def _run(self, *argv):
+        return subprocess.run([sys.executable, "-m", "ddpp.cli", *argv], env=self._env(),
                               capture_output=True, text=True, timeout=120)
+
+    def test_workflow_smoke_commands(self, tmp_path):
+        """CI's smoke steps as the workflow states them, with ``ddpp`` run as
+        ``python -m ddpp.cli`` and ``$RUNNER_TEMP`` a temporary directory."""
+        commands = [line for line in workflow_run_lines(WORKFLOW.read_text(encoding="utf-8"))
+                    if line.startswith("ddpp ")]
+        assert [line.split()[1] for line in commands] == [
+            "--version", "lobe-bench", "gen-net", "gen-traffic", "simulate"]
+        entry = f"{shlex.quote(sys.executable)} -m ddpp.cli"
+        for command in commands:
+            done = subprocess.run(entry + command[len("ddpp"):], shell=True, cwd=tmp_path,
+                                  env=self._env(RUNNER_TEMP=str(tmp_path)),
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (command, done.stderr)
+        report = json.loads(done.stdout)
+        assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

@@ -1,5 +1,6 @@
 """Brute-force reference solver and the search/oracle comparison harness."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import link_units, make_net, unit_runs
 from ddpp import (
     BudgetExceeded,
     Demand,
+    UnitInterval,
     compare,
     load_demand,
     load_network,
@@ -17,6 +19,7 @@ from ddpp import (
     random_network,
     route_intervals,
 )
+import ddpp.oracle
 from ddpp.oracle import bundle_doc
 
 FULL8 = [(0, 8)]
@@ -160,6 +163,31 @@ class TestCompare:
             dst = rng.choice([x for x in nodes if x != src])
             report = compare(net, Demand(src, dst, rng.randint(1, 2)))
             assert report.matches, bundle_doc(net, Demand(src, dst, 1), report)
+
+    @pytest.mark.parametrize("corrupt", [
+        # the direct a-c link is free only on units 0-3
+        lambda leg: dataclasses.replace(leg, slots=UnitInterval(5, 6)),
+        lambda leg: dataclasses.replace(leg, nodes=leg.nodes[::-1]),
+    ], ids=["slots-not-free", "reversed-leg"])
+    def test_right_cost_with_a_wrong_leg_disagrees(self, monkeypatch, corrupt):
+        net = make_net(8, ["a", "b", "c"],
+                       [("a", "b", 1, FULL8), ("b", "c", 1, FULL8),
+                        ("a", "c", 5, [(0, 4)])])
+        demand = Demand("a", "c", 1)
+        assert compare(net, demand).matches
+        real = ddpp.oracle.solve
+
+        def corrupted(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            assert sol.working.links == [2] and sol.working.slots == UnitInterval(0, 1)
+            return dataclasses.replace(sol, working=corrupt(sol.working))
+
+        monkeypatch.setattr(ddpp.oracle, "solve", corrupted)
+        report = compare(net, demand)
+        assert report.oracle.min_cost == 7
+        assert all(sol.total_cost == 7 for sol in report.solutions.values())
+        assert report.verdicts == {"base": False, "prime": False}
+        assert not report.matches
 
     def test_bundle_document_replays(self):
         net = lobe_network(2, 1)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import gc
+import itertools
 
 import pytest
 
 from conftest import assert_feasible, make_net
+from reference import dominates
 
 from ddpp import (
     Demand,
@@ -17,9 +19,11 @@ from ddpp import (
     lobe_network,
     oracle_solve,
     random_network,
+    route_intervals,
     run,
     solve,
 )
+from ddpp.oracle import _enumerate_route_sets
 
 FULL8 = [(0, 8)]
 
@@ -174,16 +178,38 @@ class TestExpand:
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 1, [(0, 4)]),
                         ("s", "k", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), route_a=(0, None), used_links=0b001)
+        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), route_a=(0, None), used_links=0b001,
+                    links_a=0b001)
         cands = search.expand(lab)
-        # side a from k: k-d and the parallel k-s; side b from s: the parallel
-        assert {c.vertex for c in cands} == {("d", "s"), ("s", "s"), ("k", "k")}
+        # side a from k: k-d, not the parallel k-s back to the source;
+        # side b from s: the parallel
+        assert {c.vertex for c in cands} == {("d", "s"), ("k", "k")}
         assert {(c.vertex, c.route_a, c.route_b) for c in cands} == {
             (("d", "s"), (1, (0, None)), None),
-            (("s", "s"), (2, (0, None)), None),
             (("k", "k"), (2, None), (0, None)),
         }
-        assert [c.used_links for c in cands] == [0b011, 0b101, 0b101]
+        assert [(c.used_links, c.links_a) for c in cands] == [(0b011, 0b011), (0b101, 0b100)]
+
+    def test_routes_stay_paths_and_stop_at_the_destination(self):
+        full = [(0, 4)]
+        net = make_net(4, ["d", "k", "m", "s"],
+                       [("s", "k", 1, full), ("k", "d", 1, full), ("k", "d", 1, full),
+                        ("k", "m", 1, full), ("m", "k", 1, full), ("s", "d", 1, full),
+                        ("m", "d", 1, full), ("s", "s", 1, full)])
+        search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
+        # the s-s self-loop (link 7) would bring an empty route back to the source
+        root = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
+        assert [c.route_a for c in search.expand(root)] == [(0, None), (5, None)]
+        # route a is s-d and has arrived; route b is s-k-m
+        lab = Label((1, 0, 4), (2, 0, 4), ("d", "m"), route_a=(5, None),
+                    route_b=(3, (0, None)), used_links=0b101001, links_a=0b100000)
+        # not d-k over links 1 and 2 or d-m over 6 (route a is done), nor m-k
+        # over link 4 (k is on route b): only m-d
+        (cand,) = search.expand(lab)
+        assert cand.vertex == ("d", "d")
+        # at a same-node vertex the extended route takes slot a
+        assert (cand.route_a, cand.route_b) == ((6, (3, (0, None))), (5, None))
+        assert (cand.used_links, cand.links_a) == (0b1101001, 0b1001001)
 
 
 def lab_at(v, ca, ia, cb, ib):
@@ -304,34 +330,34 @@ class TestStatsAndModes:
     # (nodes, links, slots) of both legs, then (labels_generated,
     # labels_dominated, labels_settled, queue_pops, max_labels_per_vertex)
     GOLDEN = {
-        (12, 1, 2, "base"): ("blocked", None, None, None, (1948, 1182, 766, 862, 60)),
-        (12, 1, 2, "prime"): ("blocked", None, None, None, (1881, 1160, 722, 818, 53)),
+        (12, 1, 2, "base"): ("blocked", None, None, None, (203, 71, 132, 132, 40)),
+        (12, 1, 2, "prime"): ("blocked", None, None, None, (202, 81, 122, 126, 35)),
         (12, 2, 3, "base"): ("routed", 157,
                              (["n0", "n4", "n11"], [14, 2], [2, 5]),
                              (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
-                             (843, 213, 146, 154, 37)),
+                             (770, 155, 146, 154, 36)),
         (12, 2, 3, "prime"): ("routed", 157,
                               (["n0", "n4", "n11"], [14, 2], [2, 5]),
                               (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
-                              (838, 219, 138, 148, 37)),
+                              (768, 164, 138, 148, 36)),
         (13, 3, 2, "base"): ("routed", 116,
                              (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                              (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                             (1302, 184, 131, 135, 72)),
+                             (1140, 141, 126, 129, 70)),
         (13, 3, 2, "prime"): ("routed", 116,
                               (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                               (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                              (1302, 221, 131, 135, 72)),
+                              (1140, 177, 126, 129, 70)),
         (14, 5, 2, "base"): ("routed", 304,
                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                               [1, 3]),
-                             (4277, 1542, 849, 909, 171)),
+                             (2679, 869, 623, 653, 140)),
         (14, 5, 2, "prime"): ("routed", 304,
                               (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                               (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                                [1, 3]),
-                              (4103, 1558, 803, 873, 153)),
+                              (2607, 896, 597, 635, 130)),
     }
 
     @staticmethod
@@ -359,7 +385,7 @@ class TestStatsAndModes:
              [1, 3, 5, 7, 9, 11, 13], [0, 1]),
             (["n_s", "n_1", "n_2", "n_3", "n_4", "n_5", "n_6", "n_x"],
              [0, 2, 4, 6, 8, 10, 12], [0, 1]),
-            (863, 488, 375, 375, 64),
+            (616, 241, 375, 375, 64),
         )
 
     # Larger instances: the lobe benchmark's lobe_network(10, 1), whose sets
@@ -372,23 +398,23 @@ class TestStatsAndModes:
         ("lobe", 10, 1, "base"): (
             ("routed", 2047, (LOBE10_NODES, list(range(1, 22, 2)), [0, 1]),
              (LOBE10_NODES, list(range(0, 22, 2)), [0, 1]),
-             (14287, 8156, 6131, 6131, 1024)), 1, 1),
+             (10204, 4073, 6131, 6131, 1024)), 1, 1),
         ("random", 12, 64, 0.85, 3, 2, "base"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
-             (4916, 1478, 906, 911, 188)), 20, 188),
+             (4026, 1257, 906, 911, 188)), 20, 188),
         ("random", 12, 64, 0.85, 3, 2, "prime"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
-             (4897, 1501, 899, 904, 175)), 20, 175),
+             (4021, 1287, 899, 904, 174)), 20, 174),
         ("random", 20, 320, 0.9, 11, 8, "base"): (
             ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
              (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
-             (3987, 603, 859, 859, 225)), 15, 225),
+             (3878, 603, 856, 856, 225)), 15, 225),
         ("random", 20, 320, 0.9, 11, 8, "prime"): (
             ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
              (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
-             (3987, 603, 859, 859, 225)), 15, 225),
+             (3878, 603, 856, 856, 225)), 15, 225),
     }
 
     def test_counters_match_golden_on_larger_instances(self):
@@ -427,6 +453,66 @@ class TestStatsAndModes:
         search.run()
         with pytest.raises(RuntimeError):
             search.run()
+
+
+class TestPathsOnly:
+    """Routes are searched as paths; the oracle still enumerates trails."""
+
+    @pytest.mark.parametrize("mode", ["base", "prime"])
+    def test_zero_cost_multigraph_is_routed(self, mode):
+        # the trail search settled a label whose route had walked on past v2
+        # ahead of the path that ends there, and reported this demand blocked
+        full = [(0, 4)]
+        net = make_net(4, ["v0", "v1", "v2", "v3"],
+                       [("v1", "v3", 0, full), ("v2", "v2", 0, full), ("v0", "v3", 0, [(0, 2)]),
+                        ("v3", "v1", 0, [(2, 3)]), ("v3", "v2", 0, [(3, 4)]),
+                        ("v1", "v3", 0, full), ("v2", "v3", 0, [(2, 4)]),
+                        ("v2", "v1", 0, full), ("v1", "v2", 0, full), ("v2", "v0", 0, [(0, 2)])])
+        demand = Demand("v0", "v2", 1)
+        assert oracle_solve(net, demand).min_cost == 0
+        sol = solve(net, demand, SearchOptions(mode=mode))
+        assert sol.total_cost == 0
+        assert_feasible(net, demand, sol)
+
+    def test_enumerated_destination_set_is_the_whole_front(self):
+        """One destination label per class of the brute-force prime front.
+
+        The trail search kept 142 labels here and missed the class (638,
+        [17, 19), [18, 20)), which none of them dominated.
+        """
+        net = random_network(12, 3.5, 32, 0.7, 643828)
+        search = PairSearch(net, Demand("n5", "n10", 1),
+                            SearchOptions(mode="prime", enumerate_all=True))
+        search.run()
+        routes = [(mask, sum(net.links[i].cost for i in links), route_intervals(net, links, 1))
+                  for mask, links in _enumerate_route_sets(net, "n5", "n10", 10**6).items()]
+        cheapest = {}  # unordered interval pair -> cheapest disjoint pair offering it
+        for (mask_a, cost_a, ivs_a), (mask_b, cost_b, ivs_b) in itertools.combinations(
+                routes, 2):
+            if mask_a & mask_b:
+                continue
+            cost = cost_a + cost_b
+            for ia, ib in itertools.product(ivs_a, ivs_b):
+                key = tuple(sorted(((ia.lo, ia.hi), (ib.lo, ib.hi))))
+                cheapest[key] = min(cheapest.get(key, cost), cost)
+        # cheapest first, widest first among equal costs: no later class
+        # can dominate an earlier one
+        front = []
+        for (ia, ib), cost in sorted(cheapest.items(), key=lambda item: (
+                item[1], sum(lo - hi for lo, hi in item[0]))):
+            lab = Label((cost, *ia), (0, *ib), ("n10", "n10"))
+            if not any(dominates("prime", kept, lab) for kept in front):
+                front.append(lab)
+        assert len(front) == 143
+
+        def classes(labels):
+            return {(lab.trait_a[0] + lab.trait_b[0],
+                     *sorted((lab.trait_a[1:], lab.trait_b[1:]))) for lab in labels}
+
+        found = search._sets[("n10", "n10")].alive_labels()
+        assert len(found) == 143
+        assert classes(found) == classes(front)
+        assert (638, (17, 19), (18, 20)) in classes(found)
 
 
 class TestCollectorPause:

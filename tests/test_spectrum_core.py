@@ -142,7 +142,7 @@ class TestLabelExtend:
     def test_far_end_of_self_loop_or_second_end(self, side, vertex, ends, new_vertex,
                                                 moved_slot):
         lab = Label((1, 0, 4), (2, 2, 8), vertex,
-                    route_a=(0, None), route_b=(1, None), used_links=0b11)
+                    route_a=(0, None), route_b=(1, None), used_links=0b11, links_a=0b01)
         k = mklink(5, [(0, 8)], link_id=4, ends=ends)
         node = vertex[0] if side == "a" else vertex[1]
         (cand,) = label_extend(lab, k, k.other_end(node), side, 1)
@@ -160,6 +160,9 @@ class TestLabelExtend:
         assert grown_route == (4, route) and grown_route[1] is route
         assert kept_trait == other_trait and kept_route is other_route
         assert cand.used_links == 0b11 | 1 << 4
+        # route a's link set follows route a's slot
+        grown_links, kept_links = (0b01 | 1 << 4, 0b10) if side == "a" else (0b10 | 1 << 4, 0b01)
+        assert cand.links_a == (grown_links if moved_slot == "a" else kept_links)
 
 
 class TestDistinctNodeRelation:
