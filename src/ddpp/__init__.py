@@ -23,6 +23,7 @@ from .oracle import (
     CompareReport,
     OracleResult,
     RoutePair,
+    check_solution,
     compare,
     oracle_solve,
     route_intervals,
@@ -68,6 +69,7 @@ __all__ = [
     "Solution",
     "TrafficEvent",
     "UnitInterval",
+    "check_solution",
     "compare",
     "dump_demand",
     "dump_network",

@@ -6,10 +6,10 @@ interval algebra the search relies on, so the two sides of every
 comparison stay independent.  Routes are trails: a route may revisit a
 node but never reuses a link, and the two routes of a pair share no link.
 
-``compare`` runs the search in every applicable mode against the oracle,
-checks each routed answer's legs unit by unit, and packages any
-disagreement as a self-contained counterexample bundle for regression
-replay.
+``check_solution`` is the one check of an answer's legs, which must be
+paths; ``compare`` and the tests call it.  ``compare`` runs the search in
+every applicable mode against the oracle and packages any disagreement as
+a self-contained counterexample bundle for regression replay.
 """
 
 from __future__ import annotations
@@ -209,39 +209,46 @@ def oracle_solve(
     return OracleResult("routed", best_key[0], best, pair_count)
 
 
-def _legs_hold(net: Network, demand: Demand, sol: Solution,
-               max_route_cost: int | None) -> bool:
-    """True when a routed answer is what it claims, checked unit by unit.
+def check_solution(net: Network, demand: Demand, sol: Solution,
+                   max_route_cost: int | None = None) -> list[str]:
+    """What is wrong with an answer, one string per fault; [] for a blocked one.
 
-    Each leg is a trail from src to dst within any route-cost limit, and
-    its slots, ``units`` wide, lie in one of ``route_intervals``, so they
-    are free on every link of it; the legs share no link, and the answer's
+    Checked from the network data unit by unit: each leg's links, walked
+    from src, visit exactly its nodes, no node twice, and end at dst; its
+    slots are ``units`` wide and free on every one of its links; it costs
+    at most any route-cost limit.  The legs share no link, and the answer's
     cost is the sum of their links' costs.
     """
-    total = 0
-    seen: set[int] = set()
-    for leg in (sol.working, sol.protecting):
-        nodes, links = leg.nodes, leg.links
-        distinct = set(links)
-        if (nodes[0] != demand.src or nodes[-1] != demand.dst
-                or len(nodes) != len(links) + 1 or len(distinct) != len(links)
-                or seen & distinct):
-            return False
-        seen |= distinct
-        for here, there, link_id in zip(nodes, nodes[1:], links):
-            if sorted(net.links[link_id].ends) != sorted((here, there)):
-                return False
-        slots = leg.slots
-        if slots.hi - slots.lo != demand.units or not any(
-            iv.lo <= slots.lo and slots.hi <= iv.hi
-            for iv in route_intervals(net, links, demand.units)
-        ):
-            return False
-        cost = sum(net.links[link_id].cost for link_id in links)
-        if max_route_cost is not None and cost > max_route_cost:
-            return False
-        total += cost
-    return total == sol.total_cost
+    if not sol.routed:
+        return []
+    problems: list[str] = []
+    costs = []
+    for name, leg in (("working", sol.working), ("protecting", sol.protecting)):
+        walked = [demand.src]
+        for link_id in leg.links:
+            if not 0 <= link_id < len(net.links) or walked[-1] not in net.links[link_id].ends:
+                break
+            walked.append(net.links[link_id].other_end(walked[-1]))
+        if (walked != list(leg.nodes) or len(walked) != len(leg.links) + 1
+                or walked[-1] != demand.dst):
+            problems.append(f"{name} links {leg.links} do not walk {leg.nodes} "
+                            f"from {demand.src!r} to {demand.dst!r}")
+            continue
+        if len(set(walked)) != len(walked):
+            problems.append(f"{name} route {leg.nodes} repeats a node")
+        slots = range(leg.slots.lo, leg.slots.hi)
+        if len(slots) != demand.units:
+            problems.append(f"{name} slots {leg.slots.to_doc()} are not {demand.units} wide")
+        if not set.intersection(*(_link_units(net.links[i]) for i in leg.links)) >= set(slots):
+            problems.append(f"{name} slots {leg.slots.to_doc()} are not free on every link")
+        costs.append(sum(net.links[i].cost for i in leg.links))
+        if max_route_cost is not None and costs[-1] > max_route_cost:
+            problems.append(f"{name} route costs {costs[-1]}, over the limit {max_route_cost}")
+    if set(sol.working.links) & set(sol.protecting.links):
+        problems.append("the routes share a link")
+    if len(costs) == 2 and sum(costs) != sol.total_cost:
+        problems.append(f"cost {sol.total_cost} is not the link-cost sum {sum(costs)}")
+    return problems
 
 
 @dataclass
@@ -282,8 +289,8 @@ def compare(
 
     Both relations are compared unless a route-cost limit is given, in
     which case only the trait-wise relation applies.  A mode agrees when
-    it has the oracle's status and cost and, when routed, its legs pass
-    the unit-by-unit check.
+    it has the oracle's status and cost and ``check_solution`` finds no
+    fault in its answer.
     """
     oracle_res = oracle_solve(net, demand, max_route_cost, budget)
     modes = ("base",) if max_route_cost is not None else ("base", "prime")
@@ -292,9 +299,7 @@ def compare(
     for mode in modes:
         sol = solve(net, demand, SearchOptions(mode=mode, max_route_cost=max_route_cost))
         solutions[mode] = sol
-        if oracle_res.routed:
-            verdicts[mode] = (sol.routed and sol.total_cost == oracle_res.min_cost
-                              and _legs_hold(net, demand, sol, max_route_cost))
-        else:
-            verdicts[mode] = not sol.routed
+        verdicts[mode] = ((sol.status, sol.total_cost)
+                          == (oracle_res.status, oracle_res.min_cost)
+                          and not check_solution(net, demand, sol, max_route_cost))
     return CompareReport(oracle_res, solutions, verdicts, all(verdicts.values()))

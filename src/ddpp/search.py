@@ -317,22 +317,21 @@ class PairSearch:
         self.demand = demand
         self.stats = SearchStats()
         units = demand.units
-        # the usable-link view: only links with a wide enough free run;
-        # each link is tested once, then listed at both of its ends as
-        # (link, its used-links bit, the far end from that node)
-        usable = [any(iv.hi - iv.lo >= units for iv in link.available)
+        # the usable-link view: only links with a wide enough free run that
+        # join two nodes, since a self-loop never lies on a path; each link
+        # is tested once, then listed at both of its ends as (link, its
+        # used-links bit, the far end from that node)
+        usable = [link.ends[0] != link.ends[1]
+                  and any(iv.hi - iv.lo >= units for iv in link.available)
                   for link in net.links]
         self._view = {node: tuple((link, 1 << link.id, link.other_end(node))
                                   for link in links if usable[link.id])
                       for node, links in net.incidence.items()}
-        # a route's nodes are the ends of its links and the source, so a node
-        # is on it when the route uses one of the node's view links; the
-        # source's self-loops stand in for the source itself, as the
-        # source's own links do for a route that is not empty
+        # a node is on a route when the route uses one of the node's view
+        # links; the source is on every route that is not empty, and the
+        # empty route cannot step back to it without a self-loop
         self._touching = {node: sum(bit for _, bit, _ in steps)
                           for node, steps in self._view.items()}
-        self._source_loops = sum(bit for _, bit, far in self._view[demand.src]
-                                 if far == demand.src)
         self._h = self._distances_to(demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
@@ -394,14 +393,12 @@ class PairSearch:
         h = self._h
         view = self._view
         touching = self._touching
-        loops = self._source_loops
         sides = ((("a", a, label.trait_a[0], links_a),) if a == b
                  else (("a", a, label.trait_a[0], links_a),
                        ("b", b, label.trait_b[0], used ^ links_a)))
         for side, node, spent, route in sides:
             if node == dst:
                 continue
-            route |= loops
             for link, bit, far in view[node]:
                 if used & bit or route & touching[far]:
                     continue

@@ -5,10 +5,16 @@ which compares bucketed costs and interval keys.  The functions here state
 each relation directly on traits and labels, one comparison at a time, so
 the tests can compare the set with them, as they compare answers with the
 oracle.  ``EfficientSet``'s docstring says which relation each mode uses.
+``NaiveEfficientSet`` keeps an antichain with nothing but these relations,
+and ``efficient_front`` builds from it the destination set an
+``enumerate_all`` search must find.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from ddpp.oracle import DEFAULT_PAIR_BUDGET, _enumerate_route_sets, route_intervals
 from ddpp.spectrum_core import Label, label_cost
 
 
@@ -79,3 +85,52 @@ def dominates(mode: str, l_i: Label, l_j: Label) -> bool:
             return leq_eq(l_i, l_j)
         return leq_n(l_i, l_j)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+class NaiveEfficientSet:
+    """Reference efficient-set behavior built directly on the relations."""
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.members = []
+
+    def insert(self, label) -> tuple[bool, int]:
+        for member in self.members:
+            if dominates(self.mode, member, label):
+                return False, 0
+        survivors = []
+        removed = 0
+        for member in self.members:
+            if dominates(self.mode, label, member):
+                removed += 1
+            else:
+                survivors.append(member)
+        survivors.append(label)
+        self.members = survivors
+        return True, removed
+
+
+def efficient_front(net, demand, mode: str, max_route_cost: int | None = None) -> list[Label]:
+    """The undominated destination labels of every feasible route pair.
+
+    Each pair of link-disjoint trails within the limit, and each choice of
+    one free interval on each, is one label at the destination; the oracle
+    enumerates the trails and recomputes their intervals unit by unit.
+    Cheapest labels go in first, so few are evicted again.
+    """
+    routes = []
+    for mask, sequence in _enumerate_route_sets(net, demand.src, demand.dst,
+                                                 DEFAULT_PAIR_BUDGET).items():
+        cost = sum(net.links[i].cost for i in sequence)
+        if max_route_cost is None or cost <= max_route_cost:
+            routes.append((mask, cost, route_intervals(net, sequence, demand.units)))
+    labels = [
+        Label((cost_a, ia.lo, ia.hi), (cost_b, ib.lo, ib.hi), (demand.dst, demand.dst))
+        for (mask_a, cost_a, ivs_a), (mask_b, cost_b, ivs_b) in itertools.combinations(routes, 2)
+        if not mask_a & mask_b
+        for ia, ib in itertools.product(ivs_a, ivs_b)
+    ]
+    front = NaiveEfficientSet(mode)
+    for label in sorted(labels, key=label_cost):
+        front.insert(label)
+    return front.members

@@ -22,6 +22,7 @@ from ddpp import (
     SearchOptions,
     PairSearch,
     UnitInterval,
+    check_solution,
     dump_traffic,
     gen_traffic,
     label_extend,
@@ -104,10 +105,9 @@ def test_criterion_1_oracle_equivalence(corpus_results):
         mismatches = []
         for index, net, demand, oracle_res, base, prime in records:
             for mode, sol in (("base", base), ("prime", prime)):
-                agrees = (
-                    sol.routed == oracle_res.routed
-                    and (not sol.routed or sol.total_cost == oracle_res.min_cost)
-                )
+                agrees = ((sol.status, sol.total_cost)
+                          == (oracle_res.status, oracle_res.min_cost)
+                          and check_solution(net, demand, sol) == [])
                 if not agrees:
                     path = _file_bundle(f"criterion1_{index}_{mode}", net, demand)
                     mismatches.append((index, mode, str(path)))
@@ -313,10 +313,8 @@ def test_criterion_6_limited_variant(corpus_results):
         for index, net, demand, _oracle_res, _base, _prime in records:
             expect = oracle_solve(net, demand, max_route_cost=limit, budget=5_000_000)
             got = solve(net, demand, SearchOptions(mode="base", max_route_cost=limit))
-            agrees = (
-                got.routed == expect.routed
-                and (not got.routed or got.total_cost == expect.min_cost)
-            )
+            agrees = ((got.status, got.total_cost) == (expect.status, expect.min_cost)
+                      and check_solution(net, demand, got, limit) == [])
             if not agrees:
                 path = _file_bundle(f"criterion6_{index}", net, demand, limit)
                 raise AssertionError(f"limited mismatch, bundle filed: {path}")

@@ -363,20 +363,28 @@ class TestProcess:
                               capture_output=True, text=True, timeout=120)
 
     def test_workflow_smoke_commands(self, tmp_path):
-        """CI's smoke steps as the workflow states them, with ``ddpp`` run as
-        ``python -m ddpp.cli`` and ``$RUNNER_TEMP`` a temporary directory."""
+        """CI's smoke steps as the workflow states them, each line run by
+        ``bash`` with ``ddpp`` a function for ``python -m ddpp.cli`` and
+        ``$RUNNER_TEMP`` a temporary directory."""
         commands = [line for line in workflow_run_lines(WORKFLOW.read_text(encoding="utf-8"))
-                    if line.startswith("ddpp ")]
-        assert [line.split()[1] for line in commands] == [
-            "--version", "lobe-bench", "gen-net", "gen-traffic", "simulate"]
-        entry = f"{shlex.quote(sys.executable)} -m ddpp.cli"
+                    if line.split()[0] in ("ddpp", "printf")]
+        assert [shlex.split(line)[:2] for line in commands] == [
+            ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "gen-net"],
+            ["ddpp", "gen-traffic"], ["ddpp", "simulate"],
+            ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "compare"]]
+        define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
+        stdout = {}
         for command in commands:
-            done = subprocess.run(entry + command[len("ddpp"):], shell=True, cwd=tmp_path,
+            done = subprocess.run(["bash", "-c", define + command], cwd=tmp_path,
                                   env=self._env(RUNNER_TEMP=str(tmp_path)),
                                   capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, (command, done.stderr)
-        report = json.loads(done.stdout)
+            stdout[command.split()[1]] = done.stdout
+        report = json.loads(stdout["simulate"])
         assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
+        verdict = json.loads(stdout["compare"])
+        assert verdict["matches"] is True
+        assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 232)
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

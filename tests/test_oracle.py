@@ -11,6 +11,7 @@ from ddpp import (
     BudgetExceeded,
     Demand,
     UnitInterval,
+    check_solution,
     compare,
     load_demand,
     load_network,
@@ -18,6 +19,7 @@ from ddpp import (
     oracle_solve,
     random_network,
     route_intervals,
+    solve,
 )
 import ddpp.oracle
 from ddpp.oracle import bundle_doc
@@ -132,6 +134,51 @@ class TestOracleSolve:
         first = oracle_solve(net, demand)
         second = oracle_solve(net, demand)
         assert first.to_doc() == second.to_doc()
+
+
+def with_leg(sol, name, **changes):
+    return dataclasses.replace(sol, **{name: dataclasses.replace(getattr(sol, name), **changes)})
+
+
+class TestCheckSolution:
+    """One problem per fault, found from the network data alone."""
+
+    # working a-c over link 2, slots [0, 1); protecting a-b-c over links 0, 1
+    NET = make_net(8, ["a", "b", "c"],
+                   [("a", "b", 1, FULL8), ("b", "c", 1, FULL8), ("a", "c", 5, [(0, 4)]),
+                    ("b", "b", 1, FULL8)])
+    DEMAND = Demand("a", "c", 1)
+
+    @pytest.mark.parametrize("corrupt, limit, problems", [
+        (lambda sol: sol, None, []),
+        (lambda sol: sol, 5, []),
+        (lambda sol: dataclasses.replace(sol, status="blocked", total_cost=None), 0, []),
+        (lambda sol: sol, 4, ["working route costs 5, over the limit 4"]),
+        (lambda sol: dataclasses.replace(sol, total_cost=8), None,
+         ["cost 8 is not the link-cost sum 7"]),
+        (lambda sol: dataclasses.replace(sol, protecting=sol.working), None,
+         ["the routes share a link", "cost 7 is not the link-cost sum 10"]),
+        (lambda sol: with_leg(sol, "working", nodes=["c", "a"]), None,
+         ["working links [2] do not walk ['c', 'a'] from 'a' to 'c'"]),
+        (lambda sol: with_leg(sol, "working", links=[9]), None,
+         ["working links [9] do not walk ['a', 'c'] from 'a' to 'c'"]),
+        (lambda sol: with_leg(sol, "protecting", nodes=["a", "b"], links=[0]), None,
+         ["protecting links [0] do not walk ['a', 'b'] from 'a' to 'c'"]),
+        (lambda sol: dataclasses.replace(
+            with_leg(sol, "protecting", nodes=["a", "b", "b", "c"], links=[0, 3, 1]),
+            total_cost=8), None,
+         ["protecting route ['a', 'b', 'b', 'c'] repeats a node"]),
+        (lambda sol: with_leg(sol, "working", slots=UnitInterval(0, 2)), None,
+         ["working slots [0, 2] are not 1 wide"]),
+        (lambda sol: with_leg(sol, "working", slots=UnitInterval(5, 6)), None,
+         ["working slots [5, 6] are not free on every link"]),
+    ], ids=["as-solved", "within-limit", "blocked", "over-limit", "cost", "same-route",
+            "reversed-leg", "unknown-link", "short-leg", "repeated-node", "wide-slots",
+            "slots-not-free"])
+    def test_each_fault_is_named(self, corrupt, limit, problems):
+        sol = solve(self.NET, self.DEMAND)
+        assert (sol.working.links, sol.protecting.links) == ([2], [0, 1])
+        assert check_solution(self.NET, self.DEMAND, corrupt(sol), limit) == problems
 
 
 class TestCompare:

@@ -10,16 +10,18 @@ import random
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import NaiveEfficientSet, assert_feasible, link_units, unit_runs
-from reference import dominates, leq_n, leq_x, trait_leq
+from conftest import link_units, unit_runs
+from reference import NaiveEfficientSet, dominates, efficient_front, leq_n, leq_x, trait_leq
 
 from ddpp import (
     Demand,
     Label,
     Link,
+    Network,
     PairSearch,
     SearchOptions,
     UnitInterval,
+    check_solution,
     label_cost,
     label_extend,
     normalize_intervals,
@@ -334,23 +336,47 @@ def test_sorted_cross_implies_normal_witnesses():
     assert leq_x(ui, uj) and not leq_n(ui, uj)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.integers(4, 7), st.sampled_from((2.0, 2.5, 3.0)), st.integers(3, 8),
-       st.sampled_from((0.6, 0.8, 1.0)), st.integers(0, 10_000), st.integers(1, 3),
-       st.data())
-def test_search_matches_oracle_on_every_combination(n, degree, unit_count, fill, seed,
-                                                    units, data):
-    """Differential check over mode x route limit x enumerate_all x units.
+@st.composite
+def random_demands(draw):
+    """A seeded ``random_network`` of 4-7 nodes and a demand on it."""
+    net = random_network(draw(st.integers(4, 7)), draw(st.sampled_from((2.0, 2.5, 3.0))),
+                         draw(st.integers(3, 8)), draw(st.sampled_from((0.6, 0.8, 1.0))),
+                         draw(st.integers(0, 10_000)))
+    src, dst = draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=2, unique=True))
+    return net, Demand(src, dst, draw(st.integers(1, 3)))
 
-    Every solve's status and cost equal the oracle's, every routed answer
-    passes the independent feasibility check, and an enumerated
-    destination set is an antichain whose cheapest label is the optimum.
-    Limits sit around the unlimited witness's leg costs (base mode only).
+
+@st.composite
+def multigraph_demands(draw):
+    """A hand-built network of 3-6 nodes, 2-6 units and n to 2n links, with
+    self-loops, parallel links and zero-cost links, and a demand on it.
+
+    More links than 2n can make the oracle's pair enumeration exceed its
+    budget.
     """
-    net = random_network(n, degree, unit_count, fill, seed)
-    src, dst = data.draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=2,
-                                  unique=True))
-    demand = Demand(src, dst, units)
+    n, unit_count = draw(st.integers(3, 6)), draw(st.integers(2, 6))
+    nodes = tuple(f"v{i}" for i in range(n))
+    specs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                                    st.sampled_from((0, 1, 2, 5, 9)),
+                                    st.sets(st.integers(0, unit_count - 1))),
+                          min_size=n, max_size=2 * n))
+    links = tuple(Link(i, (a, b), cost,
+                       normalize_intervals(UnitInterval(u, u + 1) for u in free))
+                  for i, (a, b, cost, free) in enumerate(specs))
+    src, dst = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    units = draw(st.integers(1, min(3, unit_count)))
+    return Network(unit_count, nodes, links), Demand(src, dst, units)
+
+
+def assert_exact_in_every_combination(net: Network, demand: Demand) -> None:
+    """Differential check over mode x route limit x enumerate_all.
+
+    Every solve's status and cost equal the oracle's, every answer passes
+    ``check_solution`` under its limit, and an enumerated destination set
+    is an antichain whose cheapest label is the optimum and which holds
+    one label equivalent to each member of the brute-force front.  Limits
+    sit around the unlimited witness's leg costs (base mode only).
+    """
     unlimited = oracle_solve(net, demand)
     limits = [None]
     if unlimited.routed:
@@ -364,14 +390,27 @@ def test_search_matches_oracle_on_every_combination(n, degree, unit_count, fill,
                 sol = search.run()
                 case = (mode, limit, enumerate_all)
                 assert (sol.status, sol.total_cost) == (expect.status, expect.min_cost), case
-                if sol.routed:
-                    assert_feasible(net, demand, sol)
-                    if limit is not None:
-                        assert all(sum(net.links[l].cost for l in leg.links) <= limit
-                                   for leg in (sol.working, sol.protecting)), case
+                assert check_solution(net, demand, sol, limit) == [], case
                 if enumerate_all:
-                    at_dst = search._sets.get((dst, dst))
+                    at_dst = search._sets.get((demand.dst, demand.dst))
                     labels = at_dst.alive_labels() if at_dst is not None else []
                     assert not any(dominates(mode, a, b)
                                    for a in labels for b in labels if a is not b), case
                     assert min(map(label_cost, labels), default=None) == expect.min_cost, case
+                    front = efficient_front(net, demand, mode, limit)
+                    assert len(labels) == len(front), case
+                    assert all(any(dominates(mode, a, b) and dominates(mode, b, a)
+                                   for b in front) for a in labels), case
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(random_demands())
+def test_search_matches_oracle_on_every_combination(instance):
+    assert_exact_in_every_combination(*instance)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_search_matches_oracle_on_multigraphs(instance):
+    assert_exact_in_every_combination(*instance)
+
