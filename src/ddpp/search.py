@@ -30,12 +30,12 @@ each link as ``(link, 1 << link.id, far end)``, the one home of both:
 ``expand`` tests the bit and hands the far end to ``label_extend``.
 
 A search allocates several container objects per accepted candidate (the
-label, its trait and vertex tuples, a route cell and a heap entry), so the
-cyclic garbage collector would run many times per solve, each time
-rescanning the labels still alive and, in its full collections, everything
-the caller holds.  None of these objects forms a reference cycle, so
-reference counting alone frees them; ``PairSearch.run`` therefore pauses
-the collector while it settles labels.
+label, its trait and vertex tuples and a heap entry), so the cyclic garbage
+collector would run many times per solve, each time rescanning the labels
+still alive and, in its full collections, everything the caller holds.
+None of these objects forms a reference cycle, so reference counting alone
+frees them; ``PairSearch.run`` therefore pauses the collector while it
+settles labels.
 """
 
 from __future__ import annotations
@@ -281,28 +281,31 @@ class EfficientSet:
 
 
 def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, RouteLeg]:
-    """Read the two routes of a destination label off its route lists.
+    """Read the two routes of a destination label off its link masks.
 
-    Each list is walked back from the node where its route ends to the
-    source.  Slot assignment is first fit: the lowest sub-interval of the
-    demanded width inside each final interval.
+    Each mask is walked back from the node where its route ends, taking at
+    each node the one unwalked mask link there (one, as a route is a path)
+    until the mask is spent; a node without one is a malformed route.  Slot
+    assignment is first fit: the lowest sub-interval of the demanded width
+    inside each final interval.
     """
     legs = []
-    for route, trait, here in ((label.route_a, label.trait_a, label.vertex[0]),
-                               (label.route_b, label.trait_b, label.vertex[1])):
-        if route is None:
+    for links, trait, here in ((label.links_a, label.trait_a, label.vertex[0]),
+                               (label.links_b, label.trait_b, label.vertex[1])):
+        if not links:
             raise ValueError("cannot reconstruct an empty route, as at the root label")
-        nodes, links = [here], []
-        while route is not None:
-            link_id, route = route
-            try:
-                here = net.links[link_id].other_end(here)
-            except ValueError:
-                raise RuntimeError(
-                    f"malformed route: link {link_id} does not touch {here!r}") from None
+        nodes, walked = [here], []
+        while links:
+            for link in net.incidence.get(here, ()):
+                if links >> link.id & 1:
+                    break
+            else:
+                raise RuntimeError(f"malformed route: no link of the route touches {here!r}")
+            links ^= 1 << link.id
+            here = link.other_end(here)
             nodes.append(here)
-            links.append(link_id)
-        legs.append(RouteLeg(nodes[::-1], links[::-1],
+            walked.append(link.id)
+        legs.append(RouteLeg(nodes[::-1], walked[::-1],
                              UnitInterval(trait[1], trait[1] + units)))
     return legs[0], legs[1]
 
@@ -363,13 +366,15 @@ class PairSearch:
         """Candidate labels from appending one incident link, keeping each
         route a path.
 
-        Both vertex nodes contribute their links; at a same-node vertex
-        only slot a is extended, because slots are interchangeable there
-        and the slot-b expansion reappears one step later with the roles
-        swapped.  A route that has reached the destination is not
-        extended, and a link is skipped when the label already uses it or
-        when its far end is already on the extending route, the source
-        included.  Only links of the usable-link view are tried, so the far
+        Each route is its link mask: a link is used when either mask holds
+        its bit, and a node is on a route when the route's mask meets the
+        node's view links.  Both vertex nodes contribute their links; at a
+        same-node vertex only slot a is extended, because slots are
+        interchangeable there and the slot-b expansion reappears one step
+        later with the roles swapped.  A route that has reached the
+        destination is not extended, and a link is skipped when the label
+        already uses it or when its far end is already on the extending
+        route, the source included.  Only view links are tried, so the far
         end of each has ``h`` whenever the label's nodes do, and
         ``label_extend`` gets the view's far end.  Under a route-cost
         limit, a link is not appended when the extended route, plus the
@@ -385,8 +390,8 @@ class PairSearch:
         """
         out: list[Label] = []
         a, b = label.vertex
-        used = label.used_links
-        links_a = label.links_a
+        links_a, links_b = label.links_a, label.links_b
+        used = links_a | links_b
         limit = self.opts.max_route_cost
         units = self.demand.units
         dst = self.demand.dst
@@ -395,7 +400,7 @@ class PairSearch:
         touching = self._touching
         sides = ((("a", a, label.trait_a[0], links_a),) if a == b
                  else (("a", a, label.trait_a[0], links_a),
-                       ("b", b, label.trait_b[0], used ^ links_a)))
+                       ("b", b, label.trait_b[0], links_b)))
         for side, node, spent, route in sides:
             if node == dst:
                 continue

@@ -110,22 +110,18 @@ class Label:
     ``trait_a`` and ``trait_b`` are ``(cost, lo, hi)`` tuples.  ``vertex``
     is the node pair ``(a, b)`` with ``a <= b``; route a ends at ``a`` and
     route b at ``b``.
-    ``route_a`` and ``route_b`` hold the route of the trait in the same
-    slot as a shared cons list ``(last link id, rest)`` that ends in
-    ``None`` at the source; extending a route puts one new cell in front
-    of the list it extends, and the cells behind it stay shared.
-    ``used_links`` is a bitset over link ids covering both routes, so a
-    disjointness check is a single mask test.  ``links_a`` is the part of
-    it that route a uses, so route b's links are ``used_links ^ links_a``.
+    ``links_a`` and ``links_b`` are bitsets over link ids, the links of the
+    route in the same slot.  Every route is a path from the source, so its
+    link set alone fixes it, and ``reconstruct`` recovers the order.  The
+    two routes are disjoint, so ``links_a | links_b`` is every link the
+    label uses, and a disjointness check is a single mask test.
     """
 
     trait_a: tuple
     trait_b: tuple
     vertex: tuple[str, str]
-    route_a: tuple | None = None
-    route_b: tuple | None = None
-    used_links: int = 0
     links_a: int = 0
+    links_b: int = 0
     alive: bool = True
 
 
@@ -138,25 +134,22 @@ def label_extend(label: Label, link, far: str, side: str, units: int) -> list[La
     """Candidate labels after appending a link to one route of a label.
 
     The chosen side (``"a"`` or ``"b"``) has its trait extended over the
-    link, and its route gains the link and ends at ``far``, the link's far
-    end from that side's node; the other trait and route are copied.  The
-    caller vouches for ``far`` and that the label does not use the link:
-    ``expand`` reads both off the usable-link view.  The new vertex is
-    canonicalized; when the node order flips, both traits move to the
-    other slot with their routes and link sets.
+    link, and its route gains the link's bit and ends at ``far``, the
+    link's far end from that side's node; the other trait and route are
+    copied.  The caller vouches for ``far`` and that the label does not use
+    the link: ``expand`` reads both off the usable-link view.  The new
+    vertex is canonicalized; when the node order flips, both traits move to
+    the other slot with their link sets.
     """
     bit = 1 << link.id
-    used = label.used_links | bit
     if side == "a":
         kept_end = label.vertex[1]
-        trait, kept_trait, kept_route = label.trait_a, label.trait_b, label.route_b
-        route = (link.id, label.route_a)
+        trait, kept_trait, kept_links = label.trait_a, label.trait_b, label.links_b
         links = label.links_a | bit
     else:
         kept_end = label.vertex[0]
-        trait, kept_trait, kept_route = label.trait_b, label.trait_a, label.route_a
-        route = (link.id, label.route_b)
-        links = (label.used_links ^ label.links_a) | bit
+        trait, kept_trait, kept_links = label.trait_b, label.trait_a, label.links_a
+        links = label.links_b | bit
     pieces = trait_extend(trait, link, units)
     # loops, not comprehensions: CPython before 3.12 (PEP 709) builds and
     # calls a function object for each comprehension
@@ -164,10 +157,9 @@ def label_extend(label: Label, link, far: str, side: str, units: int) -> list[La
     if far <= kept_end:
         vertex = (far, kept_end)
         for t in pieces:
-            out.append(Label(t, kept_trait, vertex, route, kept_route, used, links))
+            out.append(Label(t, kept_trait, vertex, links, kept_links))
     else:
         vertex = (kept_end, far)
-        kept_links = used ^ links
         for t in pieces:
-            out.append(Label(kept_trait, t, vertex, kept_route, route, used, kept_links))
+            out.append(Label(kept_trait, t, vertex, kept_links, links))
     return out

@@ -16,6 +16,11 @@ import pytest
 import ddpp.oracle
 from ddpp import (
     Demand,
+    RouteLeg,
+    SearchStats,
+    Solution,
+    UnitInterval,
+    check_solution,
     dump_demand,
     dump_network,
     dump_traffic,
@@ -371,7 +376,8 @@ class TestProcess:
         assert [shlex.split(line)[:2] for line in commands] == [
             ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "gen-net"],
             ["ddpp", "gen-traffic"], ["ddpp", "simulate"],
-            ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "compare"]]
+            ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
+            ["ddpp", "compare"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
         for command in commands:
@@ -382,6 +388,14 @@ class TestProcess:
             stdout[command.split()[1]] = done.stdout
         report = json.loads(stdout["simulate"])
         assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
+        doc = json.loads(stdout["solve"])
+        assert (doc["status"], doc["cost"]) == ("routed", 232)
+        assert (doc["working"]["links"], doc["protecting"]["links"]) == ([9, 3], [4, 11])
+        legs = [RouteLeg(leg["nodes"], leg["links"], UnitInterval(*leg["slots"]))
+                for leg in (doc["working"], doc["protecting"])]
+        sol = Solution(doc["status"], doc["cost"], *legs, SearchStats())
+        assert check_solution(load_network(json.loads((tmp_path / "net.json").read_text())),
+                              Demand("n0", "n7", 2), sol) == []
         verdict = json.loads(stdout["compare"])
         assert verdict["matches"] is True
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 232)

@@ -7,6 +7,7 @@ the conclusions are then checked against the pure relation functions.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -205,7 +206,7 @@ def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
     out = []
     for side in ("a", "b"):
         node = label.vertex[0] if side == "a" else label.vertex[1]
-        if node in link.ends and not label.used_links & (1 << link.id):
+        if node in link.ends and not (label.links_a | label.links_b) & (1 << link.id):
             out.extend(label_extend(label, link, link.other_end(node), side, units))
     return out
 
@@ -368,6 +369,26 @@ def multigraph_demands(draw):
     return Network(unit_count, nodes, links), Demand(src, dst, units)
 
 
+def walk_links(net: Network, src: str, mask: int) -> list[str] | None:
+    """The nodes of the route a link mask holds, walked forward from src
+    over ``net.links``: each step takes the one unwalked mask link at the
+    current node.  None when a step finds no such link or several, or the
+    walk repeats a node."""
+    if mask >> len(net.links):
+        return None  # a bit past the last link id
+    left = {link.id for link in net.links if mask >> link.id & 1}
+    nodes = [src]
+    while left:
+        steps = [i for i in left if nodes[-1] in net.links[i].ends]
+        if len(steps) != 1:
+            return None
+        left.remove(steps[0])
+        nodes.append(net.links[steps[0]].other_end(nodes[-1]))
+        if nodes[-1] in nodes[:-1]:
+            return None
+    return nodes
+
+
 def assert_exact_in_every_combination(net: Network, demand: Demand) -> None:
     """Differential check over mode x route limit x enumerate_all.
 
@@ -375,32 +396,48 @@ def assert_exact_in_every_combination(net: Network, demand: Demand) -> None:
     ``check_solution`` under its limit, and an enumerated destination set
     is an antichain whose cheapest label is the optimum and which holds
     one label equivalent to each member of the brute-force front.  Limits
-    sit around the unlimited witness's leg costs (base mode only).
+    sit around the unlimited witness's leg costs (base mode only).  Every
+    candidate ``expand`` makes holds two paths: each link mask, walked from
+    the source, ends at its slot's vertex node and passes the destination
+    nowhere before its end.
     """
-    unlimited = oracle_solve(net, demand)
-    limits = [None]
-    if unlimited.routed:
-        leg_costs = (unlimited.witness.cost_a, unlimited.witness.cost_b)
-        limits += sorted({c + d for c in leg_costs for d in (-1, 0, 1) if c + d >= 0})
-    for limit in limits:
-        expect = unlimited if limit is None else oracle_solve(net, demand, limit)
-        for mode in MODES if limit is None else ("base",):
-            for enumerate_all in (False, True):
-                search = PairSearch(net, demand, SearchOptions(mode, limit, enumerate_all))
-                sol = search.run()
-                case = (mode, limit, enumerate_all)
-                assert (sol.status, sol.total_cost) == (expect.status, expect.min_cost), case
-                assert check_solution(net, demand, sol, limit) == [], case
-                if enumerate_all:
-                    at_dst = search._sets.get((demand.dst, demand.dst))
-                    labels = at_dst.alive_labels() if at_dst is not None else []
-                    assert not any(dominates(mode, a, b)
-                                   for a in labels for b in labels if a is not b), case
-                    assert min(map(label_cost, labels), default=None) == expect.min_cost, case
-                    front = efficient_front(net, demand, mode, limit)
-                    assert len(labels) == len(front), case
-                    assert all(any(dominates(mode, a, b) and dominates(mode, b, a)
-                                   for b in front) for a in labels), case
+    real_expand = PairSearch.expand
+
+    def expand_to_paths(search, label):
+        cands = real_expand(search, label)
+        for cand in cands:
+            for mask, end in ((cand.links_a, cand.vertex[0]), (cand.links_b, cand.vertex[1])):
+                nodes = walk_links(net, demand.src, mask)
+                assert nodes is not None and nodes[-1] == end, (bin(mask), cand.vertex)
+                assert demand.dst not in nodes[:-1], (bin(mask), cand.vertex)
+        return cands
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(PairSearch, "expand", expand_to_paths)
+        unlimited = oracle_solve(net, demand)
+        limits = [None]
+        if unlimited.routed:
+            leg_costs = (unlimited.witness.cost_a, unlimited.witness.cost_b)
+            limits += sorted({c + d for c in leg_costs for d in (-1, 0, 1) if c + d >= 0})
+        for limit in limits:
+            expect = unlimited if limit is None else oracle_solve(net, demand, limit)
+            for mode in MODES if limit is None else ("base",):
+                for enumerate_all in (False, True):
+                    search = PairSearch(net, demand, SearchOptions(mode, limit, enumerate_all))
+                    sol = search.run()
+                    case = (mode, limit, enumerate_all)
+                    assert (sol.status, sol.total_cost) == (expect.status, expect.min_cost), case
+                    assert check_solution(net, demand, sol, limit) == [], case
+                    if enumerate_all:
+                        at_dst = search._sets.get((demand.dst, demand.dst))
+                        labels = at_dst.alive_labels() if at_dst is not None else []
+                        assert not any(dominates(mode, a, b)
+                                       for a in labels for b in labels if a is not b), case
+                        assert min(map(label_cost, labels), default=None) == expect.min_cost, case
+                        front = efficient_front(net, demand, mode, limit)
+                        assert len(labels) == len(front), case
+                        assert all(any(dominates(mode, a, b) and dominates(mode, b, a)
+                                       for b in front) for a in labels), case
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -146,7 +146,8 @@ class TestExpand:
         net = make_net(4, ["d", "k", "s"],
                        [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), used_links=0b11)
+        # route a holds link 0 and route b link 1: every link of k and s is used
+        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), links_a=0b01, links_b=0b10)
         assert search.expand(lab) == []
 
     def test_route_cost_limit_drops_candidates(self):
@@ -176,17 +177,15 @@ class TestExpand:
                        [("s", "k", 1, [(0, 4)]), ("k", "d", 1, [(0, 4)]),
                         ("s", "k", 2, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
-        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), route_a=(0, None), used_links=0b001,
-                    links_a=0b001)
+        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), links_a=0b001)
         cands = search.expand(lab)
         # side a from k: k-d, not the parallel k-s back to the source;
         # side b from s: the parallel
         assert {c.vertex for c in cands} == {("d", "s"), ("k", "k")}
-        assert {(c.vertex, c.route_a, c.route_b) for c in cands} == {
-            (("d", "s"), (1, (0, None)), None),
-            (("k", "k"), (2, None), (0, None)),
-        }
-        assert [(c.used_links, c.links_a) for c in cands] == [(0b011, 0b011), (0b101, 0b100)]
+        assert [(c.vertex, c.links_a, c.links_b) for c in cands] == [
+            (("d", "s"), 0b011, 0),
+            (("k", "k"), 0b100, 0b001),
+        ]
 
     def test_routes_stay_paths_and_stop_at_the_destination(self):
         full = [(0, 4)]
@@ -197,17 +196,15 @@ class TestExpand:
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
         # the s-s self-loop (link 7) is not in the view, so no route takes it
         root = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
-        assert [c.route_a for c in search.expand(root)] == [(0, None), (5, None)]
+        assert [(c.links_a, c.links_b) for c in search.expand(root)] == [(1 << 0, 0), (1 << 5, 0)]
         # route a is s-d and has arrived; route b is s-k-m
-        lab = Label((1, 0, 4), (2, 0, 4), ("d", "m"), route_a=(5, None),
-                    route_b=(3, (0, None)), used_links=0b101001, links_a=0b100000)
+        lab = Label((1, 0, 4), (2, 0, 4), ("d", "m"), links_a=0b100000, links_b=0b001001)
         # not d-k over links 1 and 2 or d-m over 6 (route a is done), nor m-k
         # over link 4 (k is on route b): only m-d
         (cand,) = search.expand(lab)
         assert cand.vertex == ("d", "d")
         # at a same-node vertex the extended route takes slot a
-        assert (cand.route_a, cand.route_b) == ((6, (3, (0, None))), (5, None))
-        assert (cand.used_links, cand.links_a) == (0b1101001, 0b1001001)
+        assert (cand.links_a, cand.links_b) == (0b1001001, 0b100000)
 
 
 def lab_at(v, ca, ia, cb, ib):
@@ -282,25 +279,25 @@ class TestReconstruct:
     def test_link_off_the_walked_node_raises(self):
         from ddpp import reconstruct
 
-        # route a ends at n_x, but link 0 joins n_s and n_1
-        lab = Label((0, 0, 1), (0, 0, 1), ("n_x", "n_x"), route_a=(0, None),
-                    route_b=(2, None))
-        with pytest.raises(RuntimeError, match="link 0 does not touch 'n_x'"):
+        # route a ends at n_x, but its one link, 0, joins n_s and n_1
+        lab = Label((0, 0, 1), (0, 0, 1), ("n_x", "n_x"), links_a=0b001, links_b=0b100)
+        with pytest.raises(RuntimeError, match="no link of the route touches 'n_x'"):
             reconstruct(lab, lobe_network(1, 1), 1)
 
     def test_far_end_off_the_link_is_a_malformed_route(self):
         from ddpp import label_extend, reconstruct
 
         # label_extend trusts its caller's far end; a wrong one ("zz" is not
-        # an end of link 2) is caught when the route is walked back
+        # an end of link 2, nor a node of the network) is caught when the
+        # route is walked back
         net = make_net(4, ["a", "b", "s"], [("s", "a", 1, [(0, 4)]),
                                              ("s", "b", 1, [(0, 4)]),
                                              ("a", "b", 1, [(0, 4)])])
-        lab = Label((1, 0, 4), (1, 0, 4), ("a", "b"), route_a=(0, None),
-                    route_b=(1, None), used_links=0b11)
+        lab = Label((1, 0, 4), (1, 0, 4), ("a", "b"), links_a=0b01, links_b=0b10)
         (bad,) = label_extend(lab, net.links[2], "zz", "a", 1)
         assert bad.vertex == ("b", "zz")
-        with pytest.raises(RuntimeError, match="malformed route"):
+        with pytest.raises(RuntimeError, match="malformed route: no link of the route "
+                                               "touches 'zz'"):
             reconstruct(bad, net, 1)
 
 

@@ -96,37 +96,31 @@ class TestTraitExtend:
 
 class TestLabelExtend:
     def test_moves_one_end_and_keeps_other_trait(self):
-        lab = Label((1, 0, 8), (9, 0, 4), ("a", "b"),
-                    route_a=(7, None), route_b=(8, None), used_links=1 << 7 | 1 << 8)
+        lab = Label((1, 0, 8), (9, 0, 4), ("a", "b"), links_a=1 << 7, links_b=1 << 8)
         k = mklink(2, [(0, 8)], link_id=3, ends=("a", "k"))
         (cand,) = label_extend(lab, k, k.other_end("a"), "a", 1)
         assert cand.vertex == ("b", "k")
-        # node b sorts first, so the kept trait and its route move to slot a
-        assert cand.trait_a == (9, 0, 4)
-        assert cand.route_a is lab.route_b
-        assert cand.trait_b == (3, 0, 8)
-        assert cand.route_b == (3, lab.route_a) and cand.route_b[1] is lab.route_a
-        assert cand.used_links == lab.used_links | (1 << 3)
+        # node b sorts first, so the kept trait and its links move to slot a
+        assert (cand.trait_a, cand.links_a) == ((9, 0, 4), 1 << 8)
+        assert (cand.trait_b, cand.links_b) == ((3, 0, 8), 1 << 7 | 1 << 3)
+        assert (lab.links_a, lab.links_b) == (1 << 7, 1 << 8)
 
     def test_root_expansion_keeps_full_spectrum_twin(self):
         root = Label((0, 0, 8), (0, 0, 8), ("s", "s"))
         k = mklink(4, [(0, 8)], link_id=0, ends=("s", "k"))
         (cand,) = label_extend(root, k, k.other_end("s"), "a", 1)
         assert cand.vertex == ("k", "s")
-        assert (cand.route_a, cand.route_b) == ((0, None), None)
+        assert (cand.links_a, cand.links_b) == (0b1, 0)
         assert cand.trait_b == (0, 0, 8)
 
     def test_slot_swap_on_canonicalization(self):
         # moving the 'b' end to a node that sorts first flips the slots
-        lab = Label((1, 0, 4), (2, 0, 8), ("m", "z"),
-                    route_a=(0, None), route_b=(1, None), used_links=0b11)
+        lab = Label((1, 0, 4), (2, 0, 8), ("m", "z"), links_a=0b01, links_b=0b10)
         k = mklink(1, [(0, 8)], link_id=5, ends=("z", "a"))
         (cand,) = label_extend(lab, k, k.other_end("z"), "b", 1)
         assert cand.vertex == ("a", "m")
-        assert cand.trait_a == (3, 0, 8)
-        assert cand.route_a == (5, lab.route_b)
-        assert cand.trait_b == (1, 0, 4)
-        assert cand.route_b is lab.route_a
+        assert (cand.trait_a, cand.links_a) == ((3, 0, 8), 0b10 | 1 << 5)
+        assert (cand.trait_b, cand.links_b) == ((1, 0, 4), 0b01)
 
     # the far end is either end of link.ends, and a self-loop gives the
     # extended node back; moved_slot is where the grown trait lands
@@ -141,28 +135,24 @@ class TestLabelExtend:
             "second-end-a", "second-end-b-flips"])
     def test_far_end_of_self_loop_or_second_end(self, side, vertex, ends, new_vertex,
                                                 moved_slot):
-        lab = Label((1, 0, 4), (2, 2, 8), vertex,
-                    route_a=(0, None), route_b=(1, None), used_links=0b11, links_a=0b01)
+        lab = Label((1, 0, 4), (2, 2, 8), vertex, links_a=0b01, links_b=0b10)
         k = mklink(5, [(0, 8)], link_id=4, ends=ends)
         node = vertex[0] if side == "a" else vertex[1]
         (cand,) = label_extend(lab, k, k.other_end(node), side, 1)
         assert cand.vertex == new_vertex
-        slots = {"a": (cand.trait_a, cand.route_a), "b": (cand.trait_b, cand.route_b)}
-        grown_trait, grown_route = slots.pop(moved_slot)
-        (kept_trait, kept_route), = slots.values()
+        slots = {"a": (cand.trait_a, cand.links_a), "b": (cand.trait_b, cand.links_b)}
+        grown_trait, grown_links = slots.pop(moved_slot)
+        (kept_trait, kept_links), = slots.values()
         if side == "a":
-            (cost, lo, hi), route = lab.trait_a, lab.route_a
-            other_trait, other_route = lab.trait_b, lab.route_b
+            (cost, lo, hi), links = lab.trait_a, lab.links_a
+            other_trait, other_links = lab.trait_b, lab.links_b
         else:
-            (cost, lo, hi), route = lab.trait_b, lab.route_b
-            other_trait, other_route = lab.trait_a, lab.route_a
-        assert grown_trait == (cost + 5, lo, hi)
-        assert grown_route == (4, route) and grown_route[1] is route
-        assert kept_trait == other_trait and kept_route is other_route
-        assert cand.used_links == 0b11 | 1 << 4
-        # route a's link set follows route a's slot
-        grown_links, kept_links = (0b01 | 1 << 4, 0b10) if side == "a" else (0b10 | 1 << 4, 0b01)
-        assert cand.links_a == (grown_links if moved_slot == "a" else kept_links)
+            (cost, lo, hi), links = lab.trait_b, lab.links_b
+            other_trait, other_links = lab.trait_a, lab.links_a
+        # each link set follows its trait's slot, and only the grown one
+        # gains the link
+        assert (grown_trait, grown_links) == ((cost + 5, lo, hi), links | 1 << 4)
+        assert (kept_trait, kept_links) == (other_trait, other_links)
 
 
 class TestDistinctNodeRelation:
