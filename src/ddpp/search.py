@@ -26,8 +26,30 @@ Each queue entry is one flat tuple ``(key, vertex, lo_a, lo_b, push,
 label)``, so ties are broken by a fixed total order: key, vertex, the two
 interval starts, then the push number, which is unique, so labels are never
 compared and a solve is deterministic for fixed inputs.  The view lists
-each link as ``(link, 1 << link.id, far end)``, the one home of both:
-``expand`` tests the bit and hands the far end to ``label_extend``.
+each link at each of its ends as ``(link, 1 << link.id, far end,
+shadow)``, the one home of the bit and the far end: ``expand`` tests the
+bit and hands the far end to ``label_extend``.
+
+``shadow`` is the mask of the link's parallel-link shadowing: the bits of
+the other view links with the same two ends that rank below it by ``(cost,
+id)`` and whose free runs contain each of its runs at least
+``demand.units`` wide.  It is 0 unless a node has two view links to one far
+end, so a network without parallel links pays for it only with one set per
+node.  ``expand`` skips a link while any link of its shadow is unused by
+the label.  The skip is exact.  An unused shadowing link reaches the same
+vertex at a cost no higher, and each interval the skipped link would give
+lies inside one it gives.  Its far end is the same, so the path rule and a
+route-cost limit pass for it whenever they pass for the skipped link.
+Under either relation, with or without a limit, the efficient set would
+reject the skipped candidate or evict it within the same expansion.  If
+the shadowing link is itself skipped, the unused link shadowing it also
+shadows the skipped one (the relation is transitive), so the lowest-ranked
+unused link of a bundle is always tried.  With equal costs the lower ``id``
+shadows, and it is listed first, so the label that insertion order would
+keep is the one built.  The efficient sets, the settle order of live labels
+and every answer are therefore unchanged; only ``labels_generated``,
+``labels_dominated`` and, where a costlier link with a lower id was
+accepted and then evicted, ``queue_pops`` fall.
 
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples and a heap entry), so the cyclic garbage
@@ -310,6 +332,24 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
     return legs[0], legs[1]
 
 
+def _shadowed(steps: list, units: int) -> list:
+    """A node's view entries with each link's shadow mask filled in: the
+    bits of the entries to the same far end that rank below the link by
+    ``(cost, id)`` and whose free runs contain each of the link's runs at
+    least ``units`` wide."""
+    out = []
+    for link, bit, far, _ in steps:
+        runs = [iv for iv in link.available if iv.hi - iv.lo >= units]
+        shadow = 0
+        for other, other_bit, other_far, _ in steps:
+            if other_far == far and (other.cost, other.id) < (link.cost, link.id) and all(
+                    any(ov.lo <= iv.lo and iv.hi <= ov.hi for ov in other.available)
+                    for iv in runs):
+                shadow |= other_bit
+        out.append((link, bit, far, shadow))
+    return out
+
+
 class PairSearch:
     """One solve: mutable per-query state over an immutable network."""
 
@@ -322,19 +362,33 @@ class PairSearch:
         units = demand.units
         # the usable-link view: only links with a wide enough free run that
         # join two nodes, since a self-loop never lies on a path; each link
-        # is tested once, then listed at both of its ends as (link, its
-        # used-links bit, the far end from that node)
-        usable = [link.ends[0] != link.ends[1]
-                  and any(iv.hi - iv.lo >= units for iv in link.available)
-                  for link in net.links]
-        self._view = {node: tuple((link, 1 << link.id, link.other_end(node))
-                                  for link in links if usable[link.id])
-                      for node, links in net.incidence.items()}
-        # a node is on a route when the route uses one of the node's view
-        # links; the source is on every route that is not empty, and the
-        # empty route cannot step back to it without a self-loop
-        self._touching = {node: sum(bit for _, bit, _ in steps)
-                          for node, steps in self._view.items()}
+        # is tested once, in id order, then listed at both of its ends as
+        # (link, its used-links bit, the far end from that node, shadow).
+        # A node is on a route when the route uses one of the node's view
+        # links, its touching mask; the source is on every route that is
+        # not empty, and the empty route cannot step back to it without a
+        # self-loop.
+        view = self._view = {node: [] for node in net.nodes}
+        touching = self._touching = dict.fromkeys(net.nodes, 0)
+        for link in net.links:
+            a, b = link.ends
+            if a == b:
+                continue
+            for iv in link.available:
+                if iv.hi - iv.lo >= units:
+                    break
+            else:
+                continue  # no free run wide enough
+            bit = 1 << link.id
+            view[a].append((link, bit, b, 0))
+            view[b].append((link, bit, a, 0))
+            touching[a] |= bit
+            touching[b] |= bit
+        # shadows exist only among parallel links: fill them in at the nodes
+        # with two view links to one far end
+        for node, steps in view.items():
+            if len({far for _, _, far, _ in steps}) < len(steps):
+                view[node] = _shadowed(steps, units)
         self._h = self._distances_to(demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
@@ -349,7 +403,7 @@ class PairSearch:
             d, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
-            for link, _, other in self._view[node]:
+            for link, _, other, _ in self._view[node]:
                 nd = d + link.cost
                 if other not in dist or nd < dist[other]:
                     dist[other] = nd
@@ -374,11 +428,22 @@ class PairSearch:
         later with the roles swapped.  A route that has reached the
         destination is not extended, and a link is skipped when the label
         already uses it or when its far end is already on the extending
-        route, the source included.  Only view links are tried, so the far
-        end of each has ``h`` whenever the label's nodes do, and
-        ``label_extend`` gets the view's far end.  Under a route-cost
-        limit, a link is not appended when the extended route, plus the
-        cheapest way on from the far end, would cost more than the limit.
+        route, the source included.  Only view links are tried, each read
+        off its entry ``(link, bit, far end, shadow)``, so the far end of
+        each has ``h`` whenever the label's nodes do, and ``label_extend``
+        gets the view's far end.  Under a route-cost limit, a link is not
+        appended when the extended route, plus the cheapest way on from the
+        far end, would cost more than the limit.
+
+        A link is also skipped while a link of its ``shadow`` is unused by
+        the label: a parallel link that ranks below it by ``(cost, id)``
+        and whose free runs contain each of its runs at least
+        ``demand.units`` wide.  That link, or the lowest-ranked unused link
+        shadowing it, is tried here, passes the path rule and the limit
+        whenever the skipped link would, and reaches the same vertex with a
+        cost no higher and a containing interval, so the efficient set
+        would reject or evict the skipped candidate; the module docstring
+        gives the whole argument, the ``id`` tie-break included.
 
         Keeping routes paths loses no answer: a trail that revisits a node
         or walks on past the destination contains a path from the source to
@@ -401,11 +466,12 @@ class PairSearch:
         sides = ((("a", a, label.trait_a[0], links_a),) if a == b
                  else (("a", a, label.trait_a[0], links_a),
                        ("b", b, label.trait_b[0], links_b)))
+        free = ~used
         for side, node, spent, route in sides:
             if node == dst:
                 continue
-            for link, bit, far in view[node]:
-                if used & bit or route & touching[far]:
+            for link, bit, far, shadow in view[node]:
+                if used & bit or shadow & free or route & touching[far]:
                     continue
                 if limit is not None and spent + link.cost + h[far] > limit:
                     continue

@@ -294,12 +294,16 @@ class TestLobeBench:
         assert len(table) == 4
         assert int(table[1][1]) == 2
         assert int(table[4][1]) == 16
+        # a cost-0 link shadows its cost-2^i twin while it is free
+        assert [int(table[m][2]) for m in (1, 2, 4)] == [8, 20, 100]
 
     def test_prime_keeps_one_label(self, capsys):
         code = main(["lobe-bench", "--m-max", "5", "--relation", "prime"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert all(int(r[1]) == 1 for r in rows[1:])
+        table = {int(r[0]): r for r in rows[1:]}
+        assert [int(table[m][2]) for m in (1, 2, 4)] == [7, 13, 31]
 
     def test_units_flag_is_usage_error(self, capsys):
         # every lobe link has all units free and the demand is 1 unit, so a
@@ -374,7 +378,8 @@ class TestProcess:
         commands = [line for line in workflow_run_lines(WORKFLOW.read_text(encoding="utf-8"))
                     if line.split()[0] in ("ddpp", "printf")]
         assert [shlex.split(line)[:2] for line in commands] == [
-            ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "gen-net"],
+            ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "lobe-bench"],
+            ["ddpp", "gen-net"],
             ["ddpp", "gen-traffic"], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
             ["ddpp", "compare"]]
@@ -385,10 +390,16 @@ class TestProcess:
                                   env=self._env(RUNNER_TEMP=str(tmp_path)),
                                   capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, (command, done.stderr)
-            stdout[command.split()[1]] = done.stdout
-        report = json.loads(stdout["simulate"])
+            stdout.setdefault(command.split()[1], []).append(done.stdout)
+        prime, base = (list(csv.reader(io.StringIO(out)))[1:] for out in stdout["lobe-bench"])
+        assert [int(row[1]) for row in prime] == [1] * 6
+        assert [int(row[1]) for row in base] == [2**m for m in range(1, 7)]
+        assert int(base[-1][2]) == 432
+        (simulate,), (solve,), (compare,) = (stdout[name] for name in
+                                             ("simulate", "solve", "compare"))
+        report = json.loads(simulate)
         assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
-        doc = json.loads(stdout["solve"])
+        doc = json.loads(solve)
         assert (doc["status"], doc["cost"]) == ("routed", 232)
         assert (doc["working"]["links"], doc["protecting"]["links"]) == ([9, 3], [4, 11])
         legs = [RouteLeg(leg["nodes"], leg["links"], UnitInterval(*leg["slots"]))
@@ -396,7 +407,7 @@ class TestProcess:
         sol = Solution(doc["status"], doc["cost"], *legs, SearchStats())
         assert check_solution(load_network(json.loads((tmp_path / "net.json").read_text())),
                               Demand("n0", "n7", 2), sol) == []
-        verdict = json.loads(stdout["compare"])
+        verdict = json.loads(compare)
         assert verdict["matches"] is True
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 232)
 

@@ -369,6 +369,44 @@ def multigraph_demands(draw):
     return Network(unit_count, nodes, links), Demand(src, dst, units)
 
 
+@st.composite
+def bundled_demands(draw):
+    """A hand-built network of 3-6 nodes and 2-6 units whose links come in
+    parallel bundles, and a demand on it.
+
+    Each drawn link is followed by up to two copies with the same ends,
+    either way round, a cost tied with it or one off, and free units that
+    are a subset or a superset of its own, so the free runs of a bundle
+    nest and its links shadow one another.  The first n + 3 links are
+    kept: bundles multiply the trail pairs the oracle enumerates, and at
+    2n links one example can take seconds.
+    """
+    n, unit_count = draw(st.integers(3, 6)), draw(st.integers(2, 6))
+    nodes = tuple(f"v{i}" for i in range(n))
+    unit = st.integers(0, unit_count - 1)
+    specs = []
+    for a, b, cost, free in draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                                    st.sampled_from(nodes),
+                                                    st.sampled_from((0, 1, 2, 5)),
+                                                    st.sets(unit)),
+                                          min_size=2, max_size=n)):
+        specs.append((a, b, cost, free))
+        for _ in range(draw(st.integers(0, 2))):
+            ends = draw(st.sampled_from(((a, b), (b, a))))
+            twin_cost = draw(st.sampled_from((cost, cost, cost + 1, max(cost - 1, 0))))
+            if free and draw(st.booleans()):
+                twin_free = draw(st.sets(st.sampled_from(sorted(free))))
+            else:
+                twin_free = free | draw(st.sets(unit))
+            specs.append((*ends, twin_cost, twin_free))
+    links = tuple(Link(i, (a, b), cost,
+                       normalize_intervals(UnitInterval(u, u + 1) for u in free))
+                  for i, (a, b, cost, free) in enumerate(specs[:n + 3]))
+    src, dst = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    units = draw(st.integers(1, min(3, unit_count)))
+    return Network(unit_count, nodes, links), Demand(src, dst, units)
+
+
 def walk_links(net: Network, src: str, mask: int) -> list[str] | None:
     """The nodes of the route a link mask holds, walked forward from src
     over ``net.links``: each step takes the one unwalked mask link at the
@@ -451,3 +489,9 @@ def test_search_matches_oracle_on_every_combination(instance):
 def test_search_matches_oracle_on_multigraphs(instance):
     assert_exact_in_every_combination(*instance)
 
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(bundled_demands())
+def test_search_matches_oracle_on_parallel_bundles(instance):
+    assert_exact_in_every_combination(*instance)

@@ -6,7 +6,7 @@ import gc
 import pytest
 
 from conftest import make_net
-from reference import efficient_front
+from reference import dominates, efficient_front
 
 from ddpp import (
     Demand,
@@ -206,6 +206,72 @@ class TestExpand:
         # at a same-node vertex the extended route takes slot a
         assert (cand.links_a, cand.links_b) == (0b1001001, 0b100000)
 
+    # parallel-link shadowing: link 0 (cost 3, units 0-1 free) and link 1
+    # (cost 1, all units free) both join s and k, written either way round
+    def bundle(self, limit=None):
+        net = make_net(4, ["d", "k", "s"],
+                       [("s", "k", 3, [(0, 2)]), ("k", "s", 1, [(0, 4)]),
+                        ("k", "d", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
+        return PairSearch(net, Demand("s", "d", 1), SearchOptions("base", limit))
+
+    ROOT = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
+
+    def test_only_the_cheaper_parallel_link_is_expanded_while_free(self):
+        search = self.bundle()
+        # link 0 comes first by id, but cheaper link 1 covers its spectrum
+        assert [c.links_a for c in search.expand(self.ROOT)] == [0b0010, 0b1000]
+
+    def test_costlier_parallel_link_expanded_once_the_other_route_holds_the_cheaper(self):
+        search = self.bundle()
+        # route a is s-k over link 1; route b, still at s, may take link 0
+        lab = Label((1, 0, 4), (0, 0, 4), ("k", "s"), links_a=0b0010)
+        assert [(c.vertex, c.links_a, c.links_b) for c in search.expand(lab)] == [
+            (("d", "s"), 0b0110, 0),
+            (("k", "k"), 0b0001, 0b0010),
+            (("d", "k"), 0b1000, 0b0010),
+        ]
+
+    def test_equal_cost_and_spectrum_expands_only_the_lower_id(self):
+        full = [(0, 4)]
+        net = make_net(4, ["d", "k", "s"],
+                       [("s", "k", 2, full), ("k", "d", 1, full), ("k", "s", 2, full),
+                        ("s", "d", 2, full)])
+        search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
+        assert [shadow for _, _, _, shadow in search._view["s"]] == [0, 0b001, 0]
+        assert [c.links_a for c in search.expand(self.ROOT)] == [0b0001, 0b1000]
+
+    def test_cheaper_but_narrower_link_shadows_nothing(self):
+        # link 0's run [0, 4) is not inside link 1's [0, 2)
+        net = make_net(4, ["d", "k", "s"],
+                       [("s", "k", 3, [(0, 4)]), ("k", "s", 1, [(0, 2)]),
+                        ("k", "d", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
+        search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
+        assert [c.links_a for c in search.expand(self.ROOT)] == [0b0001, 0b0010, 0b1000]
+        # a run too narrow for the demand does not count: link 0's [3, 4)
+        # is outside link 1's [0, 3), but at 2 units only [0, 2) can carry it
+        net = make_net(4, ["d", "k", "s"],
+                       [("s", "k", 3, [(0, 2), (3, 4)]), ("k", "s", 1, [(0, 3)]),
+                        ("k", "d", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
+        # (at 1 unit each of link 0's two runs makes a candidate)
+        for units, expanded in ((1, [0b0001, 0b0001, 0b0010, 0b1000]), (2, [0b0010, 0b1000])):
+            search = PairSearch(net, Demand("s", "d", units), SearchOptions(mode="base"))
+            assert [c.links_a for c in search.expand(self.ROOT)] == expanded, units
+
+    @pytest.mark.parametrize("limit", range(7))
+    def test_shadowing_link_passes_a_route_cost_limit_the_skipped_one_passes(self, limit):
+        search = self.bundle(limit=limit)
+        kept = search.expand(self.ROOT)
+        assert all(not c.links_a & 0b0001 for c in kept)
+        # the same search with no shadows: each candidate it adds over link
+        # 0 is dominated by a kept one at the same vertex
+        plain = self.bundle(limit=limit)
+        plain._view = {node: [step[:3] + (0,) for step in steps]
+                       for node, steps in plain._view.items()}
+        skipped = [c for c in plain.expand(self.ROOT) if c.links_a & 0b0001]
+        assert len(skipped) == (limit >= 4)  # 3 + h(k), against 1 + h(k) for link 1
+        for cand in skipped:
+            assert any(c.vertex == cand.vertex and dominates("base", c, cand) for c in kept)
+
 
 def lab_at(v, ca, ia, cb, ib):
     return Label((ca, *ia), (cb, *ib), v)
@@ -380,7 +446,7 @@ class TestStatsAndModes:
              [1, 3, 5, 7, 9, 11, 13], [0, 1]),
             (["n_s", "n_1", "n_2", "n_3", "n_4", "n_5", "n_6", "n_x"],
              [0, 2, 4, 6, 8, 10, 12], [0, 1]),
-            (616, 241, 375, 375, 64),
+            (432, 57, 375, 375, 64),
         )
 
     # Larger instances: the lobe benchmark's lobe_network(10, 1), whose sets
@@ -393,7 +459,7 @@ class TestStatsAndModes:
         ("lobe", 10, 1, "base"): (
             ("routed", 2047, (LOBE10_NODES, list(range(1, 22, 2)), [0, 1]),
              (LOBE10_NODES, list(range(0, 22, 2)), [0, 1]),
-             (10204, 4073, 6131, 6131, 1024)), 1, 1),
+             (7144, 1013, 6131, 6131, 1024)), 1, 1),
         ("random", 12, 64, 0.85, 3, 2, "base"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
@@ -647,9 +713,10 @@ class TestUsableLinkView:
             h = search._h
             assert h == view_distances(net, demand.dst, units)
             assert h[demand.dst] == 0
+            # random_network draws no parallel links, so nothing is shadowed
             assert search._view == {
-                node: tuple((l, 1 << l.id, l.other_end(node))
-                            for l in net.incidence[node] if usable(l, units))
+                node: [(l, 1 << l.id, l.other_end(node), 0)
+                       for l in net.incidence[node] if usable(l, units)]
                 for node in net.nodes
             }
             for link in net.links:
@@ -669,11 +736,13 @@ class TestUsableLinkView:
                         ("b", "b", 1, FULL8), ("a", "b", 3, [(2, 8)]),
                         ("b", "c", 1, FULL8), ("c", "c", 1, [(0, 1)])])
         view = PairSearch(net, Demand("a", "c", 2))._view
-        assert {node: [(l.id, bit, far) for l, bit, far in steps]
+        # link 1 has no run two units wide; link 3's run [2, 8) lies in
+        # cheaper link 0's [0, 8), so link 0 shadows it at both ends
+        assert {node: [(l.id, bit, far, shadow) for l, bit, far, shadow in steps]
                 for node, steps in view.items()} == {
-            "a": [(0, 1, "b"), (3, 8, "b")],
-            "b": [(0, 1, "a"), (3, 8, "a"), (4, 16, "c")],
-            "c": [(4, 16, "b")]}
+            "a": [(0, 1, "b", 0), (3, 8, "b", 1)],
+            "b": [(0, 1, "a", 0), (3, 8, "a", 1), (4, 16, "c", 0)],
+            "c": [(4, 16, "b", 0)]}
 
     @pytest.mark.parametrize("mode", ["base", "prime"])
     def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):
