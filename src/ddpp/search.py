@@ -22,6 +22,23 @@ view, and that node set is closed under view adjacency, so every vertex
 reached from a root whose node has ``h`` has ``h`` on both nodes; a root
 without ``h`` blocks the demand before any pop.
 
+The view also leaves out dead ends.  ``_route_nodes`` peels off every node
+other than the source and the destination that has fewer than two distinct
+neighbours over the usable links, and repeats until no such node is left
+(k-core peeling, Seidman 1983, anchored at both ends); a link is listed
+only when both of its ends survive.  The peel is exact.  A route is a path
+from the source that stops at the destination, so it passes each interior
+node from one neighbour to another.  Of the nodes of a path between two
+kept nodes, take the first to be peeled: every other node of the path was
+still there then, and it has two distinct neighbours on the path, so it
+could not have been peeled.  A peeled node is therefore on no finished
+route, and every label at a vertex holding one is dead.  The same argument
+keeps each cheapest path from a kept node to the destination inside the
+view, so ``h`` of a kept node is unchanged; efficient sets are per vertex,
+and push numbers keep their relative order among the live labels.
+Efficient sets, the settle order of live labels and every answer are
+unchanged; only the counters fall, on networks with dead-end branches.
+
 Each queue entry is one flat tuple ``(key, vertex, lo_a, lo_b, push,
 label)``, so ties are broken by a fixed total order: key, vertex, the two
 interval starts, then the push number, which is unique, so labels are never
@@ -350,6 +367,28 @@ def _shadowed(steps: list, units: int) -> list:
     return out
 
 
+def _route_nodes(links: list, src: str, dst: str) -> set[str]:
+    """The nodes of ``links`` left after peeling dead ends: every node other
+    than ``src`` and ``dst`` with fewer than two distinct neighbours is
+    removed, repeatedly, until none is left.  A peeled node lies on no
+    simple src–dst path over ``links``."""
+    near: dict[str, set[str]] = {}
+    for link in links:
+        a, b = link.ends
+        near.setdefault(a, set()).add(b)
+        near.setdefault(b, set()).add(a)
+    anchors = (src, dst)
+    dead = [node for node, far in near.items() if len(far) < 2 and node not in anchors]
+    while dead:
+        node = dead.pop()
+        for other in near.pop(node):
+            far = near[other]
+            far.remove(node)
+            if len(far) == 1 and other not in anchors:
+                dead.append(other)
+    return set(near)
+
+
 class PairSearch:
     """One solve: mutable per-query state over an immutable network."""
 
@@ -361,24 +400,29 @@ class PairSearch:
         self.stats = SearchStats()
         units = demand.units
         # the usable-link view: only links with a wide enough free run that
-        # join two nodes, since a self-loop never lies on a path; each link
-        # is tested once, in id order, then listed at both of its ends as
-        # (link, its used-links bit, the far end from that node, shadow).
-        # A node is on a route when the route uses one of the node's view
-        # links, its touching mask; the source is on every route that is
-        # not empty, and the empty route cannot step back to it without a
-        # self-loop.
-        view = self._view = {node: [] for node in net.nodes}
-        touching = self._touching = dict.fromkeys(net.nodes, 0)
+        # join two nodes, since a self-loop never lies on a path, and whose
+        # two ends both survive the dead-end peel; each link is tested
+        # once, in id order, then listed at both of its ends as (link, its
+        # used-links bit, the far end from that node, shadow).  A node is
+        # on a route when the route uses one of the node's view links, its
+        # touching mask; the source is on every route that is not empty,
+        # and the empty route cannot step back to it without a self-loop.
+        usable = []
         for link in net.links:
             a, b = link.ends
             if a == b:
                 continue
             for iv in link.available:
                 if iv.hi - iv.lo >= units:
+                    usable.append(link)
                     break
-            else:
-                continue  # no free run wide enough
+        kept = _route_nodes(usable, demand.src, demand.dst)
+        view = self._view = {node: [] for node in net.nodes}
+        touching = self._touching = dict.fromkeys(net.nodes, 0)
+        for link in usable:
+            a, b = link.ends
+            if a not in kept or b not in kept:
+                continue
             bit = 1 << link.id
             view[a].append((link, bit, b, 0))
             view[b].append((link, bit, a, 0))
@@ -396,7 +440,8 @@ class PairSearch:
 
     def _distances_to(self, target: str) -> dict[str, int]:
         """Cheapest cost from each node to target over the view; a node
-        that cannot reach target is absent."""
+        that cannot reach target over it, a peeled node included, is
+        absent."""
         dist = {target: 0}
         heap = [(0, target)]
         while heap:

@@ -32,6 +32,13 @@ def link_units(link: Link) -> set[int]:
     return {u for iv in link.available for u in range(iv.lo, iv.hi)}
 
 
+def usable(link: Link, units: int) -> bool:
+    """A link a route may cross: it joins two nodes and has a free run
+    ``units`` wide."""
+    return link.ends[0] != link.ends[1] and any(iv.hi - iv.lo >= units
+                                                for iv in link.available)
+
+
 def make_net(units: int, nodes: list[str], link_specs) -> Network:
     """Network from (end_a, end_b, cost, [(lo, hi), ...]) tuples."""
     links = tuple(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import link_units, unit_runs
+from conftest import link_units, unit_runs, usable
 from reference import NaiveEfficientSet, dominates, efficient_front, leq_n, leq_x, trait_leq
 
 from ddpp import (
@@ -495,3 +495,44 @@ def test_search_matches_oracle_on_multigraphs(instance):
 @given(bundled_demands())
 def test_search_matches_oracle_on_parallel_bundles(instance):
     assert_exact_in_every_combination(*instance)
+
+
+def simple_path_parts(net: Network, demand: Demand) -> tuple[set, set]:
+    """The nodes and link ids of every simple src–dst path over the usable
+    links, found by walking every such path from the source."""
+    steps = [link for link in net.links if usable(link, demand.units)]
+    nodes, link_ids = set(), set()
+
+    def walk(path, used):
+        if path[-1] == demand.dst:
+            nodes.update(path)
+            link_ids.update(used)
+            return
+        for link in steps:
+            if path[-1] in link.ends and link.other_end(path[-1]) not in path:
+                walk(path + [link.other_end(path[-1])], used + [link.id])
+
+    walk([demand.src], [])
+    return nodes, link_ids
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_peeled_view_keeps_every_simple_path(instance):
+    """The view keeps every node and link of a simple src–dst path, drops
+    only nodes with fewer than two distinct kept neighbours, and keeps no
+    node other than src and dst with fewer than two."""
+    net, demand = instance
+    view = PairSearch(net, demand)._view
+    kept = {node for node, steps in view.items() if steps}
+    listed = {link.id for steps in view.values() for link, _, _, _ in steps}
+    on_path, path_links = simple_path_parts(net, demand)
+    assert on_path <= kept and path_links <= listed
+    links = [link for link in net.links if usable(link, demand.units)]
+    assert listed == {link.id for link in links if set(link.ends) <= kept}
+    for node in net.nodes:
+        near = {link.other_end(node) for link in links if node in link.ends} & kept
+        if node not in kept:
+            assert len(near) < 2, node
+        elif node not in (demand.src, demand.dst):
+            assert len(near) >= 2, node

@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from conftest import make_net
+from conftest import make_net, usable
 from reference import dominates, efficient_front
 
 from ddpp import (
@@ -133,8 +133,10 @@ class TestSolveExamples:
 
 class TestExpand:
     def test_root_symmetry_collapse(self):
+        # k-d gives k a second neighbour, so k is no dead end
         net = make_net(4, ["d", "k", "s"],
-                       [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)])])
+                       [("s", "k", 1, [(0, 4)]), ("s", "d", 2, [(0, 4)]),
+                        ("k", "d", 1, [(0, 4)])])
         search = PairSearch(net, Demand("s", "d", 1), SearchOptions(mode="base"))
         root = Label((0, 0, 4), (0, 0, 4), ("s", "s"))
         cands = search.expand(root)
@@ -404,21 +406,21 @@ class TestStatsAndModes:
         (13, 3, 2, "base"): ("routed", 116,
                              (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                              (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                             (1140, 141, 126, 129, 70)),
+                             (1075, 141, 126, 129, 70)),
         (13, 3, 2, "prime"): ("routed", 116,
                               (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                               (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                              (1140, 177, 126, 129, 70)),
+                              (1075, 177, 126, 129, 70)),
         (14, 5, 2, "base"): ("routed", 304,
                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                               [1, 3]),
-                             (2679, 869, 623, 653, 140)),
+                             (2673, 869, 623, 653, 140)),
         (14, 5, 2, "prime"): ("routed", 304,
                               (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                               (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                                [1, 3]),
-                              (2607, 896, 597, 635, 130)),
+                              (2601, 896, 597, 635, 130)),
     }
 
     @staticmethod
@@ -463,11 +465,11 @@ class TestStatsAndModes:
         ("random", 12, 64, 0.85, 3, 2, "base"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
-             (4026, 1257, 906, 911, 188)), 20, 188),
+             (3506, 1257, 906, 911, 188)), 20, 188),
         ("random", 12, 64, 0.85, 3, 2, "prime"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
-             (4021, 1287, 899, 904, 174)), 20, 174),
+             (3506, 1278, 899, 904, 174)), 20, 174),
         ("random", 20, 320, 0.9, 11, 8, "base"): (
             ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
              (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
@@ -683,18 +685,26 @@ class TestLimitedVariant:
             assert check_solution(net, demand, sol, limit) == [], limit
 
 
-def usable(link, units):
-    return link.ends[0] != link.ends[1] and any(iv.hi - iv.lo >= units
-                                                for iv in link.available)
+def peeled_view(net, demand):
+    """The usable links left after peeling dead ends, to a fixpoint: while a
+    node other than the demand's ends has fewer than two distinct
+    neighbours over the links left, its links are dropped."""
+    links = [link for link in net.links if usable(link, demand.units)]
+    ends = (demand.src, demand.dst)
+    while True:
+        dead = {node for node in net.nodes if node not in ends
+                and len({l.other_end(node) for l in links if node in l.ends}) < 2}
+        left = [link for link in links if not dead & set(link.ends)]
+        if left == links:
+            return links
+        links = left
 
 
-def view_distances(net, dst, units):
-    """Bellman-Ford over the links with a free run of at least `units`."""
+def view_distances(net, links, dst):
+    """Bellman-Ford over the given links."""
     dist = {dst: 0}
     for _ in net.nodes:
-        for link in net.links:
-            if not usable(link, units):
-                continue
+        for link in links:
             for here, there in (link.ends, link.ends[::-1]):
                 if there in dist:
                     via = dist[there] + link.cost
@@ -710,18 +720,16 @@ class TestUsableLinkView:
         for units in (1, 3, 5):
             demand = Demand("n0", "n9", units)
             search = PairSearch(net, demand)
+            links = peeled_view(net, demand)
             h = search._h
-            assert h == view_distances(net, demand.dst, units)
+            assert h == view_distances(net, links, demand.dst)
             assert h[demand.dst] == 0
             # random_network draws no parallel links, so nothing is shadowed
             assert search._view == {
-                node: [(l, 1 << l.id, l.other_end(node), 0)
-                       for l in net.incidence[node] if usable(l, units)]
+                node: [(l, 1 << l.id, l.other_end(node), 0) for l in links if node in l.ends]
                 for node in net.nodes
             }
-            for link in net.links:
-                if not usable(link, units):
-                    continue
+            for link in links:
                 # closed under view adjacency: both ends have h or neither
                 assert (link.ends[0] in h) == (link.ends[1] in h)
                 for u, v in (link.ends, link.ends[::-1]):
@@ -771,4 +779,31 @@ class TestUsableLinkView:
                         SearchOptions(mode=mode))
         assert sol.routed and sol.total_cost == without.total_cost == 6
         assert sol.total_cost == oracle_solve(net, demand).min_cost
+        assert check_solution(net, demand, sol) == []
+
+    @pytest.mark.parametrize("mode", ["base", "prime"])
+    def test_usable_dead_ends_are_peeled(self, mode):
+        # the path s-a-d, each hop doubled, with two dead ends off a over
+        # free zero-cost links: the tree a-x, x-y, x-z, and the stub w,
+        # whose two parallel links give it one neighbour
+        nodes = ["a", "d", "s", "w", "x", "y", "z"]
+        core = [("s", "a", 1, FULL8), ("a", "s", 2, [(0, 4)]),
+                ("a", "d", 1, FULL8), ("d", "a", 2, [(4, 8)])]
+        branch = [("a", "x", 0, FULL8), ("x", "y", 0, FULL8), ("x", "z", 0, FULL8),
+                  ("a", "w", 0, FULL8), ("w", "a", 0, FULL8)]
+        net = make_net(8, nodes, core + branch)
+        demand = Demand("s", "d", 2)
+        search = PairSearch(net, demand, SearchOptions(mode=mode))
+        kept = {"a", "d", "s"}
+        assert set(search._h) == kept
+        assert {node for node, steps in search._view.items() if steps} == kept
+        assert all(far in kept for steps in search._view.values() for _, _, far, _ in steps)
+        sol = search.run()
+        assert all(set(v) <= kept for v in search._sets)
+        without = solve(make_net(8, nodes, core), demand, SearchOptions(mode=mode))
+        docs = [sol.to_doc(), without.to_doc()]
+        for doc in docs:
+            del doc["stats"]["wall_time"]
+        assert docs[0] == docs[1]
+        assert sol.total_cost == oracle_solve(net, demand).min_cost == 6
         assert check_solution(net, demand, sol) == []

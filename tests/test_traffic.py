@@ -290,14 +290,14 @@ class TestGoldenReplay:
               "max_labels")
     # (n, seed, mode) -> FIELDS; every report field but the measured wall time
     GOLDEN = {
-        (8, 1, "base"): (50, 29, 21, 0.42, 70.0, 452),
-        (8, 1, "prime"): (50, 29, 21, 0.42, 68.94, 440),
-        (9, 2, "base"): (50, 21, 29, 0.58, 117.78, 1174),
-        (9, 2, "prime"): (50, 21, 29, 0.58, 115.34, 1126),
-        (10, 3, "base"): (50, 14, 36, 0.72, 113.08, 1268),
-        (10, 3, "prime"): (50, 14, 36, 0.72, 111.04, 1187),
-        (12, 4, "base"): (50, 23, 27, 0.54, 319.66, 3157),
-        (12, 4, "prime"): (50, 23, 27, 0.54, 293.36, 2546),
+        (8, 1, "base"): (50, 29, 21, 0.42, 69.12, 452),
+        (8, 1, "prime"): (50, 29, 21, 0.42, 68.06, 440),
+        (9, 2, "base"): (50, 21, 29, 0.58, 117.72, 1174),
+        (9, 2, "prime"): (50, 21, 29, 0.58, 115.28, 1126),
+        (10, 3, "base"): (50, 14, 36, 0.72, 91.64, 1107),
+        (10, 3, "prime"): (50, 14, 36, 0.72, 89.96, 1037),
+        (12, 4, "base"): (50, 23, 27, 0.54, 301.32, 3157),
+        (12, 4, "prime"): (50, 23, 27, 0.54, 275.16, 2546),
     }
 
     def test_reports_match_golden(self):
