@@ -63,7 +63,8 @@ class Network:
     @cached_property
     def incidence(self) -> dict[str, tuple[Link, ...]]:
         """Each node's incident links, in link-id order, as a tuple; a
-        self-loop is listed once."""
+        self-loop is listed once.  Built on first use, it serves the oracle
+        and the tests; a solve builds none."""
         table: dict[str, list[Link]] = {node: [] for node in self.nodes}
         for link in self.links:
             table[link.ends[0]].append(link)
@@ -147,9 +148,10 @@ class Demand:
 
 
 def validate_demand(net: Network, demand: Demand) -> None:
-    """Check a demand against a concrete network."""
+    """Check a demand against a concrete network.  Membership is read off
+    ``net.nodes``, so no incidence table is built."""
     for node in (demand.src, demand.dst):
-        if node not in net.incidence:
+        if node not in net.nodes:
             raise NetworkError(f"demand references unknown node {node!r}")
     if demand.units > net.unit_count:
         raise ValueError(

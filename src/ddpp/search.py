@@ -22,11 +22,14 @@ view, and that node set is closed under view adjacency, so every vertex
 reached from a root whose node has ``h`` has ``h`` on both nodes; a root
 without ``h`` blocks the demand before any pop.
 
-The view also leaves out dead ends.  ``_route_nodes`` peels off every node
-other than the source and the destination that has fewer than two distinct
-neighbours over the usable links, and repeats until no such node is left
-(k-core peeling, Seidman 1983, anchored at both ends); a link is listed
-only when both of its ends survive.  The peel is exact.  A route is a path
+The view comes from one usability pass over the links, in id order, which
+also collects each node's distinct usable neighbours and notes whether a
+node has two usable links to one neighbour.  The view leaves out dead
+ends.  ``_peel`` removes from those neighbour sets every node other than
+the source and the destination that has fewer than two distinct
+neighbours, and repeats until no such node is left (k-core peeling,
+Seidman 1983, anchored at both ends); a link is listed only when both of
+its ends survive.  The peel is exact.  A route is a path
 from the source that stops at the destination, so it passes each interior
 node from one neighbour to another.  Of the nodes of a path between two
 kept nodes, take the first to be peeled: every other node of the path was
@@ -51,8 +54,9 @@ bit and hands the far end to ``label_extend``.
 the other view links with the same two ends that rank below it by ``(cost,
 id)`` and whose free runs contain each of its runs at least
 ``demand.units`` wide.  It is 0 unless a node has two view links to one far
-end, so a network without parallel links pays for it only with one set per
-node.  ``expand`` skips a link while any link of its shadow is unused by
+end, and shadows are computed only after the usability pass has seen a
+repeated neighbour, so a network without parallel links does not pay for
+them.  ``expand`` skips a link while any link of its shadow is unused by
 the label.  The skip is exact.  An unused shadowing link reaches the same
 vertex at a cost no higher, and each interval the skipped link would give
 lies inside one it gives.  Its far end is the same, so the path rule and a
@@ -322,25 +326,32 @@ class EfficientSet:
 def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, RouteLeg]:
     """Read the two routes of a destination label off its link masks.
 
-    Each mask is walked back from the node where its route ends, taking at
-    each node the one unwalked mask link there (one, as a route is a path)
-    until the mask is spent; a node without one is a malformed route.  Slot
-    assignment is first fit: the lowest sub-interval of the demanded width
-    inside each final interval.
+    Each mask's set bits name its links, ``net.links[id]``, listed in id
+    order; no incidence table is built.  The route is walked back from the
+    node where it ends, taking at each node the lowest-id unwalked link of
+    the route there (the only one, as a route is a path) until none is
+    left; a node without one is a malformed route.  Slot assignment is
+    first fit: the lowest sub-interval of the demanded width inside each
+    final interval.
     """
     legs = []
     for links, trait, here in ((label.links_a, label.trait_a, label.vertex[0]),
                                (label.links_b, label.trait_b, label.vertex[1])):
         if not links:
             raise ValueError("cannot reconstruct an empty route, as at the root label")
-        nodes, walked = [here], []
+        route = []
         while links:
-            for link in net.incidence.get(here, ()):
-                if links >> link.id & 1:
+            low = links & -links
+            route.append(net.links[low.bit_length() - 1])
+            links ^= low
+        nodes, walked = [here], []
+        while route:
+            for index, link in enumerate(route):
+                if here in link.ends:
                     break
             else:
                 raise RuntimeError(f"malformed route: no link of the route touches {here!r}")
-            links ^= 1 << link.id
+            del route[index]
             here = link.other_end(here)
             nodes.append(here)
             walked.append(link.id)
@@ -367,16 +378,12 @@ def _shadowed(steps: list, units: int) -> list:
     return out
 
 
-def _route_nodes(links: list, src: str, dst: str) -> set[str]:
-    """The nodes of ``links`` left after peeling dead ends: every node other
-    than ``src`` and ``dst`` with fewer than two distinct neighbours is
-    removed, repeatedly, until none is left.  A peeled node lies on no
-    simple src–dst path over ``links``."""
-    near: dict[str, set[str]] = {}
-    for link in links:
-        a, b = link.ends
-        near.setdefault(a, set()).add(b)
-        near.setdefault(b, set()).add(a)
+def _peel(near: dict[str, set[str]], src: str, dst: str) -> None:
+    """Peel dead ends off ``near``, each node's distinct neighbours, in
+    place: every node other than ``src`` and ``dst`` with fewer than two
+    neighbours is removed, from the table and from its neighbours' sets,
+    repeatedly, until none is left.  A peeled node lies on no simple
+    src–dst path over the links ``near`` was built from."""
     anchors = (src, dst)
     dead = [node for node, far in near.items() if len(far) < 2 and node not in anchors]
     while dead:
@@ -386,7 +393,6 @@ def _route_nodes(links: list, src: str, dst: str) -> set[str]:
             far.remove(node)
             if len(far) == 1 and other not in anchors:
                 dead.append(other)
-    return set(near)
 
 
 class PairSearch:
@@ -402,26 +408,45 @@ class PairSearch:
         # the usable-link view: only links with a wide enough free run that
         # join two nodes, since a self-loop never lies on a path, and whose
         # two ends both survive the dead-end peel; each link is tested
-        # once, in id order, then listed at both of its ends as (link, its
-        # used-links bit, the far end from that node, shadow).  A node is
-        # on a route when the route uses one of the node's view links, its
-        # touching mask; the source is on every route that is not empty,
-        # and the empty route cannot step back to it without a self-loop.
+        # once, in id order, which also collects each node's distinct
+        # usable neighbours for the peel and notes whether a node has two
+        # usable links to one neighbour.  A kept link is then listed at
+        # both of its ends as (link, its used-links bit, the far end from
+        # that node, shadow).  A node is on a route when the route uses one
+        # of the node's view links, its touching mask; the source is on
+        # every route that is not empty, and the empty route cannot step
+        # back to it without a self-loop.
         usable = []
+        near: dict[str, set[str]] = {}
+        repeat = False
         for link in net.links:
             a, b = link.ends
             if a == b:
                 continue
             for iv in link.available:
                 if iv.hi - iv.lo >= units:
-                    usable.append(link)
                     break
-        kept = _route_nodes(usable, demand.src, demand.dst)
+            else:
+                continue
+            usable.append(link)
+            far = near.get(a)
+            if far is None:
+                near[a] = {b}
+            elif b in far:
+                repeat = True
+            else:
+                far.add(b)
+            far = near.get(b)
+            if far is None:
+                near[b] = {a}
+            else:
+                far.add(a)
+        _peel(near, demand.src, demand.dst)
         view = self._view = {node: [] for node in net.nodes}
         touching = self._touching = dict.fromkeys(net.nodes, 0)
         for link in usable:
             a, b = link.ends
-            if a not in kept or b not in kept:
+            if a not in near or b not in near:
                 continue
             bit = 1 << link.id
             view[a].append((link, bit, b, 0))
@@ -429,10 +454,11 @@ class PairSearch:
             touching[a] |= bit
             touching[b] |= bit
         # shadows exist only among parallel links: fill them in at the nodes
-        # with two view links to one far end
-        for node, steps in view.items():
-            if len({far for _, _, far, _ in steps}) < len(steps):
-                view[node] = _shadowed(steps, units)
+        # with more view links than kept neighbours
+        if repeat:
+            for node, far in near.items():
+                if len(far) < len(view[node]):
+                    view[node] = _shadowed(view[node], units)
         self._h = self._distances_to(demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}

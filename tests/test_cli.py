@@ -382,7 +382,7 @@ class TestProcess:
             ["ddpp", "gen-net"],
             ["ddpp", "gen-traffic"], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
-            ["ddpp", "compare"]]
+            ["ddpp", "compare"], ["ddpp", "oracle"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
         for command in commands:
@@ -395,8 +395,8 @@ class TestProcess:
         assert [int(row[1]) for row in prime] == [1] * 6
         assert [int(row[1]) for row in base] == [2**m for m in range(1, 7)]
         assert int(base[-1][2]) == 432
-        (simulate,), (solve,), (compare,) = (stdout[name] for name in
-                                             ("simulate", "solve", "compare"))
+        (simulate,), (solve,), (compare,), (oracle,) = (
+            stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
         report = json.loads(simulate)
         assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
         doc = json.loads(solve)
@@ -410,6 +410,8 @@ class TestProcess:
         verdict = json.loads(compare)
         assert verdict["matches"] is True
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 232)
+        exhaustive = json.loads(oracle)
+        assert (exhaustive["status"], exhaustive["min_cost"]) == ("routed", 232)
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

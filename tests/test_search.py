@@ -274,6 +274,23 @@ class TestExpand:
         for cand in skipped:
             assert any(c.vertex == cand.vertex and dominates("base", c, cand) for c in kept)
 
+    def test_shadows_are_computed_only_after_a_repeated_neighbour(self, monkeypatch):
+        import ddpp.search
+
+        class Computed(Exception):
+            pass
+
+        def refuse(steps, units):
+            raise Computed
+
+        monkeypatch.setattr(ddpp.search, "_shadowed", refuse)
+        # no two links join the same two nodes, so no shadow is computed
+        assert solve(triangle(), Demand("a", "c", 1), SearchOptions(mode="base")).routed
+        for seed in range(4):
+            solve(random_network(10, 3.0, 16, 0.6, seed), Demand("n0", "n9", 2))
+        with pytest.raises(Computed):
+            self.bundle()
+
 
 def lab_at(v, ca, ia, cb, ib):
     return Label((ca, *ia), (cb, *ib), v)
@@ -751,6 +768,16 @@ class TestUsableLinkView:
             "a": [(0, 1, "b", 0), (3, 8, "b", 1)],
             "b": [(0, 1, "a", 0), (3, 8, "a", 1), (4, 16, "c", 0)],
             "c": [(4, 16, "b", 0)]}
+
+    @pytest.mark.parametrize("mode", ["base", "prime"])
+    def test_solve_builds_no_incidence_table(self, mode):
+        # validation, the view and reconstruction read no incidence table,
+        # on a routed demand and on a blocked one
+        for net, demand, status in (
+                (triangle(), Demand("a", "c", 1), "routed"),
+                (make_net(8, ["a", "b"], [("a", "b", 1, FULL8)]), Demand("a", "b", 1), "blocked")):
+            assert solve(net, demand, SearchOptions(mode=mode)).status == status
+            assert "incidence" not in vars(net)
 
     @pytest.mark.parametrize("mode", ["base", "prime"])
     def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):
