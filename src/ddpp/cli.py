@@ -25,6 +25,7 @@ from .net_model import (
 )
 from .oracle import DEFAULT_PAIR_BUDGET, BudgetExceeded, bundle_doc, compare, oracle_solve
 from .search import MODES, PairSearch, SearchOptions, solve
+from .spectrum_core import _require_int
 from .traffic import dump_traffic, gen_traffic, load_traffic, run
 
 EXIT_OK = 0
@@ -86,8 +87,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lobe_bench(args) -> int:
-    if args.m_max < 1:
-        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
+    _require_int("--m-max", args.m_max, 1)
     writer = csv.writer(sys.stdout)
     writer.writerow(["m", "labels_at_destination", "labels_generated", "wall_time"])
     for m in range(1, args.m_max + 1):

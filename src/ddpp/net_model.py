@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
-from .spectrum_core import UnitInterval, _is_int, normalize_intervals
+from .spectrum_core import UnitInterval, _is_int, _require_int, normalize_intervals
 
 
 class NetworkError(ValueError):
@@ -59,18 +58,6 @@ class Network:
 
     def __post_init__(self) -> None:
         _validate(self)
-
-    @cached_property
-    def incidence(self) -> dict[str, tuple[Link, ...]]:
-        """Each node's incident links, in link-id order, as a tuple; a
-        self-loop is listed once.  Built on first use, it serves the oracle
-        and the tests; a solve builds none."""
-        table: dict[str, list[Link]] = {node: [] for node in self.nodes}
-        for link in self.links:
-            table[link.ends[0]].append(link)
-            if link.ends[1] != link.ends[0]:
-                table[link.ends[1]].append(link)
-        return {node: tuple(links) for node, links in table.items()}
 
 
 def _validate(net: Network) -> None:
@@ -148,8 +135,7 @@ class Demand:
 
 
 def validate_demand(net: Network, demand: Demand) -> None:
-    """Check a demand against a concrete network.  Membership is read off
-    ``net.nodes``, so no incidence table is built."""
+    """Check a demand against a concrete network."""
     for node in (demand.src, demand.dst):
         if node not in net.nodes:
             raise NetworkError(f"demand references unknown node {node!r}")
@@ -277,14 +263,8 @@ def lobe_network(m: int, unit_count: int) -> Network:
     available on every link, and every disjoint pair costs 2^(m+1) - 1,
     the sum of all the power-of-two links.
     """
-    if not _is_int(m):
-        raise NetworkError(f"segment parameter must be an integer, got {m!r}")
-    if m < 1:
-        raise NetworkError(f"segment parameter must be >= 1, got {m}")
-    if not _is_int(unit_count):
-        raise NetworkError(f"unit count must be an integer, got {unit_count!r}")
-    if unit_count < 1:
-        raise NetworkError(f"unit count must be >= 1, got {unit_count}")
+    _require_int("segment parameter", m, 1, NetworkError)
+    _require_int("unit count", unit_count, 1, NetworkError)
     chain = ["n_s"] + [f"n_{i}" for i in range(1, m + 1)] + ["n_x"]
     full = (UnitInterval(0, unit_count),)
     links = []
@@ -308,24 +288,19 @@ def random_network(
     each maximal run of available units as one interval.  Deterministic for
     a fixed seed.
     """
-    if not _is_int(n):
-        raise NetworkError(f"node count must be an integer, got {n!r}")
+    _require_int("node count", n, error=NetworkError)
     if n < 2:
         raise NetworkError(f"need at least 2 nodes, got {n}")
     if not _is_number(fill):
         raise NetworkError(f"fill must be a number, got {fill!r}")
     if not 0.0 <= fill <= 1.0:
         raise NetworkError(f"fill must be within [0, 1], got {fill}")
-    if not _is_int(unit_count):
-        raise NetworkError(f"unit count must be an integer, got {unit_count!r}")
-    if unit_count < 1:
-        raise NetworkError(f"unit count must be >= 1, got {unit_count}")
+    _require_int("unit count", unit_count, 1, NetworkError)
     if not _is_number(avg_degree):
         raise NetworkError(f"avg_degree must be a number, got {avg_degree!r}")
     if not _is_finite(avg_degree):
         raise NetworkError(f"avg_degree must be finite, got {avg_degree}")
-    if not _is_int(seed):
-        raise NetworkError(f"seed must be an integer, got {seed!r}")
+    _require_int("seed", seed, error=NetworkError)
     target = int(round(avg_degree * n / 2))
     max_links = n * (n - 1) // 2
     if target < n - 1 or target > max_links:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .net_model import Demand, Network, dump_demand, dump_network, validate_demand
 from .search import SearchOptions, Solution, solve
-from .spectrum_core import UnitInterval, _is_int
+from .spectrum_core import UnitInterval, _require_int
 
 DEFAULT_PAIR_BUDGET = 1_000_000
 
@@ -124,8 +124,12 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
     first-found sequence is kept as the witness.  The trail walked so far
     is a cons list ``(last link id, rest)`` ending in ``None``, so a push
     costs O(1); it becomes a tuple only when a new link set reaches dst.
+    Each node's links are listed in id order, a self-loop once.
     """
-    incidence = net.incidence
+    incidence: dict[str, list] = {node: [] for node in net.nodes}
+    for link in net.links:
+        for end in dict.fromkeys(link.ends):
+            incidence[end].append(link)
     found: dict[int, tuple[int, ...]] = {}
     # links pushed in reverse id order pop in id order: the recursive pre-order
     stack = [(src, 0, None)]
@@ -148,6 +152,21 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
     return found
 
 
+def _feasible_routes(net: Network, demand: Demand, max_route_cost: int | None,
+                     cap: int) -> list[tuple[int, tuple[int, ...], int, list[UnitInterval]]]:
+    """Each feasible trail, as ``oracle_solve`` defines it, as ``(link mask,
+    link sequence, cost, intervals of the demanded width)``; more than
+    ``cap`` link sets raise BudgetExceeded."""
+    feasible = []
+    for mask, sequence in _enumerate_route_sets(net, demand.src, demand.dst, cap).items():
+        cost = sum(net.links[link_id].cost for link_id in sequence)
+        if max_route_cost is None or cost <= max_route_cost:
+            intervals = route_intervals(net, sequence, demand.units)
+            if intervals:
+                feasible.append((mask, sequence, cost, intervals))
+    return feasible
+
+
 def oracle_solve(
     net: Network,
     demand: Demand,
@@ -164,21 +183,8 @@ def oracle_solve(
     """
     validate_demand(net, demand)
     SearchOptions("base", max_route_cost)  # checks the limit as the search does
-    if not _is_int(budget):
-        raise ValueError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    route_sets = _enumerate_route_sets(net, demand.src, demand.dst, budget)
-    feasible: list[tuple[int, tuple[int, ...], int, list[UnitInterval]]] = []
-    for mask, sequence in route_sets.items():
-        cost = sum(net.links[link_id].cost for link_id in sequence)
-        if max_route_cost is not None and cost > max_route_cost:
-            continue
-        intervals = route_intervals(net, sequence, demand.units)
-        if not intervals:
-            continue
-        feasible.append((mask, sequence, cost, intervals))
-
+    _require_int("budget", budget, 1)
+    feasible = _feasible_routes(net, demand, max_route_cost, budget)
     candidate_pairs = len(feasible) * (len(feasible) - 1) // 2
     if candidate_pairs > budget:
         raise BudgetExceeded(

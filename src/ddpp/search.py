@@ -7,10 +7,20 @@ Each vertex keeps only its undominated labels under the relation selected
 by ``SearchOptions.mode``, and a priority queue with lazy deletion settles
 labels in goal-directed (A*) order.
 
-The search runs over a per-demand *usable-link view*: the links with a
-free run of at least ``demand.units`` units, the only links a route can
-cross.  One Dijkstra from the destination over the view gives ``h(node)``,
-the cheapest cost from the node to the destination.  A label at vertex
+Keeping routes paths loses no answer: a trail that revisits a node or
+walks on past the destination contains a path from the source to the
+destination over a subset of its links.  That path stays disjoint from the
+other route, costs no more, has every free interval of the trail inside
+one of its own, and so also stays within any route-cost limit.  The oracle
+still enumerates trails, so its differential tests check this claim.
+
+The search runs over a per-demand *usable-link view*: the links that join
+two nodes with a free run of at least ``demand.units`` units, the only
+links a path can cross.  A node is on a route when the route uses one of
+the node's view links; the source is on every route that is not empty, and
+the empty route cannot step back to it without a self-loop.  One Dijkstra
+from the destination over the view gives ``h(node)``, the cheapest cost
+from the node to the destination.  A label at vertex
 ``(a, b)`` is keyed by ``label_cost + h(a) + h(b)``.  Costs are additive
 and non-negative and every link crossed is in the view, so ``h`` is
 consistent: extending a label never lowers its key, keys pop in
@@ -70,7 +80,8 @@ shadows, and it is listed first, so the label that insertion order would
 keep is the one built.  The efficient sets, the settle order of live labels
 and every answer are therefore unchanged; only ``labels_generated``,
 ``labels_dominated`` and, where a costlier link with a lower id was
-accepted and then evicted, ``queue_pops`` fall.
+accepted and then evicted, ``queue_pops`` fall.  The differential tests
+check this against solves with every shadow zeroed.
 
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples and a heap entry), so the cyclic garbage
@@ -90,7 +101,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, validate_demand
-from .spectrum_core import Label, UnitInterval, _is_int, label_cost, label_extend
+from .spectrum_core import Label, UnitInterval, _require_int, label_cost, label_extend
 
 MODES = ("base", "prime")
 
@@ -114,10 +125,7 @@ class SearchOptions:
                     "max_route_cost requires mode 'base'; the cost-sum relation "
                     "is not exact under a per-route limit"
                 )
-            if not _is_int(self.max_route_cost):
-                raise ValueError(f"max_route_cost must be an integer, got {self.max_route_cost!r}")
-            if self.max_route_cost < 0:
-                raise ValueError(f"max_route_cost must be >= 0, got {self.max_route_cost}")
+            _require_int("max_route_cost", self.max_route_cost, 0)
 
 
 @dataclass(slots=True)
@@ -203,21 +211,12 @@ class EfficientSet:
     ``(xa, xb)`` when the member at ``bisect_right(cost_a, xa) - 1`` exists
     and has ``cost_b <= xb``.
 
-    ``insert`` makes one pass over the rows.  A row is visited only when
-    its key can contain the candidate's slot-a interval or be contained in
-    it; inside such a row only the slot-b keys are compared.  At same-node
-    vertices the candidate is also compared with its slots swapped, which
-    is the cross comparison.  The pass rejects on the first dominating
-    bucket, testing a staircase with one bisection, and otherwise
-    collects each bucket the candidate contains as a victim
-    ``(row key, row, bucket key, entry, costs)``: the row dict and the
-    bucket's entry it was found in, with the candidate's costs in that
-    comparison's slot order.  Eviction works on those objects directly, so
-    it neither looks a bucket up again nor rebuilds a key.  A bucket, and
-    then its row, is deleted as soon as it empties; a bucket that both
-    slot orders collected is skipped the second time once it is gone (its
-    prime label dead, its staircase empty).  One pass is exact because the
-    set is an antichain: if a member dominates the candidate, the candidate
+    ``insert`` makes one pass over the rows, comparing the candidate with
+    its slots swapped too at same-node vertices: it rejects on the first
+    bucket that dominates the candidate, and otherwise evicts from every
+    bucket the candidate contains, deleting a bucket, and then its row, as
+    soon as it empties.  One pass is exact because the set is an
+    antichain: if a member dominates the candidate, the candidate
     dominates no other member, since by transitivity that member would be
     dominated too, so nothing collected before the rejection needed
     evicting.  A property test pins this structure to the reference
@@ -327,7 +326,7 @@ def reconstruct(label: Label, net: Network, units: int) -> tuple[RouteLeg, Route
     """Read the two routes of a destination label off its link masks.
 
     Each mask's set bits name its links, ``net.links[id]``, listed in id
-    order; no incidence table is built.  The route is walked back from the
+    order.  The route is walked back from the
     node where it ends, taking at each node the lowest-id unwalked link of
     the route there (the only one, as a route is a path) until none is
     left; a node without one is a malformed route.  Slot assignment is
@@ -405,17 +404,6 @@ class PairSearch:
         self.demand = demand
         self.stats = SearchStats()
         units = demand.units
-        # the usable-link view: only links with a wide enough free run that
-        # join two nodes, since a self-loop never lies on a path, and whose
-        # two ends both survive the dead-end peel; each link is tested
-        # once, in id order, which also collects each node's distinct
-        # usable neighbours for the peel and notes whether a node has two
-        # usable links to one neighbour.  A kept link is then listed at
-        # both of its ends as (link, its used-links bit, the far end from
-        # that node, shadow).  A node is on a route when the route uses one
-        # of the node's view links, its touching mask; the source is on
-        # every route that is not empty, and the empty route cannot step
-        # back to it without a self-loop.
         usable = []
         near: dict[str, set[str]] = {}
         repeat = False
@@ -498,31 +486,12 @@ class PairSearch:
         interchangeable there and the slot-b expansion reappears one step
         later with the roles swapped.  A route that has reached the
         destination is not extended, and a link is skipped when the label
-        already uses it or when its far end is already on the extending
-        route, the source included.  Only view links are tried, each read
-        off its entry ``(link, bit, far end, shadow)``, so the far end of
-        each has ``h`` whenever the label's nodes do, and ``label_extend``
-        gets the view's far end.  Under a route-cost limit, a link is not
-        appended when the extended route, plus the cheapest way on from the
-        far end, would cost more than the limit.
-
-        A link is also skipped while a link of its ``shadow`` is unused by
-        the label: a parallel link that ranks below it by ``(cost, id)``
-        and whose free runs contain each of its runs at least
-        ``demand.units`` wide.  That link, or the lowest-ranked unused link
-        shadowing it, is tried here, passes the path rule and the limit
-        whenever the skipped link would, and reaches the same vertex with a
-        cost no higher and a containing interval, so the efficient set
-        would reject or evict the skipped candidate; the module docstring
-        gives the whole argument, the ``id`` tie-break included.
-
-        Keeping routes paths loses no answer: a trail that revisits a node
-        or walks on past the destination contains a path from the source to
-        the destination over a subset of its links.  That path stays
-        disjoint from the other route, costs no more, has every free
-        interval of the trail inside one of its own, and so also stays
-        within any route-cost limit.  The oracle still enumerates trails, so its
-        differential tests check this claim.
+        already uses it, when its far end is already on the extending
+        route, the source included, or while a link of its ``shadow`` is
+        unused by the label.  Only view links are tried, and
+        ``label_extend`` gets the view's far end.  Under a route-cost
+        limit, a link is not appended when the extended route, plus the
+        cheapest way on from the far end, would cost more than the limit.
         """
         out: list[Label] = []
         a, b = label.vertex
@@ -552,13 +521,10 @@ class PairSearch:
     def run(self) -> Solution:
         """Settle labels with the cyclic garbage collector paused.
 
-        The labels, tuples and heap entries a search builds form no
-        reference cycle, so reference counting frees each one and a
-        collection could only rescan them; pausing the collector changes
-        no result.  It is re-enabled when the search returns or raises,
-        and left off if the caller had turned it off.  The collector is
-        process-wide: cyclic garbage made by other threads meanwhile waits
-        until the solve ends.
+        The collector is re-enabled when the search returns or raises, and
+        left off if the caller had turned it off.  It is process-wide:
+        cyclic garbage made by other threads meanwhile waits until the
+        solve ends.
         """
         if self._ran:
             raise RuntimeError("PairSearch.run may only be called once")
@@ -576,11 +542,8 @@ class PairSearch:
 
         A label's key is its cost plus its vertex's ``h(a) + h(b)``, and
         keys must pop in nondecreasing order; a decrease is an internal
-        error.  Queue entries are flat tuples ``(key, vertex, lo_a, lo_b,
-        push, label)``: key, then vertex, then the two interval starts,
-        then the push number break ties, and push numbers are unique, so
-        labels are never compared.  Efficient sets are created here, the
-        root's included, on a vertex's first candidate.  A source that
+        error.  Efficient sets are created here, the root's included, on a
+        vertex's first candidate.  A source that
         cannot reach the destination in the view blocks the demand with no
         pop.  The first destination label settled is returned; with
         ``enumerate_all`` the queue is drained first, so the destination's

@@ -24,6 +24,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(name: str, value, least: int | None = None, error=ValueError) -> None:
+    """The one parameter check "a JSON integer, at least ``least``"."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class UnitInterval:
     """Half-open interval [lo, hi) of frequency-slot units; the one home of

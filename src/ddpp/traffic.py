@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Link, Network, _is_finite, validate_demand
 from .search import SearchOptions, solve
-from .spectrum_core import _is_int, normalize_intervals, remove_interval
+from .spectrum_core import _is_int, _require_int, normalize_intervals, remove_interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,10 +93,7 @@ def gen_traffic(
     """
     if len(net.nodes) < 2:
         raise ValueError("need at least 2 nodes to generate traffic")
-    if not _is_int(count):
-        raise ValueError(f"count must be an integer, got {count!r}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _require_int("count", count, 0)
     if not (isinstance(units_range, (tuple, list)) and len(units_range) == 2
             and _is_int(units_range[0]) and _is_int(units_range[1])):
         raise ValueError(f"malformed units range {units_range!r}")
@@ -105,8 +102,7 @@ def gen_traffic(
         raise ValueError(f"malformed units range [{lo}, {hi}]")
     if not (_is_finite(mean_hold) and _is_finite(mean_gap) and mean_hold > 0 and mean_gap > 0):
         raise ValueError("mean_hold and mean_gap must be positive and finite")
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _require_int("seed", seed)
     rng = random.Random(seed)
     nodes = list(net.nodes)
     now = 0.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from ddpp.oracle import DEFAULT_PAIR_BUDGET, _enumerate_route_sets, route_intervals
+from ddpp.oracle import DEFAULT_PAIR_BUDGET, _feasible_routes
 from ddpp.spectrum_core import Label, label_cost
 
 
@@ -118,15 +118,11 @@ def efficient_front(net, demand, mode: str, max_route_cost: int | None = None) -
     enumerates the trails and recomputes their intervals unit by unit.
     Cheapest labels go in first, so few are evicted again.
     """
-    routes = []
-    for mask, sequence in _enumerate_route_sets(net, demand.src, demand.dst,
-                                                 DEFAULT_PAIR_BUDGET).items():
-        cost = sum(net.links[i].cost for i in sequence)
-        if max_route_cost is None or cost <= max_route_cost:
-            routes.append((mask, cost, route_intervals(net, sequence, demand.units)))
+    routes = _feasible_routes(net, demand, max_route_cost, DEFAULT_PAIR_BUDGET)
     labels = [
         Label((cost_a, ia.lo, ia.hi), (cost_b, ib.lo, ib.hi), (demand.dst, demand.dst))
-        for (mask_a, cost_a, ivs_a), (mask_b, cost_b, ivs_b) in itertools.combinations(routes, 2)
+        for (mask_a, _, cost_a, ivs_a), (mask_b, _, cost_b, ivs_b)
+        in itertools.combinations(routes, 2)
         if not mask_a & mask_b
         for ia, ib in itertools.product(ivs_a, ivs_b)
     ]

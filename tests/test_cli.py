@@ -380,9 +380,9 @@ class TestProcess:
         assert [shlex.split(line)[:2] for line in commands] == [
             ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "lobe-bench"],
             ["ddpp", "gen-net"],
-            ["ddpp", "gen-traffic"], ["ddpp", "simulate"],
+            ["ddpp", "gen-traffic"], ["ddpp", "simulate"], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
-            ["ddpp", "compare"], ["ddpp", "oracle"]]
+            ["ddpp", "solve"], ["ddpp", "compare"], ["ddpp", "oracle"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
         for command in commands:
@@ -395,18 +395,26 @@ class TestProcess:
         assert [int(row[1]) for row in prime] == [1] * 6
         assert [int(row[1]) for row in base] == [2**m for m in range(1, 7)]
         assert int(base[-1][2]) == 432
-        (simulate,), (solve,), (compare,), (oracle,) = (
+        simulated, solved, (compare,), (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
-        report = json.loads(simulate)
-        assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
-        doc = json.loads(solve)
-        assert (doc["status"], doc["cost"]) == ("routed", 232)
-        assert (doc["working"]["links"], doc["protecting"]["links"]) == ([9, 3], [4, 11])
-        legs = [RouteLeg(leg["nodes"], leg["links"], UnitInterval(*leg["slots"]))
-                for leg in (doc["working"], doc["protecting"])]
-        sol = Solution(doc["status"], doc["cost"], *legs, SearchStats())
-        assert check_solution(load_network(json.loads((tmp_path / "net.json").read_text())),
-                              Demand("n0", "n7", 2), sol) == []
+        for simulate in simulated:  # prime, then base
+            report = json.loads(simulate)
+            assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
+        net = load_network(json.loads((tmp_path / "net.json").read_text()))
+        for solve in solved:  # unlimited, then limited to the dearer leg's cost
+            doc = json.loads(solve)
+            assert (doc["status"], doc["cost"]) == ("routed", 232)
+            assert (doc["working"]["links"], doc["protecting"]["links"]) == ([9, 3], [4, 11])
+            legs = [RouteLeg(leg["nodes"], leg["links"], UnitInterval(*leg["slots"]))
+                    for leg in (doc["working"], doc["protecting"])]
+            sol = Solution(doc["status"], doc["cost"], *legs, SearchStats())
+            assert check_solution(net, Demand("n0", "n7", 2), sol, 124) == []
+        assert max(sum(net.links[i].cost for i in leg.links) for leg in legs) == 124
+        tighter = self._run("solve", "--net", str(tmp_path / "net.json"), "--demand",
+                            str(tmp_path / "demand.json"), "--relation", "base",
+                            "--max-route-cost", "123")
+        assert tighter.returncode == 3, tighter.stderr
+        assert json.loads(tighter.stdout)["status"] == "blocked"
         verdict = json.loads(compare)
         assert verdict["matches"] is True
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 232)

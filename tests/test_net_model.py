@@ -442,11 +442,12 @@ class TestRandomNetwork:
             frontier = [net.nodes[0]]
             while frontier:
                 node = frontier.pop()
-                for link in net.incidence[node]:
-                    other = link.other_end(node)
-                    if other not in reached:
-                        reached.add(other)
-                        frontier.append(other)
+                for link in net.links:
+                    if node in link.ends:
+                        other = link.other_end(node)
+                        if other not in reached:
+                            reached.add(other)
+                            frontier.append(other)
             assert reached == set(net.nodes)
 
     def test_full_fill(self):
@@ -535,15 +536,3 @@ class TestLink:
         assert (link.other_end("a"), link.other_end("b")) == ("b", "a")
         with pytest.raises(ValueError, match="link 0 is not incident to node 'c'"):
             link.other_end("c")
-
-
-class TestIncidentLinks:
-    def test_lobe_middle_node(self):
-        net = lobe_network(2, 1)
-        links = net.incidence["n_1"]
-        assert type(links) is tuple and len(links) == 4
-        assert [l.id for l in links] == sorted(l.id for l in links)
-
-    def test_two_node_endpoint(self):
-        net = load_network(minimal_doc())
-        assert [l.id for l in net.incidence["b"]] == [0]

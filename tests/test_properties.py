@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from conftest import link_units, unit_runs, usable
-from reference import NaiveEfficientSet, dominates, efficient_front, leq_n, leq_x, trait_leq
+from reference import NaiveEfficientSet, dominates, efficient_front, trait_leq
 
 from ddpp import (
     Demand,
@@ -30,6 +30,7 @@ from ddpp import (
     random_network,
     trait_extend,
 )
+from ddpp import search
 from ddpp.search import MODES
 from ddpp.spectrum_core import remove_interval
 
@@ -67,14 +68,6 @@ def better_trait(rng: random.Random, worse: tuple) -> tuple:
     lo = rng.randint(0, w_lo)
     hi = rng.randint(w_hi, UNITS_TOTAL)
     return (rng.randint(0, cost), lo, hi)
-
-
-def worse_trait(rng: random.Random, better: tuple, units: int) -> tuple:
-    """A trait worse than or equal to the given one, still wide enough."""
-    cost, b_lo, b_hi = better
-    lo = rng.randint(b_lo, b_hi - units)
-    hi = rng.randint(lo + units, b_hi)
-    return (cost + rng.randint(0, 5), lo, hi)
 
 
 @settings(max_examples=300, derandomize=True)
@@ -181,21 +174,6 @@ def _random_label(rng: random.Random, vertex: tuple, units: int) -> Label:
     return Label(trait(), trait(), vertex)
 
 
-def _dominated_label(rng: random.Random, good: Label, mode: str, units: int) -> Label:
-    """A label the given one dominates under the given mode, by construction."""
-    crossed = good.vertex[0] == good.vertex[1] and rng.random() < 0.5
-    first, second = (good.trait_b, good.trait_a) if crossed else (good.trait_a, good.trait_b)
-    if mode == "base":
-        return Label(worse_trait(rng, first, units), worse_trait(rng, second, units),
-                     good.vertex)
-    _, la, ha = worse_trait(rng, first, units)
-    _, lb, hb = worse_trait(rng, second, units)
-    # cost-sum relation: any per-trait costs work if the sum is no smaller
-    total = label_cost(good) + rng.randint(0, 6)
-    ca = rng.randint(0, total)
-    return Label((ca, la, ha), (total - ca, lb, hb), good.vertex)
-
-
 def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
     """All candidates one appended link can produce from a label.
 
@@ -209,45 +187,6 @@ def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
         if node in link.ends and not (label.links_a | label.links_b) & (1 << link.id):
             out.extend(label_extend(label, link, link.other_end(node), side, units))
     return out
-
-
-def _run_domination_preservation(mode: str, trials: int, seed: int) -> int:
-    """Returns the number of violations over the given number of trials."""
-    rng = random.Random(seed)
-    violations = 0
-    checked = 0
-    while checked < trials:
-        same = rng.random() < 0.5
-        vertex = ("n", "n") if same else ("m", "n")
-        units = rng.randint(1, 3)
-        good = _random_label(rng, vertex, units)
-        bad = _dominated_label(rng, good, mode, units)
-        if not dominates(mode, good, bad):
-            # randomized construction missed the precondition; skip
-            continue
-        ends = ("n", "z") if rng.random() < 0.5 or same else ("m", "z")
-        avail = normalize_intervals(
-            UnitInterval(u, u + 1) for u in range(UNITS_TOTAL) if rng.random() < 0.75
-        )
-        link = Link(5, ends, rng.randint(0, 10), avail)
-        derived_bad = _extend_for_props(bad, link, units)
-        derived_good = _extend_for_props(good, link, units)
-        checked += 1
-        for lab in derived_bad:
-            if not any(
-                lab2.vertex == lab.vertex and dominates(mode, lab2, lab)
-                for lab2 in derived_good
-            ):
-                violations += 1
-    return violations
-
-
-def test_domination_preserved_base():
-    assert _run_domination_preservation("base", 2000, seed=101) == 0
-
-
-def test_domination_preserved_prime():
-    assert _run_domination_preservation("prime", 2000, seed=202) == 0
 
 
 def test_higher_cost_labels_yield_higher_cost_labels():
@@ -322,19 +261,6 @@ def test_efficient_set_matches_naive_reference(mode, same_node, rows):
         assert all(l.alive == (id(l) in member_ids) for l in accepted)
         peak = max(peak, len(naive.members))
         assert fast.peak == peak
-
-
-def test_sorted_cross_implies_normal_witnesses():
-    """The two witness pairs that pin the same-node comparison rules."""
-    v = ("n", "n")
-    # sorted pair where aligned holds and swapped does not
-    li = Label((1, 0, 4), (3, 0, 4), v)
-    lj = Label((2, 0, 2), (3, 0, 2), v)
-    assert leq_n(li, lj) and not leq_x(li, lj)
-    # unsorted pair where swapped holds and aligned does not
-    ui = Label((1, 0, 2), (2, 0, 4), v)
-    uj = Label((3, 0, 4), (2, 0, 2), v)
-    assert leq_x(ui, uj) and not leq_n(ui, uj)
 
 
 @st.composite
@@ -495,6 +421,56 @@ def test_search_matches_oracle_on_multigraphs(instance):
 @given(bundled_demands())
 def test_search_matches_oracle_on_parallel_bundles(instance):
     assert_exact_in_every_combination(*instance)
+
+
+def shadowing_savings(net: Network, demand: Demand) -> list[int]:
+    """Solve in every mode, route limit and ``enumerate_all`` combination
+    with shadows as built and with every shadow zeroed, and assert that
+    the answer documents agree apart from ``stats``.  Returns, per
+    combination, the labels generated without shadows minus those with
+    them, asserted non-negative.  The limits sit at and one below the
+    unlimited base answer's dearer leg (base mode only)."""
+    unlimited = search.solve(net, demand, SearchOptions("base"))
+    limits = [None]
+    if unlimited.routed:
+        dearer = max(sum(net.links[i].cost for i in leg.links)
+                     for leg in (unlimited.working, unlimited.protecting))
+        limits += [limit for limit in (dearer - 1, dearer) if limit >= 0]
+    savings = []
+    for limit in limits:
+        for mode in MODES if limit is None else ("base",):
+            for enumerate_all in (False, True):
+                opts = SearchOptions(mode, limit, enumerate_all)
+                shadowed = search.solve(net, demand, opts).to_doc()
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    monkeypatch.setattr(search, "_shadowed", lambda steps, units: steps)
+                    plain = search.solve(net, demand, opts).to_doc()
+                saved = (plain.pop("stats")["labels_generated"]
+                         - shadowed.pop("stats")["labels_generated"])
+                assert shadowed == plain, (mode, limit, enumerate_all)
+                assert saved >= 0, (mode, limit, enumerate_all)
+                savings.append(saved)
+    return savings
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bundled_demands())
+def test_shadowing_changes_only_counters_on_parallel_bundles(instance):
+    shadowing_savings(*instance)
+
+
+def test_shadowing_saves_labels_on_seeded_twins():
+    """On seeded random networks where every link has a twin one cost unit
+    dearer with the same free units, so each link shadows its twin,
+    shadowing changes no answer and generates fewer labels at least once."""
+    savings = []
+    for seed in range(8):
+        net = random_network(6, 2.5, 6, 0.8, seed)
+        twins = tuple(Link(len(net.links) + link.id, link.ends[::-1], link.cost + 1,
+                           link.available) for link in net.links)
+        twinned = Network(net.unit_count, net.nodes, net.links + twins)
+        savings += shadowing_savings(twinned, Demand("n0", "n5", 1 + seed % 2))
+    assert max(savings) > 0
 
 
 def simple_path_parts(net: Network, demand: Demand) -> tuple[set, set]:

@@ -770,16 +770,6 @@ class TestUsableLinkView:
             "c": [(4, 16, "b", 0)]}
 
     @pytest.mark.parametrize("mode", ["base", "prime"])
-    def test_solve_builds_no_incidence_table(self, mode):
-        # validation, the view and reconstruction read no incidence table,
-        # on a routed demand and on a blocked one
-        for net, demand, status in (
-                (triangle(), Demand("a", "c", 1), "routed"),
-                (make_net(8, ["a", "b"], [("a", "b", 1, FULL8)]), Demand("a", "b", 1), "blocked")):
-            assert solve(net, demand, SearchOptions(mode=mode)).status == status
-            assert "incidence" not in vars(net)
-
-    @pytest.mark.parametrize("mode", ["base", "prime"])
     def test_destination_beyond_narrow_links_blocked_without_pops(self, mode):
         # d is only reachable over links whose free runs are one unit wide
         net = make_net(8, ["a", "d", "s"],
