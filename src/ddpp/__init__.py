@@ -26,7 +26,6 @@ from .oracle import (
     check_solution,
     compare,
     oracle_solve,
-    route_intervals,
 )
 from .search import (
     EfficientSet,
@@ -85,7 +84,6 @@ __all__ = [
     "oracle_solve",
     "random_network",
     "reconstruct",
-    "route_intervals",
     "run",
     "solve",
     "trait_extend",

@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .net_model import (
     Demand,
-    NetworkError,
     dump_network,
     load_demand,
     load_network,
@@ -198,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (NetworkError, ValueError, BudgetExceeded, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"ddpp: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

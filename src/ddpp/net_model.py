@@ -301,7 +301,9 @@ def random_network(
     if not _is_finite(avg_degree):
         raise NetworkError(f"avg_degree must be finite, got {avg_degree}")
     _require_int("seed", seed, error=NetworkError)
-    target = int(round(avg_degree * n / 2))
+    target = avg_degree * n / 2  # inf when a huge finite avg_degree overflows
+    if _is_finite(target):
+        target = int(round(target))
     max_links = n * (n - 1) // 2
     if target < n - 1 or target > max_links:
         raise NetworkError(

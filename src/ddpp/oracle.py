@@ -3,8 +3,10 @@
 This module exists to be obviously correct, not fast.  Spectrum
 feasibility is evaluated unit by unit, deliberately independent of the
 interval algebra the search relies on, so the two sides of every
-comparison stay independent.  Routes are trails: a route may revisit a
-node but never reuses a link, and the two routes of a pair share no link.
+comparison stay independent: ``_free_units`` lists the units free on
+every link of a route and ``_runs`` regroups them into maximal runs.
+Routes are trails: a route may revisit a node but never reuses a link,
+and the two routes of a pair share no link.
 
 ``check_solution`` is the one check of an answer's legs, which must be
 paths; ``compare`` and the tests call it.  ``compare`` runs the search in
@@ -28,53 +30,21 @@ class BudgetExceeded(RuntimeError):
     """The instance is too large for exhaustive enumeration."""
 
 
-def _link_units(link) -> set[int]:
-    return {u for iv in link.available for u in range(iv.lo, iv.hi)}
+def _free_units(net: Network, link_ids) -> set[int]:
+    """The units free on every one of the links, listed unit by unit."""
+    return set.intersection(*({u for iv in net.links[i].available for u in range(iv.lo, iv.hi)}
+                              for i in link_ids))
 
 
-def _check_trail(net: Network, route) -> None:
-    if not route:
-        raise ValueError("empty route")
-    links = [net.links[link_id] for link_id in route]
-    if len(links) == 1:
-        return
-    for start in dict.fromkeys(links[0].ends):
-        here = start
-        for link in links:
-            if here not in link.ends:
-                break
-            here = link.other_end(here)
+def _runs(units, width: int) -> tuple[UnitInterval, ...]:
+    """The maximal runs of consecutive units at least ``width`` wide."""
+    runs: list[list[int]] = []
+    for u in sorted(units):
+        if runs and runs[-1][1] == u:
+            runs[-1][1] = u + 1
         else:
-            return
-    raise ValueError(f"disconnected sequence {list(route)!r}")
-
-
-def route_intervals(net: Network, route, units: int) -> list[UnitInterval]:
-    """Maximal intervals usable on every link of the route, width >= units.
-
-    Computed unit by unit: intersect the links' available unit sets, then
-    regroup consecutive units into maximal runs.
-    """
-    _check_trail(net, route)
-    left = set(range(net.unit_count))
-    for link_id in route:
-        left &= _link_units(net.links[link_id])
-    out: list[UnitInterval] = []
-    run_start = None
-    previous = None
-    for u in sorted(left):
-        if run_start is None:
-            run_start = previous = u
-            continue
-        if u == previous + 1:
-            previous = u
-            continue
-        if previous - run_start + 1 >= units:
-            out.append(UnitInterval(run_start, previous + 1))
-        run_start = previous = u
-    if run_start is not None and previous - run_start + 1 >= units:
-        out.append(UnitInterval(run_start, previous + 1))
-    return out
+            runs.append([u, u + 1])
+    return tuple(UnitInterval(lo, hi) for lo, hi in runs if hi - lo >= width)
 
 
 @dataclass(frozen=True)
@@ -124,7 +94,9 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
     first-found sequence is kept as the witness.  The trail walked so far
     is a cons list ``(last link id, rest)`` ending in ``None``, so a push
     costs O(1); it becomes a tuple only when a new link set reaches dst.
-    Each node's links are listed in id order, a self-loop once.
+    Each node's links are listed in id order, a self-loop once.  That
+    pre-order visits trails in ascending order of their link sequences and
+    the dict keeps first-found order, so its values come in ascending order.
     """
     incidence: dict[str, list] = {node: [] for node in net.nodes}
     for link in net.links:
@@ -153,15 +125,16 @@ def _enumerate_route_sets(net: Network, src: str, dst: str, cap: int) -> dict[in
 
 
 def _feasible_routes(net: Network, demand: Demand, max_route_cost: int | None,
-                     cap: int) -> list[tuple[int, tuple[int, ...], int, list[UnitInterval]]]:
+                     cap: int) -> list[tuple[int, tuple[int, ...], int, tuple[UnitInterval, ...]]]:
     """Each feasible trail, as ``oracle_solve`` defines it, as ``(link mask,
-    link sequence, cost, intervals of the demanded width)``; more than
-    ``cap`` link sets raise BudgetExceeded."""
+    link sequence, cost, intervals of the demanded width)``, in ascending
+    order of link sequence; more than ``cap`` link sets raise
+    BudgetExceeded."""
     feasible = []
     for mask, sequence in _enumerate_route_sets(net, demand.src, demand.dst, cap).items():
         cost = sum(net.links[link_id].cost for link_id in sequence)
         if max_route_cost is None or cost <= max_route_cost:
-            intervals = route_intervals(net, sequence, demand.units)
+            intervals = _runs(_free_units(net, sequence), demand.units)
             if intervals:
                 feasible.append((mask, sequence, cost, intervals))
     return feasible
@@ -200,16 +173,10 @@ def oracle_solve(
         if mask_i & mask_j:
             continue
         pair_count += 1
-        first, second = sorted(
-            ((seq_i, cost_i, ivs_i), (seq_j, cost_j, ivs_j)), key=lambda r: r[0]
-        )
-        key = (cost_i + cost_j, first[0], second[0])
+        key = (cost_i + cost_j, seq_i, seq_j)  # seq_i < seq_j: feasible is ascending
         if best_key is None or key < best_key:
             best_key = key
-            best = RoutePair(
-                first[0], second[0], first[1], second[1],
-                tuple(first[2]), tuple(second[2]),
-            )
+            best = RoutePair(seq_i, seq_j, cost_i, cost_j, ivs_i, ivs_j)
     if best is None:
         return OracleResult("blocked", None, None, 0)
     return OracleResult("routed", best_key[0], best, pair_count)
@@ -245,7 +212,7 @@ def check_solution(net: Network, demand: Demand, sol: Solution,
         slots = range(leg.slots.lo, leg.slots.hi)
         if len(slots) != demand.units:
             problems.append(f"{name} slots {leg.slots.to_doc()} are not {demand.units} wide")
-        if not set.intersection(*(_link_units(net.links[i]) for i in leg.links)) >= set(slots):
+        if not _free_units(net, leg.links) >= set(slots):
             problems.append(f"{name} slots {leg.slots.to_doc()} are not free on every link")
         costs.append(sum(net.links[i].cost for i in leg.links))
         if max_route_cost is not None and costs[-1] > max_route_cost:
@@ -276,13 +243,8 @@ class CompareReport:
 def bundle_doc(net: Network, demand: Demand, report: CompareReport,
                max_route_cost: int | None = None) -> dict:
     """Self-contained counterexample document for regression replay."""
-    return {
-        "network": dump_network(net),
-        "demand": dump_demand(demand),
-        "max_route_cost": max_route_cost,
-        "oracle": report.oracle.to_doc(),
-        "solutions": {mode: sol.to_doc() for mode, sol in report.solutions.items()},
-    }
+    return {"network": dump_network(net), "demand": dump_demand(demand),
+            "max_route_cost": max_route_cost, **report.to_doc()}
 
 
 def compare(

@@ -100,6 +100,8 @@ def gen_traffic(
     lo, hi = units_range
     if not 1 <= lo <= hi:
         raise ValueError(f"malformed units range [{lo}, {hi}]")
+    if hi > net.unit_count:
+        raise ValueError(f"demanded units {hi} exceed unit count {net.unit_count}")
     if not (_is_finite(mean_hold) and _is_finite(mean_gap) and mean_hold > 0 and mean_gap > 0):
         raise ValueError("mean_hold and mean_gap must be positive and finite")
     _require_int("seed", seed)

@@ -22,17 +22,14 @@ from ddpp import (
     SearchOptions,
     PairSearch,
     UnitInterval,
-    check_solution,
     dump_traffic,
     gen_traffic,
     label_extend,
     load_traffic,
     lobe_network,
     normalize_intervals,
-    oracle_solve,
     random_network,
     run,
-    solve,
 )
 from ddpp.oracle import bundle_doc, compare
 
@@ -81,18 +78,13 @@ def corpus():
 @pytest.fixture(scope="module")
 def corpus_results(corpus):
     started = time.perf_counter()
-    records = []
-    for index, net, demand in corpus:
-        oracle_res = oracle_solve(net, demand, budget=5_000_000)
-        base = solve(net, demand, SearchOptions(mode="base"))
-        prime = solve(net, demand, SearchOptions(mode="prime"))
-        records.append((index, net, demand, oracle_res, base, prime))
+    records = [(index, net, demand, compare(net, demand, budget=5_000_000))
+               for index, net, demand in corpus]
     return records, time.perf_counter() - started
 
 
-def _file_bundle(name: str, net, demand, max_route_cost=None) -> Path:
+def _file_bundle(name: str, net, demand, report, max_route_cost=None) -> Path:
     COUNTEREXAMPLE_DIR.mkdir(exist_ok=True)
-    report = compare(net, demand, max_route_cost=max_route_cost, budget=5_000_000)
     path = COUNTEREXAMPLE_DIR / f"{name}.json"
     path.write_text(json.dumps(bundle_doc(net, demand, report, max_route_cost), indent=2))
     return path
@@ -103,17 +95,13 @@ def test_criterion_1_oracle_equivalence(corpus_results):
     with criterion(1, "oracle equivalence on seeded random corpus"):
         assert len(records) >= 500
         mismatches = []
-        for index, net, demand, oracle_res, base, prime in records:
-            for mode, sol in (("base", base), ("prime", prime)):
-                agrees = ((sol.status, sol.total_cost)
-                          == (oracle_res.status, oracle_res.min_cost)
-                          and check_solution(net, demand, sol) == [])
-                if not agrees:
-                    path = _file_bundle(f"criterion1_{index}_{mode}", net, demand)
-                    mismatches.append((index, mode, str(path)))
+        for index, net, demand, report in records:
+            if not report.matches:
+                path = _file_bundle(f"criterion1_{index}", net, demand, report)
+                mismatches.append((index, report.verdicts, str(path)))
         assert not mismatches, f"bundles filed: {mismatches}"
         assert elapsed < 120.0, f"corpus took {elapsed:.1f}s"
-        routed = sum(1 for r in records if r[3].routed)
+        routed = sum(1 for r in records if r[3].oracle.routed)
         print(f"  {len(records)} instances ({routed} routed, "
               f"{len(records) - routed} blocked) in {elapsed:.1f}s", end=" ")
 
@@ -152,7 +140,8 @@ def test_criterion_3_per_vertex_polynomial_bound(corpus_results):
         # prime mode keeps at most one label per interval pair, and a slot
         # has W(W+1)/2 intervals at least `units` wide, W = U - units + 1
         worst = 0.0
-        for _index, net, demand, _oracle_res, _base, prime in records:
+        for _index, net, demand, report in records:
+            prime = report.solutions["prime"]
             width = net.unit_count - demand.units + 1
             bound = (width * (width + 1) // 2) ** 2
             peak = prime.stats.max_labels_per_vertex
@@ -302,7 +291,8 @@ def test_criterion_6_limited_variant(corpus_results):
     records, _ = corpus_results
     with criterion(6, "route-cost limit matches the limited oracle"):
         leg_costs = []
-        for _index, net, _demand, _oracle_res, base, _prime in records:
+        for _index, net, _demand, report in records:
+            base = report.solutions["base"]
             if base.routed:
                 for leg in (base.working, base.protecting):
                     leg_costs.append(sum(net.links[l].cost for l in leg.links))
@@ -310,13 +300,10 @@ def test_criterion_6_limited_variant(corpus_results):
         leg_costs.sort()
         limit = leg_costs[round(0.6 * (len(leg_costs) - 1))]
 
-        for index, net, demand, _oracle_res, _base, _prime in records:
-            expect = oracle_solve(net, demand, max_route_cost=limit, budget=5_000_000)
-            got = solve(net, demand, SearchOptions(mode="base", max_route_cost=limit))
-            agrees = ((got.status, got.total_cost) == (expect.status, expect.min_cost)
-                      and check_solution(net, demand, got, limit) == [])
-            if not agrees:
-                path = _file_bundle(f"criterion6_{index}", net, demand, limit)
+        for index, net, demand, _report in records:
+            report = compare(net, demand, max_route_cost=limit, budget=5_000_000)
+            if not report.matches:
+                path = _file_bundle(f"criterion6_{index}", net, demand, report, limit)
                 raise AssertionError(f"limited mismatch, bundle filed: {path}")
 
         with pytest.raises(ValueError):

@@ -197,6 +197,7 @@ LONG_CHAIN = ["--budget", "10"]
 @pytest.mark.parametrize("argv", [
     GEN_NET + ["--avg-degree", "inf"],
     GEN_NET + ["--avg-degree", "nan"],
+    GEN_NET + ["--avg-degree", "1e308"],
     GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "inf"],
     GEN_TRAFFIC + ["--mean-hold", "nan", "--mean-gap", "1.0"],
     GEN_TRAFFIC + ["--mean-hold", "1.0", "--mean-gap", "1.0", "--units-max", "99"],
@@ -206,7 +207,7 @@ LONG_CHAIN = ["--budget", "10"]
     ["compare", "--budget", "-5"],
     ["oracle"] + LONG_CHAIN,
     ["compare"] + LONG_CHAIN,
-], ids=["avg-degree-inf", "avg-degree-nan", "mean-gap-inf", "mean-hold-nan",
+], ids=["avg-degree-inf", "avg-degree-nan", "avg-degree-overflow", "mean-gap-inf", "mean-hold-nan",
         "units-max-beyond-network", "lobe-m-max-zero",
         "oracle-negative-limit", "oracle-budget-zero", "compare-budget-negative",
         "oracle-long-chain-budget", "compare-long-chain-budget"])
@@ -282,6 +283,7 @@ class TestOracleAndCompare:
         assert load_network(doc["network"]) == lobe_network(2, 1)
         assert load_demand(doc["demand"]) == Demand("n_s", "n_x", 1)
         assert doc["solutions"]["base"]["cost"] == doc["oracle"]["min_cost"] + 1
+        assert (doc["verdicts"], doc["matches"]) == ({"base": False, "prime": False}, False)
 
 
 class TestLobeBench:
@@ -417,9 +419,16 @@ class TestProcess:
         assert json.loads(tighter.stdout)["status"] == "blocked"
         verdict = json.loads(compare)
         assert verdict["matches"] is True
+        assert verdict["verdicts"] == {"base": True, "prime": True}
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 232)
         exhaustive = json.loads(oracle)
         assert (exhaustive["status"], exhaustive["min_cost"]) == ("routed", 232)
+        assert exhaustive["pair_count"] == 11
+        witness = exhaustive["witness"]
+        assert ((witness["route_a"]["links"], witness["route_a"]["cost"])
+                == ([4, 11], 108))
+        assert ((witness["route_b"]["links"], witness["route_b"]["cost"])
+                == ([9, 3], 124))
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

@@ -525,6 +525,9 @@ class TestRandomNetwork:
             random_network(8, 1, 4, 1.0, 0)  # below spanning tree
         with pytest.raises(NetworkError, match="unsatisfiable degree"):
             random_network(4, 3.8, 4, 1.0, 0)  # above complete graph
+        for degree in (1e308, -1e308):  # finite, but degree * n / 2 overflows
+            with pytest.raises(NetworkError, match="unsatisfiable degree"):
+                random_network(8, degree, 4, 1.0, 0)
         for degree in (float("inf"), float("-inf"), float("nan"), 10**400):
             with pytest.raises(NetworkError, match="avg_degree must be finite"):
                 random_network(4, degree, 4, 1.0, 0)

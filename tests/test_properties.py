@@ -31,6 +31,7 @@ from ddpp import (
     trait_extend,
 )
 from ddpp import search
+from ddpp.oracle import _enumerate_route_sets
 from ddpp.search import MODES
 from ddpp.spectrum_core import remove_interval
 
@@ -414,6 +415,16 @@ def test_search_matches_oracle_on_every_combination(instance):
 @given(multigraph_demands())
 def test_search_matches_oracle_on_multigraphs(instance):
     assert_exact_in_every_combination(*instance)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_route_sets_come_in_ascending_order(instance):
+    """The oracle's witness names the lesser link sequence first only
+    because the trails it pairs come in ascending order."""
+    net, demand = instance
+    sequences = list(_enumerate_route_sets(net, demand.src, demand.dst, 10**6).values())
+    assert all(a < b for a, b in zip(sequences, sequences[1:])), sequences
 
 
 

@@ -68,6 +68,13 @@ class TestGenTraffic:
         with pytest.raises(ValueError, match="malformed time or hold"):
             gen_traffic(net, 20, 1.0, 1e308, (1, 1), 0)
 
+    def test_units_range_above_unit_count_rejected_for_every_seed(self):
+        # seeds 0-4 draw no 9 for the one event, seed 5 does
+        net = random_network(6, 2.5, 8, 0.9, 1)
+        for seed in range(6):
+            with pytest.raises(ValueError, match="demanded units 9 exceed unit count 8"):
+                gen_traffic(net, 1, 1.0, 1.0, (1, 9), seed)
+
     def test_non_integer_count_rejected(self):
         with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
             gen_traffic(lobe_network(1, 2), 2.5, 1.0, 1.0, (1, 1), 0)
