@@ -33,13 +33,13 @@ reached from a root whose node has ``h`` has ``h`` on both nodes; a root
 without ``h`` blocks the demand before any pop.
 
 The view comes from one usability pass over the links, in id order, which
-also collects each node's distinct usable neighbours and notes whether a
-node has two usable links to one neighbour.  The view leaves out dead
-ends.  ``_peel`` removes from those neighbour sets every node other than
-the source and the destination that has fewer than two distinct
-neighbours, and repeats until no such node is left (k-core peeling,
-Seidman 1983, anchored at both ends); a link is listed only when both of
-its ends survive.  The peel is exact.  A route is a path
+also collects each node's distinct usable neighbours (every node of the
+network starts with none).  The view leaves out dead ends.  ``_peel``
+removes from those neighbour sets every node other than the source and
+the destination that has fewer than two distinct neighbours, a node with
+no usable link included, and goes on until no such node is left (k-core
+peeling, Seidman 1983, anchored at both ends); a link is listed only when
+both of its ends survive.  The peel is exact.  A route is a path
 from the source that stops at the destination, so it passes each interior
 node from one neighbour to another.  Of the nodes of a path between two
 kept nodes, take the first to be peeled: every other node of the path was
@@ -57,31 +57,34 @@ label)``, so ties are broken by a fixed total order: key, vertex, the two
 interval starts, then the push number, which is unique, so labels are never
 compared and a solve is deterministic for fixed inputs.  The view lists
 each link at each of its ends as ``(link, 1 << link.id, far end,
-shadow)``, the one home of the bit and the far end: ``expand`` tests the
-bit and hands the far end to ``label_extend``.
+shadow)``, so ``expand`` finds the bit and the far end without computing
+them: it tests the bit against the label's masks and hands the far end to
+``label_extend``, which computes the bit again for the grown route's
+mask.
 
 ``shadow`` is the mask of the link's parallel-link shadowing: the bits of
 the other view links with the same two ends that rank below it by ``(cost,
 id)`` and whose free runs contain each of its runs at least
-``demand.units`` wide.  It is 0 unless a node has two view links to one far
-end, and shadows are computed only after the usability pass has seen a
-repeated neighbour, so a network without parallel links does not pay for
-them.  ``expand`` skips a link while any link of its shadow is unused by
-the label.  The skip is exact.  An unused shadowing link reaches the same
-vertex at a cost no higher, and each interval the skipped link would give
-lies inside one it gives.  Its far end is the same, so the path rule and a
-route-cost limit pass for it whenever they pass for the skipped link.
-Under either relation, with or without a limit, the efficient set would
-reject the skipped candidate or evict it within the same expansion.  If
-the shadowing link is itself skipped, the unused link shadowing it also
-shadows the skipped one (the relation is transitive), so the lowest-ranked
-unused link of a bundle is always tried.  With equal costs the lower ``id``
-shadows, and it is listed first, so the label that insertion order would
-keep is the one built.  The efficient sets, the settle order of live labels
-and every answer are therefore unchanged; only ``labels_generated``,
-``labels_dominated`` and, where a costlier link with a lower id was
-accepted and then evicted, ``queue_pops`` fall.  The differential tests
-check this against solves with every shadow zeroed.
+``demand.units`` wide.  It is 0 unless a node has two view links to one
+far end, and shadows are computed only at the nodes with more view links
+than kept neighbours, so a network without parallel links pays one length
+comparison per node for them.  ``expand`` skips a link while any link of
+its shadow is unused by the label.  The skip is exact.  An unused
+shadowing link reaches the same vertex at a cost no higher, and each
+interval the skipped link would give lies inside one it gives.  Its far
+end is the same, so the path rule and a route-cost limit pass for it
+whenever they pass for the skipped link.  Under either relation, with or
+without a limit, the efficient set would reject the skipped candidate or
+evict it within the same expansion.  If the shadowing link is itself
+skipped, the unused link shadowing it also shadows the skipped one (the
+relation is transitive), so the lowest-ranked unused link of a bundle is
+always tried.  With equal costs the lower ``id`` shadows, and it is listed
+first, so the label that insertion order would keep is the one built.  The
+efficient sets, the settle order of live labels and every answer are
+therefore unchanged; only ``labels_generated``, ``labels_dominated`` and,
+where a costlier link with a lower id was accepted and then evicted,
+``queue_pops`` fall.  The differential tests check this against solves
+with every shadow zeroed.
 
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples and a heap entry), so the cyclic garbage
@@ -130,6 +133,19 @@ class SearchOptions:
 
 @dataclass(slots=True)
 class SearchStats:
+    """The counters of one solve, its document's ``stats``.
+
+    ``labels_generated`` counts the root and every candidate ``expand``
+    returned, so a demand blocked before any pop reports 1.
+    ``labels_dominated`` counts the candidates an efficient set rejected
+    plus the members accepted candidates evicted.  ``labels_settled``
+    counts the live labels popped and ``queue_pops`` every pop, dead labels
+    included.  ``max_labels_per_vertex`` is the most live labels one
+    vertex's efficient set held at once.  ``wall_time`` is the settle
+    loop's time in seconds; the setup (view, peel, ``h``) and
+    ``reconstruct`` are outside it.
+    """
+
     labels_generated: int = 0
     labels_dominated: int = 0
     labels_settled: int = 0
@@ -381,7 +397,7 @@ def _peel(near: dict[str, set[str]], src: str, dst: str) -> None:
     """Peel dead ends off ``near``, each node's distinct neighbours, in
     place: every node other than ``src`` and ``dst`` with fewer than two
     neighbours is removed, from the table and from its neighbours' sets,
-    repeatedly, until none is left.  A peeled node lies on no simple
+    and so on until none is left.  A peeled node lies on no simple
     src–dst path over the links ``near`` was built from."""
     anchors = (src, dst)
     dead = [node for node, far in near.items() if len(far) < 2 and node not in anchors]
@@ -402,11 +418,9 @@ class PairSearch:
         validate_demand(net, demand)
         self.net = net
         self.demand = demand
-        self.stats = SearchStats()
         units = demand.units
         usable = []
-        near: dict[str, set[str]] = {}
-        repeat = False
+        near: dict[str, set[str]] = {node: set() for node in net.nodes}
         for link in net.links:
             a, b = link.ends
             if a == b:
@@ -417,36 +431,24 @@ class PairSearch:
             else:
                 continue
             usable.append(link)
-            far = near.get(a)
-            if far is None:
-                near[a] = {b}
-            elif b in far:
-                repeat = True
-            else:
-                far.add(b)
-            far = near.get(b)
-            if far is None:
-                near[b] = {a}
-            else:
-                far.add(a)
+            near[a].add(b)
+            near[b].add(a)
         _peel(near, demand.src, demand.dst)
         view = self._view = {node: [] for node in net.nodes}
         touching = self._touching = dict.fromkeys(net.nodes, 0)
         for link in usable:
             a, b = link.ends
-            if a not in near or b not in near:
-                continue
-            bit = 1 << link.id
-            view[a].append((link, bit, b, 0))
-            view[b].append((link, bit, a, 0))
-            touching[a] |= bit
-            touching[b] |= bit
+            if a in near and b in near:
+                bit = 1 << link.id
+                view[a].append((link, bit, b, 0))
+                view[b].append((link, bit, a, 0))
+                touching[a] |= bit
+                touching[b] |= bit
         # shadows exist only among parallel links: fill them in at the nodes
         # with more view links than kept neighbours
-        if repeat:
-            for node, far in near.items():
-                if len(far) < len(view[node]):
-                    view[node] = _shadowed(view[node], units)
+        for node, far in near.items():
+            if len(far) < len(view[node]):
+                view[node] = _shadowed(view[node], units)
         self._h = self._distances_to(demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
@@ -550,7 +552,6 @@ class PairSearch:
         efficient set ends complete.
         """
         started = time.perf_counter()
-        stats = self.stats
         h = self._h
         sets = self._sets
         mode = self.opts.mode
@@ -608,12 +609,9 @@ class PairSearch:
                     removed += 1  # the candidate itself
                 dominated += removed
 
-        stats.labels_generated = generated
-        stats.labels_dominated = dominated
-        stats.labels_settled = settled
-        stats.queue_pops = pops
-        stats.max_labels_per_vertex = max((s.peak for s in sets.values()), default=0)
-        stats.wall_time = time.perf_counter() - started
+        stats = SearchStats(generated, dominated, settled, pops,
+                            max((s.peak for s in sets.values()), default=0),
+                            time.perf_counter() - started)
         if best is None:
             return Solution("blocked", None, None, None, stats)
         working, protecting = reconstruct(best, self.net, self.demand.units)

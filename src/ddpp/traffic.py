@@ -35,6 +35,10 @@ class TrafficEvent:
 
 @dataclass
 class SimReport:
+    """The summary of one replay.  ``mean_labels`` and ``max_labels`` are
+    taken over the arrivals' ``labels_generated``, and ``mean_wall_time``
+    averages their ``wall_time`` (the settle loop only) per arrival."""
+
     offered: int
     routed: int
     blocked: int

@@ -1,4 +1,5 @@
-"""Shared test helpers: hand-made networks and brute-force unit sets.
+"""Shared test helpers: hand-made networks, brute-force unit sets, and a
+reference usable-link view with its distances to the destination.
 
 The helpers here deliberately avoid the interval algebra of the package
 under test: free spectrum is regrouped unit by unit.  A routed answer is
@@ -47,3 +48,30 @@ def make_net(units: int, nodes: list[str], link_specs) -> Network:
     )
     return Network(units, tuple(nodes), links)
 
+
+def peeled_view(net, demand):
+    """The usable links left after peeling dead ends, to a fixpoint: while a
+    node other than the demand's ends has fewer than two distinct
+    neighbours over the links left, its links are dropped."""
+    links = [link for link in net.links if usable(link, demand.units)]
+    ends = (demand.src, demand.dst)
+    while True:
+        dead = {node for node in net.nodes if node not in ends
+                and len({l.other_end(node) for l in links if node in l.ends}) < 2}
+        left = [link for link in links if not dead & set(link.ends)]
+        if left == links:
+            return links
+        links = left
+
+
+def view_distances(net, links, dst):
+    """Bellman-Ford over the given links."""
+    dist = {dst: 0}
+    for _ in net.nodes:
+        for link in links:
+            for here, there in (link.ends, link.ends[::-1]):
+                if there in dist:
+                    via = dist[there] + link.cost
+                    if here not in dist or via < dist[here]:
+                        dist[here] = via
+    return dist

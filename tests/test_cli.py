@@ -384,7 +384,7 @@ class TestProcess:
             ["ddpp", "gen-net"],
             ["ddpp", "gen-traffic"], ["ddpp", "simulate"], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
-            ["ddpp", "solve"], ["ddpp", "compare"], ["ddpp", "oracle"]]
+            ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"], ["ddpp", "oracle"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
         for command in commands:
@@ -403,7 +403,8 @@ class TestProcess:
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
         net = load_network(json.loads((tmp_path / "net.json").read_text()))
-        for solve in solved:  # unlimited, then limited to the dearer leg's cost
+        # unlimited, limited to the dearer leg's cost, then with the queue drained
+        for solve in solved:
             doc = json.loads(solve)
             assert (doc["status"], doc["cost"]) == ("routed", 232)
             assert (doc["working"]["links"], doc["protecting"]["links"]) == ([9, 3], [4, 11])
@@ -412,6 +413,11 @@ class TestProcess:
             sol = Solution(doc["status"], doc["cost"], *legs, SearchStats())
             assert check_solution(net, Demand("n0", "n7", 2), sol, 124) == []
         assert max(sum(net.links[i].cost for i in leg.links) for leg in legs) == 124
+        drained = json.loads(solved[-1])["stats"]
+        del drained["wall_time"]
+        assert drained == {"labels_generated": 1753, "labels_dominated": 998,
+                           "labels_settled": 755, "queue_pops": 791,
+                           "max_labels_per_vertex": 43}
         tighter = self._run("solve", "--net", str(tmp_path / "net.json"), "--demand",
                             str(tmp_path / "demand.json"), "--relation", "base",
                             "--max-route-cost", "123")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import link_units, unit_runs, usable
+from conftest import link_units, peeled_view, unit_runs, usable, view_distances
 from reference import NaiveEfficientSet, dominates, efficient_front, trait_leq
 
 from ddpp import (
@@ -508,9 +508,18 @@ def simple_path_parts(net: Network, demand: Demand) -> tuple[set, set]:
 def test_peeled_view_keeps_every_simple_path(instance):
     """The view keeps every node and link of a simple src–dst path, drops
     only nodes with fewer than two distinct kept neighbours, and keeps no
-    node other than src and dst with fewer than two."""
+    node other than src and dst with fewer than two.  Each node's entries
+    and ``h`` match the peeled reference's, self-loops and parallel links
+    included."""
     net, demand = instance
-    view = PairSearch(net, demand)._view
+    built = PairSearch(net, demand)
+    view = built._view
+    peeled = peeled_view(net, demand)
+    assert {node: [(link.id, bit, far) for link, bit, far, _ in steps]
+            for node, steps in view.items()} == {
+        node: [(link.id, 1 << link.id, link.other_end(node)) for link in peeled
+               if node in link.ends] for node in net.nodes}
+    assert built._h == view_distances(net, peeled, demand.dst)
     kept = {node for node, steps in view.items() if steps}
     listed = {link.id for steps in view.values() for link, _, _, _ in steps}
     on_path, path_links = simple_path_parts(net, demand)

@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from conftest import make_net, usable
+from conftest import make_net, peeled_view, view_distances
 from reference import dominates, efficient_front
 
 from ddpp import (
@@ -274,7 +274,7 @@ class TestExpand:
         for cand in skipped:
             assert any(c.vertex == cand.vertex and dominates("base", c, cand) for c in kept)
 
-    def test_shadows_are_computed_only_after_a_repeated_neighbour(self, monkeypatch):
+    def test_shadows_are_computed_only_at_nodes_with_parallel_view_links(self, monkeypatch):
         import ddpp.search
 
         class Computed(Exception):
@@ -288,6 +288,12 @@ class TestExpand:
         assert solve(triangle(), Demand("a", "c", 1), SearchOptions(mode="base")).routed
         for seed in range(4):
             solve(random_network(10, 3.0, 16, 0.6, seed), Demand("n0", "n9", 2))
+        # the only parallel links join a to the stub w, which is peeled
+        stub = make_net(8, ["a", "d", "s", "w"],
+                        [("s", "a", 1, FULL8), ("a", "w", 1, FULL8), ("w", "a", 2, FULL8),
+                         ("a", "d", 1, FULL8), ("s", "d", 3, FULL8)])
+        sol = solve(stub, Demand("s", "d", 1), SearchOptions(mode="base"))
+        assert sol.routed and sol.total_cost == 5
         with pytest.raises(Computed):
             self.bundle()
 
@@ -700,34 +706,6 @@ class TestLimitedVariant:
             if limit >= max(leg_costs):
                 assert sol.total_cost == unlimited.total_cost
             assert check_solution(net, demand, sol, limit) == [], limit
-
-
-def peeled_view(net, demand):
-    """The usable links left after peeling dead ends, to a fixpoint: while a
-    node other than the demand's ends has fewer than two distinct
-    neighbours over the links left, its links are dropped."""
-    links = [link for link in net.links if usable(link, demand.units)]
-    ends = (demand.src, demand.dst)
-    while True:
-        dead = {node for node in net.nodes if node not in ends
-                and len({l.other_end(node) for l in links if node in l.ends}) < 2}
-        left = [link for link in links if not dead & set(link.ends)]
-        if left == links:
-            return links
-        links = left
-
-
-def view_distances(net, links, dst):
-    """Bellman-Ford over the given links."""
-    dist = {dst: 0}
-    for _ in net.nodes:
-        for link in links:
-            for here, there in (link.ends, link.ends[::-1]):
-                if there in dist:
-                    via = dist[there] + link.cost
-                    if here not in dist or via < dist[here]:
-                        dist[here] = via
-    return dist
 
 
 class TestUsableLinkView:
