@@ -25,12 +25,28 @@ from .spectrum_core import _is_int, _require_int, normalize_intervals, remove_in
 
 @dataclass(frozen=True, slots=True)
 class TrafficEvent:
+    """One arrival, checked on construction: an integer id, endpoints and
+    units that make a ``Demand``, a finite time ``>= 0`` and a finite hold
+    ``> 0``.  The replay checks what needs the whole sequence or the
+    network: unique ids and ``validate_demand``."""
+
     id: int
     time: float
     src: str
     dst: str
     units: int
     hold: float
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.id):
+            raise ValueError(f"event id {self.id!r} is not an integer")
+        try:
+            Demand(self.src, self.dst, self.units)
+        except ValueError as exc:
+            raise ValueError(f"event {self.id}: {exc}") from exc
+        if not (_is_finite(self.time) and self.time >= 0 and _is_finite(self.hold)
+                and self.hold > 0):
+            raise ValueError(f"event {self.id} has a malformed time or hold")
 
 
 @dataclass
@@ -52,22 +68,19 @@ class SimReport:
 
 
 def load_traffic(doc: dict) -> list[TrafficEvent]:
+    """Build each event from its entry's six keys.  The event checks
+    itself, and each number keeps the type the document gave it."""
     if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
         raise ValueError("traffic document must be an object with an 'events' list")
     events = []
     for entry in doc["events"]:
-        if not (isinstance(entry, dict)
-                and _is_int(entry.get("id")) and _is_int(entry.get("units"))
-                and isinstance(entry.get("src"), str) and isinstance(entry.get("dst"), str)
-                and _is_finite(entry.get("time")) and _is_finite(entry.get("hold"))):
-            raise ValueError(
-                f"malformed traffic event {entry!r}: id and units must be integers, "
-                "time and hold finite numbers, src and dst strings"
-            )
-        events.append(
-            TrafficEvent(entry["id"], float(entry["time"]), entry["src"],
-                         entry["dst"], entry["units"], float(entry["hold"]))
-        )
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("not an object")
+            # the six fields, in order; a missing key reads as None
+            events.append(TrafficEvent(*map(entry.get, TrafficEvent.__slots__)))
+        except ValueError as exc:
+            raise ValueError(f"malformed traffic event {entry!r}: {exc}") from exc
     return events
 
 
@@ -123,29 +136,7 @@ def gen_traffic(
             TrafficEvent(event_id, now, src, dst,
                          rng.randint(lo, hi), rng.expovariate(1.0 / mean_hold))
         )
-    _validate_events(net, events)
     return events
-
-
-def _validate_events(net: Network, events) -> list[Demand]:
-    """Check ids, times and holds and return each event's ``Demand``; errors
-    of ``Demand`` and ``validate_demand`` keep their type and gain the id."""
-    seen = set()
-    demands = []
-    for ev in events:
-        if not _is_int(ev.id):
-            raise ValueError(f"event id {ev.id!r} is not an integer")
-        if ev.id in seen:
-            raise ValueError(f"duplicate event id {ev.id}")
-        seen.add(ev.id)
-        try:
-            demands.append(Demand(ev.src, ev.dst, ev.units))
-            validate_demand(net, demands[-1])
-        except ValueError as exc:
-            raise type(exc)(f"event {ev.id}: {exc}") from exc
-        if not (_is_finite(ev.time) and ev.time >= 0 and _is_finite(ev.hold) and ev.hold > 0):
-            raise ValueError(f"event {ev.id} has a malformed time or hold")
-    return demands
 
 
 def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimReport:
@@ -158,9 +149,19 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
     links, validated in full.  After the last departure every link must
     equal its initial one, which is asserted before reporting.
     """
-    events = list(events)
-    arrivals = sorted(zip(events, _validate_events(net, events)),
-                      key=lambda arrival: (arrival[0].time, arrival[0].id))
+    arrivals = []
+    seen = set()
+    for ev in events:
+        if ev.id in seen:
+            raise ValueError(f"duplicate event id {ev.id}")
+        seen.add(ev.id)
+        demand = Demand(ev.src, ev.dst, ev.units)
+        try:
+            validate_demand(net, demand)
+        except ValueError as exc:
+            raise type(exc)(f"event {ev.id}: {exc}") from exc
+        arrivals.append((ev, demand))
+    arrivals.sort(key=lambda arrival: (arrival[0].time, arrival[0].id))
     links = list(net.links)
     # (time, id, allocations): ids are unique, so allocations never compare
     departures: list[tuple[float, int, list]] = []

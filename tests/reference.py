@@ -7,7 +7,8 @@ the tests can compare the set with them, as they compare answers with the
 oracle.  ``EfficientSet``'s docstring says which relation each mode uses.
 ``NaiveEfficientSet`` keeps an antichain with nothing but these relations,
 and ``efficient_front`` builds from it the destination set an
-``enumerate_all`` search must find.
+``enumerate_all`` search must find.  ``partition_routable`` decides a
+limited chain instance by subset sums, with no search at all.
 """
 
 from __future__ import annotations
@@ -130,3 +131,15 @@ def efficient_front(net, demand, mode: str, max_route_cost: int | None = None) -
     for label in sorted(labels, key=label_cost):
         front.insert(label)
     return front.members
+
+
+def partition_routable(weights, limit: int) -> bool:
+    """Whether ``chain_network(weights)`` has a disjoint pair with each route
+    costing at most ``limit``: some subset of the weights, the first
+    route's, sums to s with ``sum(weights) - limit <= s <= limit``.  A
+    bitset subset-sum DP, independent of the search: bit s of ``sums`` is
+    set when some subset sums to s."""
+    sums = 1
+    for weight in weights:
+        sums |= sums << weight
+    return any(sums >> s & 1 for s in range(max(sum(weights) - limit, 0), limit + 1))

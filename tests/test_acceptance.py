@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, one printed line per verdict.
+"""Acceptance suite: one test per criterion, one printed line per verdict,
+and closed-form checks of the paper's two complexity claims: fan networks
+reach criterion 3's bound, and limited chains are PARTITION instances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
@@ -14,6 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddpp import (
     Demand,
@@ -22,6 +25,7 @@ from ddpp import (
     SearchOptions,
     PairSearch,
     UnitInterval,
+    check_solution,
     dump_traffic,
     gen_traffic,
     label_extend,
@@ -30,10 +34,12 @@ from ddpp import (
     normalize_intervals,
     random_network,
     run,
+    solve,
 )
 from ddpp.oracle import bundle_doc, compare
 
-from reference import dominates, leq_eq, leq_n, leq_x, trait_leq
+from conftest import chain_network, fan_network
+from reference import dominates, leq_eq, leq_n, leq_x, partition_routable, trait_leq
 
 COUNTEREXAMPLE_DIR = Path(__file__).parent / "counterexamples"
 
@@ -148,6 +154,21 @@ def test_criterion_3_per_vertex_polynomial_bound(corpus_results):
             assert peak <= bound, (peak, bound)
             worst = max(worst, peak / bound)
         print(f"  tightest margin: peak/bound = {worst:.4f}", end=" ")
+
+
+@pytest.mark.parametrize("unit_count, units", [(3, 1), (4, 1), (4, 2), (6, 1), (8, 2)])
+@pytest.mark.parametrize("mode", ["prime", "base"])
+def test_fan_networks_reach_the_per_vertex_bound(mode, unit_count, units):
+    # criterion 3's bound is tight: on a fan every interval pair at (a, b)
+    # is one incomparable label, and the destination keeps one label per
+    # unordered pair of intervals
+    width = unit_count - units + 1
+    intervals = width * (width + 1) // 2
+    search = PairSearch(fan_network(unit_count, units), Demand("s", "d", units),
+                        SearchOptions(mode=mode, enumerate_all=True))
+    sol = search.run()
+    assert sol.stats.max_labels_per_vertex == intervals**2
+    assert search.destination_count == intervals * (intervals + 1) // 2
 
 
 def test_criterion_4_relation_algebra_exhaustive():
@@ -309,6 +330,37 @@ def test_criterion_6_limited_variant(corpus_results):
         with pytest.raises(ValueError):
             SearchOptions(mode="prime", max_route_cost=limit)
         print(f"  K={limit} (60th percentile of {len(leg_costs)} route costs)", end=" ")
+
+
+def _limited_chain_agrees_with_subset_sums(net, weights, limit):
+    demand = Demand(net.nodes[0], net.nodes[-1], 1)
+    sol = solve(net, demand, SearchOptions(mode="base", max_route_cost=limit))
+    assert sol.routed == partition_routable(weights, limit), (weights, limit)
+    if sol.routed:
+        assert sol.total_cost == sum(weights)
+    assert check_solution(net, demand, sol, limit) == []
+    assert sol.stats.max_labels_per_vertex <= limit + 1
+    return sol
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.integers(1, 100), min_size=8, max_size=16))
+def test_limited_chains_are_partition(weights):
+    # under a route-cost limit the problem holds PARTITION: a chain routes
+    # exactly when its weights split into two sides of at most the limit
+    total = sum(weights)
+    for limit in (total // 2 - 1, total // 2, (total + 1) // 2, total // 2 + 3):
+        _limited_chain_agrees_with_subset_sums(chain_network(weights), weights, limit)
+
+
+def test_lobe_is_the_power_of_two_partition():
+    net, weights = lobe_network(8, 1), [2**i for i in range(9)]
+    assert [link.cost for link in net.links] == [
+        link.cost for link in chain_network(weights).links]
+    blocked = _limited_chain_agrees_with_subset_sums(net, weights, 255)
+    routed = _limited_chain_agrees_with_subset_sums(net, weights, 256)
+    assert (blocked.routed, routed.routed, routed.total_cost) == (False, True, 511)
+    assert blocked.stats.max_labels_per_vertex == routed.stats.max_labels_per_vertex == 256
 
 
 def test_criterion_7_simulation_conservation():

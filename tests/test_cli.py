@@ -383,6 +383,8 @@ class TestProcess:
             ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "lobe-bench"],
             ["ddpp", "gen-net"],
             ["ddpp", "gen-traffic"], ["ddpp", "simulate"], ["ddpp", "simulate"],
+            ["printf", '{"events": [{"id": 0, "time": 0, "src": "n0", "dst": "n7", '
+                       '"units": 2, "hold": 1}]}'], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
             ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"], ["ddpp", "oracle"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
@@ -399,9 +401,14 @@ class TestProcess:
         assert int(base[-1][2]) == 432
         simulated, solved, (compare,), (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
-        for simulate in simulated:  # prime, then base
+        *replays, single = simulated
+        for simulate in replays:  # prime, then base
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
+        # one event with integer time and hold, loaded as given
+        report = json.loads(single)
+        assert (report["offered"], report["routed"], report["blocked"]) == (1, 1, 0)
+        assert report["max_labels"] == 170
         net = load_network(json.loads((tmp_path / "net.json").read_text()))
         # unlimited, limited to the dearer leg's cost, then with the queue drained
         for solve in solved:

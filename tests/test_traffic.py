@@ -1,6 +1,7 @@
 """Dynamic-traffic harness: generation, replay, and spectrum conservation."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -225,18 +226,44 @@ class TestRun:
             load_traffic({"nope": []})
         with pytest.raises(ValueError, match="'events' list"):
             load_traffic({"events": None})
-        with pytest.raises(ValueError, match="malformed traffic event"):
+        with pytest.raises(ValueError, match="malformed traffic event .*: event 0: demand src "
+                                             "None is not a string"):
             load_traffic({"events": [{"id": 0}]})
         good = {"id": 0, "time": 0.0, "src": "a", "dst": "b", "units": 1, "hold": 1.0}
         assert load_traffic({"events": [good]}) == [TrafficEvent(0, 0.0, "a", "b", 1, 1.0)]
-        for key, value in (("src", ["a"]), ("dst", None), ("units", True), ("units", 2.9),
-                           ("id", "3"), ("id", False), ("time", "nan"), ("time", "inf"),
-                           ("time", float("nan")), ("hold", float("inf")), ("hold", True),
-                           ("time", 10**400)):
-            with pytest.raises(ValueError, match="malformed traffic event"):
+        for key, value, reason in (
+                ("src", ["a"], "event 0: demand src ['a'] is not a string"),
+                ("dst", None, "event 0: demand dst None is not a string"),
+                ("units", True, "event 0: demand units True is not an integer"),
+                ("units", 2.9, "event 0: demand units 2.9 is not an integer"),
+                ("id", "3", "event id '3' is not an integer"),
+                ("id", False, "event id False is not an integer"),
+                ("time", "nan", "malformed time or hold"),
+                ("time", "inf", "malformed time or hold"),
+                ("time", float("nan"), "malformed time or hold"),
+                ("hold", float("inf"), "malformed time or hold"),
+                ("hold", True, "malformed time or hold"),
+                ("time", 10**400, "malformed time or hold")):
+            with pytest.raises(ValueError, match="malformed traffic event") as caught:
                 load_traffic({"events": [{**good, key: value}]})
-        with pytest.raises(ValueError, match="malformed traffic event"):
+            assert str(caught.value).endswith(reason), (key, value, str(caught.value))
+        with pytest.raises(ValueError,
+                           match="malformed traffic event 'not an object': not an object"):
             load_traffic({"events": ["not an object"]})
+
+    def test_events_check_themselves(self):
+        with pytest.raises(ValueError, match="event 0 has a malformed time or hold"):
+            TrafficEvent(0, float("nan"), "a", "b", 1, 1.0)
+        event = TrafficEvent(0, 0.0, "a", "b", 1, 1.0)
+        with pytest.raises(ValueError, match="event 0 has a malformed time or hold"):
+            dataclasses.replace(event, hold=0)
+        with pytest.raises(ValueError, match="event 0: demand endpoints must differ"):
+            dataclasses.replace(event, dst="a")
+
+    def test_integer_times_round_trip_unchanged(self):
+        doc = {"events": [{"id": 0, "time": 0, "src": "a", "dst": "b", "units": 1, "hold": 1},
+                          {"id": 1, "time": 2, "src": "b", "dst": "a", "units": 2, "hold": 0.5}]}
+        assert json.dumps(dump_traffic(load_traffic(doc))) == json.dumps(doc)
 
 
 class TestAllocationSemantics:
