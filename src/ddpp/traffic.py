@@ -1,10 +1,12 @@
 """Dynamic-traffic harness: replay demands against mutable spectrum state.
 
-Arrivals are processed in (time, id) order; each routed connection cuts
-its assigned slot interval out of the free intervals of every link of both
-routes, and a departure at time + hold merges exactly that interval back.
-Departures due at or before an arrival are released first, so back-to-back
-reuse of freed spectrum works.  Blocked demands are dropped, never retried.
+Arrivals and departures share one queue, ordered by (time, departures
+before arrivals, id), so the input order does not matter.  Each routed
+connection cuts its assigned slot interval out of the free intervals of
+every link of both routes, and its departure at time + hold merges exactly
+that interval back.  A departure due at an arrival's time is released
+first, so back-to-back reuse of freed spectrum works.  Blocked demands are
+dropped, never retried.
 
 The traffic document is the cross-tool interface:
 
@@ -85,13 +87,9 @@ def load_traffic(doc: dict) -> list[TrafficEvent]:
 
 
 def dump_traffic(events) -> dict:
-    return {
-        "events": [
-            {"id": ev.id, "time": ev.time, "src": ev.src, "dst": ev.dst,
-             "units": ev.units, "hold": ev.hold}
-            for ev in events
-        ]
-    }
+    """Write each event's six fields under the keys ``load_traffic`` reads."""
+    return {"events": [{key: getattr(ev, key) for key in TrafficEvent.__slots__}
+                       for ev in events]}
 
 
 def gen_traffic(
@@ -143,13 +141,16 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
     """Replay a demand sequence and report blocking and search effort.
 
     The state is one immutable Link per id, holding its free units as
-    canonical intervals, and a heap of departures that carry their own
-    allocations.  An allocation or release replaces only the links of its
-    routes, and each arrival solves on a snapshot network of the current
-    links, validated in full.  After the last departure every link must
-    equal its initial one, which is asserted before reporting.
+    canonical intervals, and one queue of arrivals and departures, taken in
+    (time, departures before arrivals, id) order; a departure carries its
+    own allocations.  An allocation or release replaces only the links of
+    its routes, and each arrival solves on a snapshot network of the
+    current links, validated in full.  After the last departure every link
+    must equal its initial one, which is asserted before reporting.
     """
-    arrivals = []
+    # (time, kind, id, payload), kind 0 a departure and 1 an arrival: ids
+    # are unique, so payloads never compare
+    queue: list[tuple] = []
     seen = set()
     for ev in events:
         if ev.id in seen:
@@ -160,30 +161,24 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
             validate_demand(net, demand)
         except ValueError as exc:
             raise type(exc)(f"event {ev.id}: {exc}") from exc
-        arrivals.append((ev, demand))
-    arrivals.sort(key=lambda arrival: (arrival[0].time, arrival[0].id))
+        heapq.heappush(queue, (ev.time, 1, ev.id, (ev, demand)))
     links = list(net.links)
-    # (time, id, allocations): ids are unique, so allocations never compare
-    departures: list[tuple[float, int, list]] = []
-
-    def release(event_id: int, allocations) -> None:
-        for link_ids, slots in allocations:
-            for link_id in link_ids:
-                link = links[link_id]
-                if any(iv.lo < slots.hi and slots.lo < iv.hi for iv in link.available):
-                    raise RuntimeError(
-                        f"double release: link {link_id} already holds units of event {event_id}"
-                    )
-                links[link_id] = Link(link.id, link.ends, link.cost,
-                                      normalize_intervals(link.available + (slots,)))
-
     routed = blocked = 0
     label_counts: list[int] = []
     wall_times: list[float] = []
-    for ev, demand in arrivals:
-        while departures and departures[0][0] <= ev.time:
-            _, event_id, allocations = heapq.heappop(departures)
-            release(event_id, allocations)
+    while queue:
+        _, kind, event_id, payload = heapq.heappop(queue)
+        if kind == 0:
+            for link_ids, slots in payload:
+                for link_id in link_ids:
+                    link = links[link_id]
+                    if any(iv.lo < slots.hi and slots.lo < iv.hi for iv in link.available):
+                        raise RuntimeError(f"double release: link {link_id} already "
+                                           f"holds units of event {event_id}")
+                    links[link_id] = Link(link.id, link.ends, link.cost,
+                                          normalize_intervals(link.available + (slots,)))
+            continue
+        ev, demand = payload
         sol = solve(Network(net.unit_count, net.nodes, tuple(links)), demand, opts)
         label_counts.append(sol.stats.labels_generated)
         wall_times.append(sol.stats.wall_time)
@@ -201,16 +196,13 @@ def run(net: Network, events, opts: SearchOptions = SearchOptions()) -> SimRepor
                         f"allocation breach: link {link_id} lacks units for event {ev.id}"
                     )
                 links[link_id] = Link(link.id, link.ends, link.cost, remaining)
-        heapq.heappush(departures, (ev.time + ev.hold, ev.id, allocations))
+        heapq.heappush(queue, (ev.time + ev.hold, 0, ev.id, allocations))
 
-    while departures:
-        _, event_id, allocations = heapq.heappop(departures)
-        release(event_id, allocations)
     for link, initial in zip(links, net.links):
         if link != initial:
             raise RuntimeError(f"spectrum not restored on link {link.id}")
 
-    offered = len(arrivals)
+    offered = len(seen)
     return SimReport(
         offered=offered,
         routed=routed,

@@ -385,6 +385,9 @@ class TestProcess:
             ["ddpp", "gen-traffic"], ["ddpp", "simulate"], ["ddpp", "simulate"],
             ["printf", '{"events": [{"id": 0, "time": 0, "src": "n0", "dst": "n7", '
                        '"units": 2, "hold": 1}]}'], ["ddpp", "simulate"],
+            ["printf", '{"events": [{"id": 1, "time": 1, "src": "n0", "dst": "n7", '
+                       '"units": 3, "hold": 1}, {"id": 0, "time": 0, "src": "n0", '
+                       '"dst": "n7", "units": 3, "hold": 1}]}'], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
             ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"], ["ddpp", "oracle"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
@@ -401,7 +404,7 @@ class TestProcess:
         assert int(base[-1][2]) == 432
         simulated, solved, (compare,), (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
-        *replays, single = simulated
+        *replays, single, pair = simulated
         for simulate in replays:  # prime, then base
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
@@ -409,6 +412,11 @@ class TestProcess:
         report = json.loads(single)
         assert (report["offered"], report["routed"], report["blocked"]) == (1, 1, 0)
         assert report["max_labels"] == 170
+        # two events listed out of time order; 0 leaves as 1 arrives, and
+        # both take the most units n0 -> n7 can carry
+        report = json.loads(pair)
+        assert (report["offered"], report["routed"], report["blocked"]) == (2, 2, 0)
+        assert report["max_labels"] == 67
         net = load_network(json.loads((tmp_path / "net.json").read_text()))
         # unlimited, limited to the dearer leg's cost, then with the queue drained
         for solve in solved:

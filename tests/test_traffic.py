@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -141,6 +142,17 @@ class TestRun:
         report = run(net, events)
         assert report.blocked == 0
 
+    def test_equal_time_arrivals_are_served_by_id(self):
+        # 0 takes the one unit before 1, whatever the list order; 2
+        # arrives after 0 has left
+        events = [
+            TrafficEvent(2, 5.0, "n_s", "n_x", 1, 1.0),
+            TrafficEvent(1, 0.0, "n_s", "n_x", 1, 10.0),
+            TrafficEvent(0, 0.0, "n_s", "n_x", 1, 1.0),
+        ]
+        report = run(lobe_network(1, 1), events)
+        assert (report.offered, report.routed, report.blocked) == (3, 2, 1)
+
     def test_counts_add_up_under_load(self):
         net = random_network(6, 2.5, 4, 0.8, seed=21)
         events = gen_traffic(net, 200, 4.0, 0.2, (1, 2), seed=3)
@@ -208,14 +220,18 @@ class TestRun:
             run(lobe_network(1, 2), [TrafficEvent(0, "0", "n_s", "n_x", 1, 1.0),
                                      TrafficEvent(1, 0.0, "n_s", "n_x", 1, 1.0)])
 
-    def test_iterator_and_list_give_equal_reports(self):
+    def test_input_order_and_iterable_do_not_matter(self):
         net = random_network(6, 2.5, 4, 0.8, 21)
-        events = gen_traffic(net, 20, 4.0, 0.2, (1, 2), 3)
-        from_list = run(net, events).to_doc()
-        from_iter = run(net, iter(events)).to_doc()
-        assert from_list["offered"] == 20
-        del from_list["mean_wall_time"], from_iter["mean_wall_time"]
-        assert from_iter == from_list
+        events = gen_traffic(net, 60, 4.0, 0.2, (1, 2), 3)
+        shuffled = list(events)
+        random.Random(0).shuffle(shuffled)
+        in_order = run(net, events).to_doc()
+        assert in_order["offered"] == 60
+        del in_order["mean_wall_time"]
+        for given in (iter(events), reversed(events), shuffled):
+            report = run(net, given).to_doc()
+            del report["mean_wall_time"]
+            assert report == in_order
 
     def test_rejects_bad_options_without_arrivals(self):
         with pytest.raises(ValueError, match="unknown mode"):
