@@ -86,6 +86,33 @@ where a costlier link with a lower id was accepted and then evicted,
 ``queue_pops`` fall.  The differential tests check this against solves
 with every shadow zeroed.
 
+Before it settles any label, ``PairSearch.run`` finds one feasible pair
+without the label search and keeps its cost as a bound ``U`` (A* with an
+incumbent, Hart, Nilsson & Raphael 1968).  Route one walks the tree of
+cheapest routes that ``h`` was computed over; route two is a cheapest
+route over the view links route one leaves free, the naive pair that
+Suurballe (1974) improves on.  Each needs its own run of ``demand.units``
+units free on all of its links and, under a route-cost limit, a cost
+within the limit; otherwise there is no bound, so a blocked demand never
+has one.  An ``enumerate_all`` solve takes no bound either: the
+destination's front needs its costlier members.  ``expand`` skips a link
+when the candidate's key, the label's cost plus the link's plus ``h`` of
+its far end and of the other route's end, would exceed ``U``, before
+``label_extend`` is called, so a skipped candidate costs no spectrum
+algebra, no label, no insertion and no push.  The skip is exact.  Keys
+never fall along an extension, and the search stops at the first
+destination label, whose key is the optimum, at most ``U``; so no label
+keyed above ``U`` would be settled.  A label that dominates another at the
+same vertex costs no more, so its key is no higher, in both relations and
+both slot orders: a candidate keyed above ``U`` could reject or evict only
+labels keyed above ``U``.  Every label keyed at most ``U`` therefore has
+the same parent and the same accept, reject and evict fate as without the
+bound, and push numbers keep their relative order.  The test is strict,
+because ties with the optimum decide the returned pair.  Every answer,
+``labels_settled`` and ``queue_pops`` are therefore unchanged; only
+``labels_generated``, ``labels_dominated`` and ``max_labels_per_vertex``
+fall.  The differential tests check this against solves with no bound.
+
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples and a heap entry), so the cyclic garbage
 collector would run many times per solve, each time rescanning the labels
@@ -136,7 +163,9 @@ class SearchStats:
     """The counters of one solve, its document's ``stats``.
 
     ``labels_generated`` counts the root and every candidate ``expand``
-    returned, so a demand blocked before any pop reports 1.
+    returned, so a demand blocked before any pop reports 1; on a routed
+    demand solved with a pair bound it counts only the candidates within
+    the bound.
     ``labels_dominated`` counts the candidates an efficient set rejected
     plus the members accepted candidates evicted.  ``labels_settled``
     counts the live labels popped and ``queue_pops`` every pop, dead labels
@@ -410,6 +439,52 @@ def _peel(near: dict[str, set[str]], src: str, dst: str) -> None:
                 dead.append(other)
 
 
+def _cheapest(view: dict, target: str, skip: int = 0,
+              stop: str | None = None) -> tuple[dict[str, int], dict]:
+    """Dijkstra to ``target`` over the view links whose bits are not in
+    ``skip``: each reached node's cheapest cost, and its tree link, the
+    link that last improved it.  It ends once ``stop`` is settled."""
+    dist = {target: 0}
+    tree = {}
+    heap = [(0, target)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        if node == stop:
+            break
+        for link, bit, other, _ in view[node]:
+            if skip & bit:
+                continue
+            nd = d + link.cost
+            if other not in dist or nd < dist[other]:
+                dist[other] = nd
+                tree[other] = link
+                heapq.heappush(heap, (nd, other))
+    return dist, tree
+
+
+def _tree_path(tree: dict, node: str, root: str) -> list:
+    """The links of the tree route from ``node`` to ``root``."""
+    links = []
+    while node != root:
+        link = tree[node]
+        links.append(link)
+        node = link.other_end(node)
+    return links
+
+
+def _has_window(links: list, units: int) -> bool:
+    """Whether one run of ``units`` units is free on every link of
+    ``links``."""
+    free = -1
+    for link in links:
+        free &= sum((1 << iv.hi) - (1 << iv.lo) for iv in link.available)
+    for _ in range(units - 1):
+        free &= free >> 1  # a set bit now starts one more free unit
+    return free != 0
+
+
 class PairSearch:
     """One solve: mutable per-query state over an immutable network."""
 
@@ -452,24 +527,36 @@ class PairSearch:
         self._h = self._distances_to(demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
+        self._bound: int | None = None
         self._ran = False
 
     def _distances_to(self, target: str) -> dict[str, int]:
         """Cheapest cost from each node to target over the view; a node
         that cannot reach target over it, a peeled node included, is
-        absent."""
-        dist = {target: 0}
-        heap = [(0, target)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for link, _, other, _ in self._view[node]:
-                nd = d + link.cost
-                if other not in dist or nd < dist[other]:
-                    dist[other] = nd
-                    heapq.heappush(heap, (nd, other))
+        absent.  The tree of those cheapest routes is kept as
+        ``self._toward``."""
+        dist, self._toward = _cheapest(self._view, target)
         return dist
+
+    def _pair_bound(self) -> int | None:
+        """The cost ``U`` of the greedy pair the module docstring describes,
+        or None when that pair fails.  Route one is costed ``h(src)``."""
+        src, dst, units = self.demand.src, self.demand.dst, self.demand.units
+        h = self._h
+        if src not in h:
+            return None
+        first = _tree_path(self._toward, src, dst)
+        taken = sum(1 << link.id for link in first)  # a path holds each link once
+        dist, toward = _cheapest(self._view, dst, taken, src)
+        if src not in dist:
+            return None
+        second = _tree_path(toward, src, dst)
+        limit = self.opts.max_route_cost
+        if limit is not None and max(h[src], dist[src]) > limit:
+            return None
+        if not (_has_window(first, units) and _has_window(second, units)):
+            return None
+        return h[src] + dist[src]
 
     @property
     def destination_count(self) -> int:
@@ -494,6 +581,10 @@ class PairSearch:
         ``label_extend`` gets the view's far end.  Under a route-cost
         limit, a link is not appended when the extended route, plus the
         cheapest way on from the far end, would cost more than the limit.
+        Once ``run`` has set a pair bound, a link is not appended when the
+        candidate's key would exceed it.  Both tests are one comparison of
+        ``link.cost + h[far]`` against a cap per side, made only when a
+        limit or a bound exists.
         """
         out: list[Label] = []
         a, b = label.vertex
@@ -505,23 +596,34 @@ class PairSearch:
         h = self._h
         view = self._view
         touching = self._touching
-        sides = ((("a", a, label.trait_a[0], links_a),) if a == b
-                 else (("a", a, label.trait_a[0], links_a),
-                       ("b", b, label.trait_b[0], links_b)))
+        bound = self._bound
+        cost_a, cost_b = label.trait_a[0], label.trait_b[0]
+        sides = ((("a", a, cost_a, links_a, b),) if a == b
+                 else (("a", a, cost_a, links_a, b), ("b", b, cost_b, links_b, a)))
         free = ~used
-        for side, node, spent, route in sides:
+        for side, node, spent, route, kept in sides:
             if node == dst:
                 continue
+            # the most link.cost + h[far] may be: None when nothing caps it
+            cap = None if limit is None else limit - spent
+            if bound is not None:
+                room = bound - cost_a - cost_b - h[kept]
+                if cap is None or room < cap:
+                    cap = room
             for link, bit, far, shadow in view[node]:
                 if used & bit or shadow & free or route & touching[far]:
                     continue
-                if limit is not None and spent + link.cost + h[far] > limit:
+                if cap is not None and link.cost + h[far] > cap:
                     continue
                 out += label_extend(label, link, far, side, units)
         return out
 
     def run(self) -> Solution:
         """Settle labels with the cyclic garbage collector paused.
+
+        Unless ``enumerate_all`` is set, the pair bound is found first,
+        inside the pause, so ``expand`` on a search that has not run uses
+        none.
 
         The collector is re-enabled when the search returns or raises, and
         left off if the caller had turned it off.  It is process-wide:
@@ -534,6 +636,8 @@ class PairSearch:
         paused = gc.isenabled()
         gc.disable()
         try:
+            if not self.opts.enumerate_all:
+                self._bound = self._pair_bound()
             return self._settle()
         finally:
             if paused:

@@ -389,7 +389,8 @@ class TestProcess:
                        '"units": 3, "hold": 1}, {"id": 0, "time": 0, "src": "n0", '
                        '"dst": "n7", "units": 3, "hold": 1}]}'], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
-            ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"], ["ddpp", "oracle"]]
+            ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"],
+            ["ddpp", "oracle"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
         for command in commands:
@@ -411,14 +412,15 @@ class TestProcess:
         # one event with integer time and hold, loaded as given
         report = json.loads(single)
         assert (report["offered"], report["routed"], report["blocked"]) == (1, 1, 0)
-        assert report["max_labels"] == 170
+        assert report["max_labels"] == 59
         # two events listed out of time order; 0 leaves as 1 arrives, and
         # both take the most units n0 -> n7 can carry
         report = json.loads(pair)
         assert (report["offered"], report["routed"], report["blocked"]) == (2, 2, 0)
-        assert report["max_labels"] == 67
+        assert report["max_labels"] == 23
         net = load_network(json.loads((tmp_path / "net.json").read_text()))
-        # unlimited, limited to the dearer leg's cost, then with the queue drained
+        # prime and base unlimited, base limited to the dearer leg's cost,
+        # then base with the queue drained
         for solve in solved:
             doc = json.loads(solve)
             assert (doc["status"], doc["cost"]) == ("routed", 232)
@@ -428,6 +430,12 @@ class TestProcess:
             sol = Solution(doc["status"], doc["cost"], *legs, SearchStats())
             assert check_solution(net, Demand("n0", "n7", 2), sol, 124) == []
         assert max(sum(net.links[i].cost for i in leg.links) for leg in legs) == 124
+        # prime, the relation `simulate` uses, solves under the pair bound
+        bounded = json.loads(solved[0])["stats"]
+        del bounded["wall_time"]
+        assert bounded == {"labels_generated": 59, "labels_dominated": 24,
+                           "labels_settled": 33, "queue_pops": 33,
+                           "max_labels_per_vertex": 9}
         drained = json.loads(solved[-1])["stats"]
         del drained["wall_time"]
         assert drained == {"labels_generated": 1753, "labels_dominated": 998,

@@ -484,6 +484,56 @@ def test_shadowing_saves_labels_on_seeded_twins():
     assert max(savings) > 0
 
 
+def bound_savings(net: Network, demand: Demand) -> int:
+    """Solve in prime, in base, and in base under route-cost limits, each
+    once as built and once with ``_pair_bound`` reporting no bound, and
+    assert that the documents agree apart from ``wall_time`` and the three
+    counters the bound may lower, which must not rise.  A finite bound is
+    at least the cost of a routed answer, so a blocked demand has none.
+    Returns the labels generated without the bound minus those with it,
+    summed.  The limits sit at and one below the unlimited base answer's
+    dearer leg."""
+    unlimited = search.solve(net, demand, SearchOptions("base"))
+    configs = [SearchOptions("prime"), SearchOptions("base")]
+    if unlimited.routed:
+        dearer = max(sum(net.links[i].cost for i in leg.links)
+                     for leg in (unlimited.working, unlimited.protecting))
+        configs += [SearchOptions("base", limit) for limit in (dearer - 1, dearer) if limit >= 0]
+    saved = 0
+    for opts in configs:
+        built = PairSearch(net, demand, opts)
+        bounded = built.run()
+        if built._bound is not None:
+            assert bounded.routed and bounded.total_cost <= built._bound, opts
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(PairSearch, "_pair_bound", lambda self: None)
+            plain = search.solve(net, demand, opts).to_doc()
+        bounded = bounded.to_doc()
+        with_bound, without = bounded.pop("stats"), plain.pop("stats")
+        assert bounded == plain, opts
+        for key in ("labels_settled", "queue_pops"):
+            assert with_bound[key] == without[key], (opts, key)
+        for key in ("labels_generated", "labels_dominated", "max_labels_per_vertex"):
+            assert with_bound[key] <= without[key], (opts, key)
+        saved += without["labels_generated"] - with_bound["labels_generated"]
+    return saved
+
+
+def test_pair_bound_changes_only_counters_on_seeded_networks():
+    """Seeded ``random_network`` demands, some routed and some blocked; the
+    bound saves labels on at least one."""
+    saved = [bound_savings(random_network(n, 3.0, 16, 0.85, seed),
+                           Demand("n0", f"n{n - 1}", 1 + seed % 3))
+             for n in (8, 10, 12) for seed in range(10)]
+    assert max(saved) > 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_pair_bound_changes_only_counters_on_multigraphs(instance):
+    bound_savings(*instance)
+
+
 def simple_path_parts(net: Network, demand: Demand) -> tuple[set, set]:
     """The nodes and link ids of every simple src–dst path over the usable
     links, found by walking every such path from the source."""

@@ -421,29 +421,29 @@ class TestStatsAndModes:
         (12, 2, 3, "base"): ("routed", 157,
                              (["n0", "n4", "n11"], [14, 2], [2, 5]),
                              (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
-                             (770, 155, 146, 154, 36)),
+                             (295, 117, 146, 154, 28)),
         (12, 2, 3, "prime"): ("routed", 157,
                               (["n0", "n4", "n11"], [14, 2], [2, 5]),
                               (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
-                              (768, 164, 138, 148, 36)),
+                              (293, 123, 138, 148, 28)),
         (13, 3, 2, "base"): ("routed", 116,
                              (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                              (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                             (1075, 141, 126, 129, 70)),
+                             (260, 87, 126, 129, 20)),
         (13, 3, 2, "prime"): ("routed", 116,
                               (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
                               (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                              (1075, 177, 126, 129, 70)),
+                              (260, 88, 126, 129, 20)),
         (14, 5, 2, "base"): ("routed", 304,
                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                               [1, 3]),
-                             (2673, 869, 623, 653, 140)),
+                             (1651, 700, 623, 653, 140)),
         (14, 5, 2, "prime"): ("routed", 304,
                               (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                               (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                                [1, 3]),
-                              (2601, 896, 597, 635, 130)),
+                              (1615, 717, 597, 635, 130)),
     }
 
     @staticmethod
@@ -488,19 +488,19 @@ class TestStatsAndModes:
         ("random", 12, 64, 0.85, 3, 2, "base"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
-             (3506, 1257, 906, 911, 188)), 20, 188),
+             (1741, 685, 906, 911, 188)), 20, 188),
         ("random", 12, 64, 0.85, 3, 2, "prime"): (
             ("routed", 309, (["n0", "n5", "n11"], [6, 17], [0, 2]),
              (["n0", "n10", "n7", "n11"], [2, 1, 4], [2, 4]),
-             (3506, 1278, 899, 904, 174)), 20, 174),
+             (1741, 699, 899, 904, 174)), 20, 174),
         ("random", 20, 320, 0.9, 11, 8, "base"): (
             ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
              (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
-             (3878, 603, 856, 856, 225)), 15, 225),
+             (1933, 603, 856, 856, 165)), 15, 165),
         ("random", 20, 320, 0.9, 11, 8, "prime"): (
             ("routed", 307, (["n0", "n8", "n6", "n10", "n19"], [11, 14, 23, 16], [177, 185]),
              (["n0", "n7", "n14", "n17", "n19"], [10, 19, 18, 29], [25, 33]),
-             (3878, 603, 856, 856, 225)), 15, 225),
+             (1933, 603, 856, 856, 165)), 15, 165),
     }
 
     def test_counters_match_golden_on_larger_instances(self):
@@ -706,6 +706,51 @@ class TestLimitedVariant:
             if limit >= max(leg_costs):
                 assert sol.total_cost == unlimited.total_cost
             assert check_solution(net, demand, sol, limit) == [], limit
+
+
+class TestPairBound:
+    """The greedy pair whose cost bounds a solve: a shortest route and a
+    shortest partner over the links it leaves free."""
+
+    def test_routes_free_at_different_offsets_give_a_bound(self):
+        # s-m-t is free only on [0, 2) and s-t only on [2, 4): no one window
+        # serves both routes, but each route has its own
+        net = make_net(4, ["s", "m", "t"], [("s", "m", 1, [(0, 2)]), ("m", "t", 1, [(0, 2)]),
+                                            ("s", "t", 3, [(2, 4)])])
+        search = PairSearch(net, Demand("s", "t", 2))
+        sol = search.run()
+        assert search._bound == 5
+        assert sol.routed and sol.total_cost == 5
+
+    @pytest.mark.parametrize("limit, bound", [(None, 7), (5, 7), (4, None)])
+    def test_limit_the_partner_breaks_gives_no_bound(self, limit, bound):
+        # route one a-b-c costs 2, its partner a-c costs 5
+        mode = "prime" if limit is None else "base"
+        search = PairSearch(triangle(), Demand("a", "c", 2), SearchOptions(mode, limit))
+        sol = search.run()
+        assert search._bound == bound
+        assert sol.status == ("blocked" if bound is None else "routed")
+
+    def test_zero_cost_multigraph_terminates(self):
+        full = [(0, 2)]
+        net = make_net(2, ["s", "a", "b", "t"],
+                       [("s", "a", 0, full), ("a", "b", 0, full), ("b", "s", 0, full),
+                        ("a", "t", 0, full), ("t", "b", 0, full), ("s", "a", 0, full),
+                        ("a", "a", 0, full), ("b", "a", 0, full)])
+        for mode in ("base", "prime"):
+            search = PairSearch(net, Demand("s", "t", 1), SearchOptions(mode))
+            sol = search.run()
+            assert search._bound == 0
+            assert sol.routed and sol.total_cost == 0
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_enumerating_solves_take_no_bound(self, m):
+        search = PairSearch(lobe_network(m, 1), Demand("n_s", "n_x", 1),
+                            SearchOptions("base", enumerate_all=True))
+        search.run()
+        assert search._bound is None
+        assert search.destination_count == 2**m
+        assert search._pair_bound() == 2 ** (m + 1) - 1  # a pair exists
 
 
 class TestUsableLinkView:
