@@ -94,24 +94,27 @@ route over the view links route one leaves free, the naive pair that
 Suurballe (1974) improves on.  Each needs its own run of ``demand.units``
 units free on all of its links and, under a route-cost limit, a cost
 within the limit; otherwise there is no bound, so a blocked demand never
-has one.  An ``enumerate_all`` solve takes no bound either: the
-destination's front needs its costlier members.  ``expand`` skips a link
-when the candidate's key, the label's cost plus the link's plus ``h`` of
-its far end and of the other route's end, would exceed ``U``, before
-``label_extend`` is called, so a skipped candidate costs no spectrum
-algebra, no label, no insertion and no push.  The skip is exact.  Keys
-never fall along an extension, and the search stops at the first
-destination label, whose key is the optimum, at most ``U``; so no label
-keyed above ``U`` would be settled.  A label that dominates another at the
-same vertex costs no more, so its key is no higher, in both relations and
-both slot orders: a candidate keyed above ``U`` could reject or evict only
-labels keyed above ``U``.  Every label keyed at most ``U`` therefore has
-the same parent and the same accept, reject and evict fate as without the
-bound, and push numbers keep their relative order.  The test is strict,
-because ties with the optimum decide the returned pair.  Every answer,
-``labels_settled`` and ``queue_pops`` are therefore unchanged; only
-``labels_generated``, ``labels_dominated`` and ``max_labels_per_vertex``
-fall.  The differential tests check this against solves with no bound.
+has one.  A route's run is found as a label's is, by folding the full band
+through ``trait_extend`` link by link, so its cost depends on the links'
+free intervals and not on the unit count.  An ``enumerate_all`` solve
+takes no bound either: the destination's front needs its costlier
+members.  ``expand`` skips a link when the candidate's key, the label's
+cost plus the link's plus ``h`` of its far end and of the other route's
+end, would exceed ``U``, before ``label_extend`` is called, so a skipped
+candidate costs no spectrum algebra, no label, no insertion and no push.
+The skip is exact.  Keys never fall along an extension, and the search
+stops at the first destination label, whose key is the optimum, at most
+``U``; so no label keyed above ``U`` would be settled.  A label that
+dominates another at the same vertex costs no more, so its key is no
+higher, in both relations and both slot orders: a candidate keyed above
+``U`` could reject or evict only labels keyed above ``U``.  Every label
+keyed at most ``U`` therefore has the same parent and the same accept,
+reject and evict fate as without the bound, and push numbers keep their
+relative order.  The test is strict, because ties with the optimum decide
+the returned pair.  Every answer, ``labels_settled`` and ``queue_pops``
+are therefore unchanged; only ``labels_generated``, ``labels_dominated``
+and ``max_labels_per_vertex`` fall.  The differential tests check this
+against solves with no bound.
 
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples and a heap entry), so the cyclic garbage
@@ -131,7 +134,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, validate_demand
-from .spectrum_core import Label, UnitInterval, _require_int, label_cost, label_extend
+from .spectrum_core import Label, UnitInterval, _require_int, label_cost, label_extend, trait_extend
 
 MODES = ("base", "prime")
 
@@ -443,7 +446,8 @@ def _cheapest(view: dict, target: str, skip: int = 0,
               stop: str | None = None) -> tuple[dict[str, int], dict]:
     """Dijkstra to ``target`` over the view links whose bits are not in
     ``skip``: each reached node's cheapest cost, and its tree link, the
-    link that last improved it.  It ends once ``stop`` is settled."""
+    link that last improved it; a node that cannot reach ``target``, a
+    peeled node included, is absent.  It ends once ``stop`` is settled."""
     dist = {target: 0}
     tree = {}
     heap = [(0, target)]
@@ -474,15 +478,13 @@ def _tree_path(tree: dict, node: str, root: str) -> list:
     return links
 
 
-def _has_window(links: list, units: int) -> bool:
+def _has_window(links: list, units: int, unit_count: int) -> bool:
     """Whether one run of ``units`` units is free on every link of
-    ``links``."""
-    free = -1
+    ``links``: the full band folded through ``trait_extend``."""
+    traits = [(0, 0, unit_count)]
     for link in links:
-        free &= sum((1 << iv.hi) - (1 << iv.lo) for iv in link.available)
-    for _ in range(units - 1):
-        free &= free >> 1  # a set bit now starts one more free unit
-    return free != 0
+        traits = [piece for trait in traits for piece in trait_extend(trait, link, units)]
+    return bool(traits)
 
 
 class PairSearch:
@@ -524,19 +526,11 @@ class PairSearch:
         for node, far in near.items():
             if len(far) < len(view[node]):
                 view[node] = _shadowed(view[node], units)
-        self._h = self._distances_to(demand.dst)
+        self._h, self._toward = _cheapest(view, demand.dst)
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
         self._bound: int | None = None
         self._ran = False
-
-    def _distances_to(self, target: str) -> dict[str, int]:
-        """Cheapest cost from each node to target over the view; a node
-        that cannot reach target over it, a peeled node included, is
-        absent.  The tree of those cheapest routes is kept as
-        ``self._toward``."""
-        dist, self._toward = _cheapest(self._view, target)
-        return dist
 
     def _pair_bound(self) -> int | None:
         """The cost ``U`` of the greedy pair the module docstring describes,
@@ -554,7 +548,8 @@ class PairSearch:
         limit = self.opts.max_route_cost
         if limit is not None and max(h[src], dist[src]) > limit:
             return None
-        if not (_has_window(first, units) and _has_window(second, units)):
+        unit_count = self.net.unit_count
+        if not (_has_window(first, units, unit_count) and _has_window(second, units, unit_count)):
             return None
         return h[src] + dist[src]
 

@@ -72,6 +72,29 @@ def chain_network(weights) -> Network:
     return make_net(1, nodes, specs)
 
 
+def narrow_partner_network() -> Network:
+    """Nodes s, a, m, b and t over 4 units.  The cheapest s-t route s-a-t
+    is fully free; its greedy partner s-m-t shares only one free unit, [2,
+    3), across its two links, so a 2-unit demand s -> t must take s-b-t:
+    routed at cost 11."""
+    full = [(0, 4)]
+    return make_net(4, ["s", "a", "m", "b", "t"],
+                    [("s", "a", 0, full), ("a", "t", 1, full), ("s", "m", 1, [(0, 3)]),
+                     ("m", "t", 1, [(2, 4)]), ("s", "b", 5, full), ("b", "t", 5, full)])
+
+
+def reach_limit_trap() -> Network:
+    """Nodes s, a, b, c and t over 1 unit, all free.  Unlimited, a 1-unit
+    demand s -> t costs 10: s-a-t (1) and s-t (9).  Under a route-cost
+    limit of 8 the direct link is out, and it costs 13: s-a-b-t (6) and
+    s-c-a-t (7)."""
+    full = [(0, 1)]
+    return make_net(1, ["s", "a", "b", "c", "t"],
+                    [("s", "a", 0, full), ("a", "t", 1, full), ("a", "b", 3, full),
+                     ("b", "t", 3, full), ("s", "c", 3, full), ("c", "a", 3, full),
+                     ("s", "t", 9, full)])
+
+
 def peeled_view(net, demand):
     """The usable links left after peeling dead ends, to a fixpoint: while a
     node other than the demand's ends has fewer than two distinct

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reach_limit_trap
+
 import ddpp.oracle
 from ddpp import (
     Demand,
@@ -390,7 +392,10 @@ class TestProcess:
                        '"dst": "n7", "units": 3, "hold": 1}]}'], ["ddpp", "simulate"],
             ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
             ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"],
-            ["ddpp", "oracle"]]
+            ["ddpp", "oracle"],
+            ["printf", json.dumps(dump_network(reach_limit_trap()))],
+            ["printf", '{"src": "s", "dst": "t", "units": 1}'], ["ddpp", "solve"],
+            ["ddpp", "compare"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
         for command in commands:
@@ -403,9 +408,11 @@ class TestProcess:
         assert [int(row[1]) for row in prime] == [1] * 6
         assert [int(row[1]) for row in base] == [2**m for m in range(1, 7)]
         assert int(base[-1][2]) == 432
-        simulated, solved, (compare,), (oracle,) = (
+        simulated, solved, compared, (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
         *replays, single, pair = simulated
+        *solved, trap_solve = solved
+        compare, trap_compare = compared
         for simulate in replays:  # prime, then base
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
@@ -458,6 +465,14 @@ class TestProcess:
                 == ([4, 11], 108))
         assert ((witness["route_b"]["links"], witness["route_b"]["cost"])
                 == ([9, 3], 124))
+        # the reach-limit trap: its greedy pair breaks the limit of 8, so the
+        # answer pairs two dearer legs
+        doc = json.loads(trap_solve)
+        assert (doc["status"], doc["cost"]) == ("routed", 13)
+        verdict = json.loads(trap_compare)
+        assert verdict["matches"] is True
+        assert verdict["verdicts"] == {"base": True}
+        assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 13)
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

@@ -3,9 +3,10 @@ oracle differential must catch.
 
 Each case swaps one product function for a mutant and runs the oracle
 differential of ``test_properties`` over a fixed, derandomized example set
-with shrinking off, expecting it to fail.  The unmutated search passes the
-same example set.  A check that stops catching its mutant has lost
-strength, and a case here fails to say so.
+with shrinking off, or over one hand-built instance that the example set
+misses, expecting it to fail.  The unmutated search passes the same
+checks.  A check that stops catching its mutant has lost strength, and a
+case here fails to say so.
 """
 
 import inspect
@@ -14,9 +15,10 @@ import textwrap
 import pytest
 from hypothesis import Phase, given, settings
 
+from conftest import narrow_partner_network, reach_limit_trap
 from test_properties import assert_exact_in_every_combination, multigraph_demands
 
-from ddpp import search
+from ddpp import Demand, search
 from ddpp.search import PairSearch
 
 
@@ -59,3 +61,36 @@ def test_skip_at_the_bound_itself_is_caught(monkeypatch):
         search.PairSearch.expand, "link.cost + h[far] > cap", "link.cost + h[far] >= cap"))
     with pytest.raises(AssertionError):
         oracle_differential()
+
+
+def test_trail_search_is_caught(monkeypatch):
+    # routes may pass a node twice and walk on past the destination
+    monkeypatch.setattr(PairSearch, "expand", mutant(
+        search.PairSearch.expand, "used & bit or shadow & free or route & touching[far]",
+        "used & bit or shadow & free"))
+    with pytest.raises(AssertionError):
+        oracle_differential()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("if limit is not None and max(h[src], dist[src]) > limit:", "if False:"),
+    ("max(h[src], dist[src]) > limit", "h[src] > limit"),
+])
+def test_bound_past_the_limit_is_caught(monkeypatch, old, new):
+    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(search.PairSearch._pair_bound, old, new))
+    with pytest.raises(AssertionError):
+        assert_exact_in_every_combination(reach_limit_trap(), Demand("s", "t", 1))
+
+
+def test_partner_without_a_window_is_caught(monkeypatch):
+    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
+        search.PairSearch._pair_bound, " and _has_window(second, units, unit_count)", ""))
+    with pytest.raises(AssertionError):
+        assert_exact_in_every_combination(narrow_partner_network(), Demand("s", "t", 2))
+
+
+def test_window_one_unit_wide_is_caught(monkeypatch):
+    monkeypatch.setattr(search, "_has_window", mutant(
+        search._has_window, "trait_extend(trait, link, units)", "trait_extend(trait, link, 1)"))
+    with pytest.raises(AssertionError):
+        assert_exact_in_every_combination(narrow_partner_network(), Demand("s", "t", 2))

@@ -2,11 +2,19 @@
 
 import dataclasses
 import gc
+import tracemalloc
 
 import pytest
 
-from conftest import make_net, peeled_view, view_distances
+from conftest import (
+    make_net,
+    narrow_partner_network,
+    peeled_view,
+    reach_limit_trap,
+    view_distances,
+)
 from reference import dominates, efficient_front
+from test_properties import assert_exact_in_every_combination
 
 from ddpp import (
     Demand,
@@ -520,18 +528,12 @@ class TestStatsAndModes:
             buckets = max(sum(map(len, s._rows.values())) for s in search._sets.values())
             assert (self._fingerprint(sol), rows, buckets) == expect, case
 
-    def test_decreasing_pop_keys_raise(self, monkeypatch):
-        real = PairSearch._distances_to
-
-        def inflated(self, target):
-            # h stops being consistent: the source alone is overestimated
-            h = real(self, target)
-            h[self.demand.src] += 100
-            return h
-
-        monkeypatch.setattr(PairSearch, "_distances_to", inflated)
+    def test_decreasing_pop_keys_raise(self):
+        search = PairSearch(lobe_network(2, 1), Demand("n_s", "n_x", 1))
+        # h stops being consistent: the source alone is overestimated
+        search._h["n_s"] += 100
         with pytest.raises(RuntimeError, match="pop keys decreased"):
-            solve(lobe_network(2, 1), Demand("n_s", "n_x", 1))
+            search.run()
         assert gc.isenabled()  # the collector pause ends when run raises
 
     def test_run_only_once(self):
@@ -707,6 +709,19 @@ class TestLimitedVariant:
                 assert sol.total_cost == unlimited.total_cost
             assert check_solution(net, demand, sol, limit) == [], limit
 
+    def test_reach_limit_trap(self):
+        # the greedy pair s-a-t (1) and s-t (9) breaks the limit; the answer
+        # under it pairs two dearer legs, s-a-b-t (6) and s-c-a-t (7)
+        net, demand = reach_limit_trap(), Demand("s", "t", 1)
+        assert solve(net, demand).total_cost == 10
+        search = PairSearch(net, demand, SearchOptions("base", 8))
+        sol = search.run()
+        assert search._bound is None
+        assert sol.routed and sol.total_cost == 13
+        assert {tuple(sol.working.nodes), tuple(sol.protecting.nodes)} == {
+            ("s", "a", "b", "t"), ("s", "c", "a", "t")}
+        assert_exact_in_every_combination(net, demand)
+
 
 class TestPairBound:
     """The greedy pair whose cost bounds a solve: a shortest route and a
@@ -730,6 +745,30 @@ class TestPairBound:
         sol = search.run()
         assert search._bound == bound
         assert sol.status == ("blocked" if bound is None else "routed")
+
+    def test_partner_without_a_common_window_gives_no_bound(self):
+        # s-m-t has a 2-unit run on each link but only one unit free on both
+        net, demand = narrow_partner_network(), Demand("s", "t", 2)
+        search = PairSearch(net, demand)
+        sol = search.run()
+        assert search._bound is None
+        assert sol.routed and sol.total_cost == 11
+        assert_exact_in_every_combination(net, demand)
+
+    def test_bound_memory_does_not_grow_with_the_unit_count(self):
+        # every link is one free interval, however many units it spans
+        n = 10**7
+        net = make_net(n, ["s", "a", "b", "t"],
+                       [("s", "a", 1, [(0, n)]), ("a", "t", 1, [(0, n)]),
+                        ("s", "b", 2, [(0, n)]), ("b", "t", 2, [(0, n)])])
+        tracemalloc.start()
+        try:
+            sol = solve(net, Demand("s", "t", 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.routed and sol.total_cost == 6
+        assert peak < 2**20
 
     def test_zero_cost_multigraph_terminates(self):
         full = [(0, 2)]
