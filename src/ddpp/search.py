@@ -86,35 +86,49 @@ where a costlier link with a lower id was accepted and then evicted,
 ``queue_pops`` fall.  The differential tests check this against solves
 with every shadow zeroed.
 
-Before it settles any label, ``PairSearch.run`` finds one feasible pair
-without the label search and keeps its cost as a bound ``U`` (A* with an
-incumbent, Hart, Nilsson & Raphael 1968).  Route one walks the tree of
-cheapest routes that ``h`` was computed over; route two is a cheapest
-route over the view links route one leaves free, the naive pair that
-Suurballe (1974) improves on.  Each needs its own run of ``demand.units``
-units free on all of its links and, under a route-cost limit, a cost
-within the limit; otherwise there is no bound, so a blocked demand never
-has one.  A route's run is found as a label's is, by folding the full band
-through ``trait_extend`` link by link, so its cost depends on the links'
-free intervals and not on the unit count.  An ``enumerate_all`` solve
-takes no bound either: the destination's front needs its costlier
-members.  ``expand`` skips a link when the candidate's key, the label's
-cost plus the link's plus ``h`` of its far end and of the other route's
-end, would exceed ``U``, before ``label_extend`` is called, so a skipped
-candidate costs no spectrum algebra, no label, no insertion and no push.
-The skip is exact.  Keys never fall along an extension, and the search
-stops at the first destination label, whose key is the optimum, at most
-``U``; so no label keyed above ``U`` would be settled.  A label that
-dominates another at the same vertex costs no more, so its key is no
-higher, in both relations and both slot orders: a candidate keyed above
-``U`` could reject or evict only labels keyed above ``U``.  Every label
-keyed at most ``U`` therefore has the same parent and the same accept,
-reject and evict fate as without the bound, and push numbers keep their
-relative order.  The test is strict, because ties with the optimum decide
-the returned pair.  Every answer, ``labels_settled`` and ``queue_pops``
-are therefore unchanged; only ``labels_generated``, ``labels_dominated``
-and ``max_labels_per_vertex`` fall.  The differential tests check this
-against solves with no bound.
+Before it settles any label, ``PairSearch.run`` looks for the cheapest
+link-disjoint pair of view routes, blind to spectrum (Suurballe 1974;
+Suurballe & Tarjan 1984), and keeps its cost as a bound ``U`` when both
+routes fit (A* with an incumbent, Hart, Nilsson & Raphael 1968).  Route
+one is the path of the tree that ``h`` was computed over.  Route two
+comes from one more Dijkstra from the source over the residual view, with
+costs reduced by ``h``: a link off route one may be crossed either way,
+from ``u`` to ``v`` at ``cost + h(v) - h(u)``, never negative as ``h`` is
+consistent, and a link of route one only backwards, from its destination
+side to its source side, at 0.  Reduced so, the Dijkstra is an A* toward
+the destination, and it ends when it settles the destination; when it
+never does, there is no bound.  A link the two routes cross in opposite
+directions cancels.  At every other node as many of the links left lead
+in as out, so two link-disjoint legs are walked from the source to the
+destination over them, and their costs sum to at most ``2 h(src) +
+dist(dst)``, the cheapest pair's cost.  Each leg needs its own run of
+``demand.units`` units free on all of its links and, under a route-cost
+limit, a cost within the limit; otherwise there is no bound, so a blocked
+demand never has one.  A leg holds a path over a subset of its links,
+which fits wherever the leg does, so a bound is at least the optimum; and
+the optimum is a link-disjoint pair of view routes, so it is at least the
+bound: a bound, whenever it exists, is the optimum.  A leg's run is found
+as a label's is, by folding the full band through ``trait_extend`` link
+by link, so its cost depends on the links' free intervals and not on the
+unit count.  An ``enumerate_all`` solve takes no bound either: the
+destination's front needs its costlier members.
+``expand`` skips a link when the candidate's key, the label's cost plus
+the link's plus ``h`` of its far end and of the other route's end, would
+exceed ``U``, before ``label_extend`` is called, so a skipped candidate
+costs no spectrum algebra, no label, no insertion and no push.  The skip
+is exact.  Keys never fall along an extension, and the search stops at the
+first destination label, whose key is the optimum, at most ``U``; so no
+label keyed above ``U`` would be settled.  A label that dominates another
+at the same vertex costs no more, so its key is no higher, in both
+relations and both slot orders: a candidate keyed above ``U`` could reject
+or evict only labels keyed above ``U``.  Every label keyed at most ``U``
+therefore has the same parent and the same accept, reject and evict fate
+as without the bound, and push numbers keep their relative order.  The
+test is strict, because ties with the optimum decide the returned pair.
+Every answer, ``labels_settled`` and ``queue_pops`` are therefore
+unchanged; only ``labels_generated``, ``labels_dominated`` and
+``max_labels_per_vertex`` fall.  The differential tests check this against
+solves with no bound.
 
 A search allocates several container objects per accepted candidate (the
 label, its trait and vertex tuples and a heap entry), so the cyclic garbage
@@ -442,12 +456,10 @@ def _peel(near: dict[str, set[str]], src: str, dst: str) -> None:
                 dead.append(other)
 
 
-def _cheapest(view: dict, target: str, skip: int = 0,
-              stop: str | None = None) -> tuple[dict[str, int], dict]:
-    """Dijkstra to ``target`` over the view links whose bits are not in
-    ``skip``: each reached node's cheapest cost, and its tree link, the
-    link that last improved it; a node that cannot reach ``target``, a
-    peeled node included, is absent.  It ends once ``stop`` is settled."""
+def _cheapest(view: dict, target: str) -> tuple[dict[str, int], dict]:
+    """Dijkstra to ``target`` over the view: each reached node's cheapest
+    cost, and its tree link, the link that last improved it; a node that
+    cannot reach ``target``, a peeled node included, is absent."""
     dist = {target: 0}
     tree = {}
     heap = [(0, target)]
@@ -455,27 +467,13 @@ def _cheapest(view: dict, target: str, skip: int = 0,
         d, node = heapq.heappop(heap)
         if d > dist[node]:
             continue
-        if node == stop:
-            break
-        for link, bit, other, _ in view[node]:
-            if skip & bit:
-                continue
+        for link, _, other, _ in view[node]:
             nd = d + link.cost
             if other not in dist or nd < dist[other]:
                 dist[other] = nd
                 tree[other] = link
                 heapq.heappush(heap, (nd, other))
     return dist, tree
-
-
-def _tree_path(tree: dict, node: str, root: str) -> list:
-    """The links of the tree route from ``node`` to ``root``."""
-    links = []
-    while node != root:
-        link = tree[node]
-        links.append(link)
-        node = link.other_end(node)
-    return links
 
 
 def _has_window(links: list, units: int, unit_count: int) -> bool:
@@ -533,25 +531,74 @@ class PairSearch:
         self._ran = False
 
     def _pair_bound(self) -> int | None:
-        """The cost ``U`` of the greedy pair the module docstring describes,
-        or None when that pair fails.  Route one is costed ``h(src)``."""
+        """The cost ``U`` of Suurballe's pair, as the module docstring
+        describes it, or None when the residual Dijkstra does not reach the
+        destination or a leg fails its window or the limit.  A bound is the
+        optimum."""
         src, dst, units = self.demand.src, self.demand.dst, self.demand.units
-        h = self._h
+        h, toward = self._h, self._toward
         if src not in h:
             return None
-        first = _tree_path(self._toward, src, dst)
-        taken = sum(1 << link.id for link in first)  # a path holds each link once
-        dist, toward = _cheapest(self._view, dst, taken, src)
-        if src not in dist:
+        # out[node]: the links a route leaves node by, toward dst; route one's first
+        out: dict[str, list] = {}
+        taken = 0
+        node = src
+        while node != dst:
+            link = toward[node]
+            prev, node = node, link.other_end(node)
+            out[prev] = [(link, node)]
+            taken |= 1 << link.id
+        # Dijkstra from src over the residual view, costs reduced by h: a
+        # route-one link only from its dst side to its src side, at 0
+        dist = {src: 0}
+        tree = {}
+        done = set()  # each node is expanded once, so the loop ends even if h is broken
+        heap = [(0, src)]
+        heappush, heappop = heapq.heappush, heapq.heappop
+        while heap:
+            d, node = heappop(heap)
+            if node in done:
+                continue
+            done.add(node)
+            if node == dst:
+                break
+            rest = d - h[node]
+            for link, bit, far, _ in self._view[node]:
+                if taken & bit:
+                    if toward.get(far) is not link:
+                        continue
+                    nd = d
+                else:
+                    nd = rest + link.cost + h[far]
+                if far not in dist or nd < dist[far]:
+                    dist[far] = nd
+                    tree[far] = link
+                    heappush(heap, (nd, far))
+        else:
             return None
-        second = _tree_path(toward, src, dst)
+        # route two, walked back from dst; a route-one link it crosses cancels
+        while node != src:
+            link = tree[node]
+            prev = link.other_end(node)
+            if taken >> link.id & 1:
+                out[node].remove((link, prev))
+            else:
+                out.setdefault(prev, []).append((link, node))
+            node = prev
+        legs = []
+        for _ in range(2):
+            leg, node = [], src
+            while node != dst:
+                link, node = out[node].pop()
+                leg.append(link)
+            legs.append(leg)
         limit = self.opts.max_route_cost
-        if limit is not None and max(h[src], dist[src]) > limit:
+        if limit is not None and max(sum(link.cost for link in leg) for leg in legs) > limit:
             return None
         unit_count = self.net.unit_count
-        if not (_has_window(first, units, unit_count) and _has_window(second, units, unit_count)):
+        if not all(_has_window(leg, units, unit_count) for leg in legs):
             return None
-        return h[src] + dist[src]
+        return 2 * h[src] + dist[dst]
 
     @property
     def destination_count(self) -> int:

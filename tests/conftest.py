@@ -73,10 +73,10 @@ def chain_network(weights) -> Network:
 
 
 def narrow_partner_network() -> Network:
-    """Nodes s, a, m, b and t over 4 units.  The cheapest s-t route s-a-t
-    is fully free; its greedy partner s-m-t shares only one free unit, [2,
-    3), across its two links, so a 2-unit demand s -> t must take s-b-t:
-    routed at cost 11."""
+    """Nodes s, a, m, b and t over 4 units.  The cheapest s-t pair is
+    s-a-t, fully free, and s-m-t, whose two links share only one free
+    unit, [2, 3), so a 2-unit demand s -> t must take s-b-t: routed at
+    cost 11."""
     full = [(0, 4)]
     return make_net(4, ["s", "a", "m", "b", "t"],
                     [("s", "a", 0, full), ("a", "t", 1, full), ("s", "m", 1, [(0, 3)]),
@@ -93,6 +93,19 @@ def reach_limit_trap() -> Network:
                     [("s", "a", 0, full), ("a", "t", 1, full), ("a", "b", 3, full),
                      ("b", "t", 3, full), ("s", "c", 3, full), ("c", "a", 3, full),
                      ("s", "t", 9, full)])
+
+
+def suurballe_trap(direct: bool = True) -> Network:
+    """Nodes s, a, b and t over 1 unit, all free: s-a, a-b and b-t cost 1,
+    s-b and a-t cost 3, and with ``direct`` an s-t link costs 10.  The
+    cheapest route s-a-b-t leaves no partner but s-t (13 together, none
+    without it); a 1-unit demand s -> t costs 8, s-a-t and s-b-t."""
+    full = [(0, 1)]
+    specs = [("s", "a", 1, full), ("a", "b", 1, full), ("b", "t", 1, full),
+             ("s", "b", 3, full), ("a", "t", 3, full)]
+    if direct:
+        specs.append(("s", "t", 10, full))
+    return make_net(1, ["s", "a", "b", "t"], specs)
 
 
 def peeled_view(net, demand):

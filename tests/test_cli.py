@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reach_limit_trap
+from conftest import reach_limit_trap, suurballe_trap
 
 import ddpp.oracle
 from ddpp import (
@@ -395,6 +395,8 @@ class TestProcess:
             ["ddpp", "oracle"],
             ["printf", json.dumps(dump_network(reach_limit_trap()))],
             ["printf", '{"src": "s", "dst": "t", "units": 1}'], ["ddpp", "solve"],
+            ["ddpp", "compare"],
+            ["printf", json.dumps(dump_network(suurballe_trap()))], ["ddpp", "solve"],
             ["ddpp", "compare"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
@@ -411,8 +413,8 @@ class TestProcess:
         simulated, solved, compared, (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
         *replays, single, pair = simulated
-        *solved, trap_solve = solved
-        compare, trap_compare = compared
+        *solved, trap_solve, suurballe_solve = solved
+        compare, trap_compare, suurballe_compare = compared
         for simulate in replays:  # prime, then base
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
@@ -465,7 +467,7 @@ class TestProcess:
                 == ([4, 11], 108))
         assert ((witness["route_b"]["links"], witness["route_b"]["cost"])
                 == ([9, 3], 124))
-        # the reach-limit trap: its greedy pair breaks the limit of 8, so the
+        # the reach-limit trap: its cheapest pair breaks the limit of 8, so the
         # answer pairs two dearer legs
         doc = json.loads(trap_solve)
         assert (doc["status"], doc["cost"]) == ("routed", 13)
@@ -473,6 +475,16 @@ class TestProcess:
         assert verdict["matches"] is True
         assert verdict["verdicts"] == {"base": True}
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 13)
+        # the Suurballe trap: the shortest route s-a-b-t is on no optimal
+        # pair, and the bound is the optimum, 8
+        doc = json.loads(suurballe_solve)
+        assert (doc["status"], doc["cost"]) == ("routed", 8)
+        assert (doc["working"]["links"], doc["protecting"]["links"]) == ([0, 4], [3, 2])
+        assert doc["stats"]["labels_generated"] == 15
+        verdict = json.loads(suurballe_compare)
+        assert verdict["matches"] is True
+        assert verdict["verdicts"] == {"base": True, "prime": True}
+        assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 8)
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

@@ -15,8 +15,8 @@ import textwrap
 import pytest
 from hypothesis import Phase, given, settings
 
-from conftest import narrow_partner_network, reach_limit_trap
-from test_properties import assert_exact_in_every_combination, multigraph_demands
+from conftest import narrow_partner_network, reach_limit_trap, suurballe_trap
+from test_properties import assert_exact_in_every_combination, bound_savings, multigraph_demands
 
 from ddpp import Demand, search
 from ddpp.search import PairSearch
@@ -73,8 +73,10 @@ def test_trail_search_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("old, new", [
-    ("if limit is not None and max(h[src], dist[src]) > limit:", "if False:"),
-    ("max(h[src], dist[src]) > limit", "h[src] > limit"),
+    pytest.param("if limit is not None and max(", "if False and max(", id="limit-off"),
+    # the first leg walked, s-t at 9, goes unchecked
+    pytest.param("for link in leg) for leg in legs)", "for link in leg) for leg in legs[1:])",
+                 id="limit-on-one-leg"),
 ])
 def test_bound_past_the_limit_is_caught(monkeypatch, old, new):
     monkeypatch.setattr(PairSearch, "_pair_bound", mutant(search.PairSearch._pair_bound, old, new))
@@ -83,8 +85,11 @@ def test_bound_past_the_limit_is_caught(monkeypatch, old, new):
 
 
 def test_partner_without_a_window_is_caught(monkeypatch):
+    # the first leg walked, s-m-t, has no common 2-unit window, and goes
+    # unchecked
     monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
-        search.PairSearch._pair_bound, " and _has_window(second, units, unit_count)", ""))
+        search.PairSearch._pair_bound, "_has_window(leg, units, unit_count) for leg in legs)",
+        "_has_window(leg, units, unit_count) for leg in legs[1:])"))
     with pytest.raises(AssertionError):
         assert_exact_in_every_combination(narrow_partner_network(), Demand("s", "t", 2))
 
@@ -94,3 +99,12 @@ def test_window_one_unit_wide_is_caught(monkeypatch):
         search._has_window, "trait_extend(trait, link, units)", "trait_extend(trait, link, 1)"))
     with pytest.raises(AssertionError):
         assert_exact_in_every_combination(narrow_partner_network(), Demand("s", "t", 2))
+
+
+def test_greedy_partner_is_caught(monkeypatch):
+    # route two may not cross route one's links back: the pair is the
+    # shortest route and its cheapest partner, 13 where the optimum is 8
+    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
+        search.PairSearch._pair_bound, "if toward.get(far) is not link:", "if True:"))
+    with pytest.raises(AssertionError):
+        bound_savings(suurballe_trap(), Demand("s", "t", 1))

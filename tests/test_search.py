@@ -11,6 +11,7 @@ from conftest import (
     narrow_partner_network,
     peeled_view,
     reach_limit_trap,
+    suurballe_trap,
     view_distances,
 )
 from reference import dominates, efficient_front
@@ -446,12 +447,12 @@ class TestStatsAndModes:
                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                               [1, 3]),
-                             (1651, 700, 623, 653, 140)),
+                             (1336, 630, 623, 653, 140)),
         (14, 5, 2, "prime"): ("routed", 304,
                               (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
                               (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
                                [1, 3]),
-                              (1615, 717, 597, 635, 130)),
+                              (1316, 640, 597, 635, 130)),
     }
 
     @staticmethod
@@ -710,7 +711,7 @@ class TestLimitedVariant:
             assert check_solution(net, demand, sol, limit) == [], limit
 
     def test_reach_limit_trap(self):
-        # the greedy pair s-a-t (1) and s-t (9) breaks the limit; the answer
+        # Suurballe's pair s-a-t (1) and s-t (9) breaks the limit; the answer
         # under it pairs two dearer legs, s-a-b-t (6) and s-c-a-t (7)
         net, demand = reach_limit_trap(), Demand("s", "t", 1)
         assert solve(net, demand).total_cost == 10
@@ -724,8 +725,22 @@ class TestLimitedVariant:
 
 
 class TestPairBound:
-    """The greedy pair whose cost bounds a solve: a shortest route and a
-    shortest partner over the links it leaves free."""
+    """Suurballe's pair, whose cost bounds a solve: the cheapest link-disjoint
+    pair, blind to spectrum, kept when both legs fit."""
+
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("mode", ["base", "prime"])
+    def test_suurballe_trap_is_bounded_by_the_optimum(self, mode, direct):
+        # route one s-a-b-t is on no optimal pair; route two crosses a-b back
+        net, demand = suurballe_trap(direct), Demand("s", "t", 1)
+        search = PairSearch(net, demand, SearchOptions(mode))
+        sol = search.run()
+        assert search._bound == 8
+        assert sol.routed and sol.total_cost == 8
+        assert (sol.working.links, sol.protecting.links) == ([0, 4], [3, 2])
+        # the greedy pair's bound, 13 with s-t and none without, left 20 and 16
+        assert sol.stats.labels_generated == 15
+        assert_exact_in_every_combination(net, demand)
 
     def test_routes_free_at_different_offsets_give_a_bound(self):
         # s-m-t is free only on [0, 2) and s-t only on [2, 4): no one window
@@ -739,7 +754,7 @@ class TestPairBound:
 
     @pytest.mark.parametrize("limit, bound", [(None, 7), (5, 7), (4, None)])
     def test_limit_the_partner_breaks_gives_no_bound(self, limit, bound):
-        # route one a-b-c costs 2, its partner a-c costs 5
+        # the one pair: a-b-c costs 2, a-c costs 5
         mode = "prime" if limit is None else "base"
         search = PairSearch(triangle(), Demand("a", "c", 2), SearchOptions(mode, limit))
         sol = search.run()

@@ -342,12 +342,12 @@ class TestGoldenReplay:
     GOLDEN = {
         (8, 1, "base"): (50, 29, 21, 0.42, 56.34, 452),
         (8, 1, "prime"): (50, 29, 21, 0.42, 55.28, 440),
-        (9, 2, "base"): (50, 21, 29, 0.58, 97.96, 840),
-        (9, 2, "prime"): (50, 21, 29, 0.58, 95.96, 787),
+        (9, 2, "base"): (50, 21, 29, 0.58, 97.54, 840),
+        (9, 2, "prime"): (50, 21, 29, 0.58, 95.56, 787),
         (10, 3, "base"): (50, 14, 36, 0.72, 86.38, 1107),
         (10, 3, "prime"): (50, 14, 36, 0.72, 84.7, 1037),
-        (12, 4, "base"): (50, 23, 27, 0.54, 282.86, 3157),
-        (12, 4, "prime"): (50, 23, 27, 0.54, 257.08, 2546),
+        (12, 4, "base"): (50, 23, 27, 0.54, 280.78, 3157),
+        (12, 4, "prime"): (50, 23, 27, 0.54, 255.32, 2546),
     }
 
     def test_reports_match_golden(self):
