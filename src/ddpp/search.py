@@ -101,17 +101,19 @@ never does, there is no bound.  A link the two routes cross in opposite
 directions cancels.  At every other node as many of the links left lead
 in as out, so two link-disjoint legs are walked from the source to the
 destination over them, and their costs sum to at most ``2 h(src) +
-dist(dst)``, the cheapest pair's cost.  Each leg needs its own run of
-``demand.units`` units free on all of its links and, under a route-cost
-limit, a cost within the limit; otherwise there is no bound, so a blocked
+dist(dst)``, the cheapest pair's cost.  Each leg is folded as it is
+walked, as a label's route is: the full band goes through ``trait_extend``
+link by link, so the traits left at the destination are the leg's runs of
+``demand.units`` units free on all of its links, and each carries the
+leg's cost.  A leg needs at least one trait and, under a route-cost limit,
+that cost within the limit; otherwise there is no bound, so a blocked
 demand never has one.  A leg holds a path over a subset of its links,
 which fits wherever the leg does, so a bound is at least the optimum; and
 the optimum is a link-disjoint pair of view routes, so it is at least the
-bound: a bound, whenever it exists, is the optimum.  A leg's run is found
-as a label's is, by folding the full band through ``trait_extend`` link
-by link, so its cost depends on the links' free intervals and not on the
-unit count.  An ``enumerate_all`` solve takes no bound either: the
-destination's front needs its costlier members.
+bound: a bound, whenever it exists, is the optimum.  The fold's work
+depends on the links' free intervals and not on the unit count.  An
+``enumerate_all`` solve takes no bound either: the destination's front
+needs its costlier members.
 ``expand`` skips a link when the candidate's key, the label's cost plus
 the link's plus ``h`` of its far end and of the other route's end, would
 exceed ``U``, before ``label_extend`` is called, so a skipped candidate
@@ -476,15 +478,6 @@ def _cheapest(view: dict, target: str) -> tuple[dict[str, int], dict]:
     return dist, tree
 
 
-def _has_window(links: list, units: int, unit_count: int) -> bool:
-    """Whether one run of ``units`` units is free on every link of
-    ``links``: the full band folded through ``trait_extend``."""
-    traits = [(0, 0, unit_count)]
-    for link in links:
-        traits = [piece for trait in traits for piece in trait_extend(trait, link, units)]
-    return bool(traits)
-
-
 class PairSearch:
     """One solve: mutable per-query state over an immutable network."""
 
@@ -533,7 +526,9 @@ class PairSearch:
     def _pair_bound(self) -> int | None:
         """The cost ``U`` of Suurballe's pair, as the module docstring
         describes it, or None when the residual Dijkstra does not reach the
-        destination or a leg fails its window or the limit.  A bound is the
+        destination or a leg fails its window or the limit.  Each leg is
+        folded through ``trait_extend`` as it is walked, and its cost rides
+        in the traits, so one pass per leg makes both tests.  A bound is the
         optimum."""
         src, dst, units = self.demand.src, self.demand.dst, self.demand.units
         h, toward = self._h, self._toward
@@ -585,19 +580,15 @@ class PairSearch:
             else:
                 out.setdefault(prev, []).append((link, node))
             node = prev
-        legs = []
-        for _ in range(2):
-            leg, node = [], src
+        # each leg walked and folded at once; its traits all carry its cost
+        limit = self.opts.max_route_cost
+        for leg in range(2):
+            traits, node = [(0, 0, self.net.unit_count)], src
             while node != dst:
                 link, node = out[node].pop()
-                leg.append(link)
-            legs.append(leg)
-        limit = self.opts.max_route_cost
-        if limit is not None and max(sum(link.cost for link in leg) for leg in legs) > limit:
-            return None
-        unit_count = self.net.unit_count
-        if not all(_has_window(leg, units, unit_count) for leg in legs):
-            return None
+                traits = [piece for trait in traits for piece in trait_extend(trait, link, units)]
+            if not traits or limit is not None and traits[0][0] > limit:
+                return None
         return 2 * h[src] + dist[dst]
 
     @property

@@ -95,6 +95,22 @@ def reach_limit_trap() -> Network:
                      ("s", "t", 9, full)])
 
 
+def second_leg_trap() -> Network:
+    """Nodes s, a, b, c, d and t over 4 units.  The shortest route
+    s-b-a-c-t (3) and its partner s-a-b-t cross a-b both ways, so the
+    cheapest pair is s-a-c-t (4), walked first, and s-b-t (10), walked
+    second.  A 1-unit demand s -> t costs 14 on that pair.  Under a
+    route-cost limit of 9, s-b-t is out, and it costs 16: s-b-a-c-d-t (7)
+    and s-a-c-t over the dearer a-c link (9).  s-b and b-t share only unit
+    2, so a 2-unit demand cannot take s-b-t either, and costs 16:
+    s-b-a-c-t (3) and s-a-c-d-t over the dearer a-c link (13)."""
+    full = [(0, 4)]
+    return make_net(4, ["s", "a", "b", "c", "d", "t"],
+                    [("s", "b", 1, [(0, 3)]), ("a", "b", 0, full), ("a", "c", 1, full),
+                     ("c", "t", 1, full), ("s", "a", 2, full), ("b", "t", 9, [(2, 4)]),
+                     ("a", "c", 6, full), ("c", "d", 2, full), ("d", "t", 3, full)])
+
+
 def suurballe_trap(direct: bool = True) -> Network:
     """Nodes s, a, b and t over 1 unit, all free: s-a, a-b and b-t cost 1,
     s-b and a-t cost 3, and with ``direct`` an s-t link costs 10.  The

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reach_limit_trap, suurballe_trap
+from conftest import narrow_partner_network, reach_limit_trap, suurballe_trap
 
 import ddpp.oracle
 from ddpp import (
@@ -397,6 +397,9 @@ class TestProcess:
             ["printf", '{"src": "s", "dst": "t", "units": 1}'], ["ddpp", "solve"],
             ["ddpp", "compare"],
             ["printf", json.dumps(dump_network(suurballe_trap()))], ["ddpp", "solve"],
+            ["ddpp", "compare"],
+            ["printf", json.dumps(dump_network(narrow_partner_network()))],
+            ["printf", '{"src": "s", "dst": "t", "units": 2}'], ["ddpp", "solve"],
             ["ddpp", "compare"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
@@ -413,8 +416,8 @@ class TestProcess:
         simulated, solved, compared, (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
         *replays, single, pair = simulated
-        *solved, trap_solve, suurballe_solve = solved
-        compare, trap_compare, suurballe_compare = compared
+        *solved, trap_solve, suurballe_solve, narrow_solve = solved
+        compare, trap_compare, suurballe_compare, narrow_compare = compared
         for simulate in replays:  # prime, then base
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
@@ -485,6 +488,14 @@ class TestProcess:
         assert verdict["matches"] is True
         assert verdict["verdicts"] == {"base": True, "prime": True}
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 8)
+        # the narrow partner: the cheapest pair's s-m-t has no common 2-unit
+        # window, so there is no bound, and the answer takes s-b-t
+        doc = json.loads(narrow_solve)
+        assert (doc["status"], doc["cost"]) == ("routed", 11)
+        verdict = json.loads(narrow_compare)
+        assert verdict["matches"] is True
+        assert verdict["verdicts"] == {"base": True, "prime": True}
+        assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 11)
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

@@ -1,12 +1,12 @@
 """Committed mutants: known-wrong variants of the search that an existing
-oracle differential must catch.
+differential must catch.
 
-Each case swaps one product function for a mutant and runs the oracle
-differential of ``test_properties`` over a fixed, derandomized example set
-with shrinking off, or over one hand-built instance that the example set
-misses, expecting it to fail.  The unmutated search passes the same
-checks.  A check that stops catching its mutant has lost strength, and a
-case here fails to say so.
+Each case swaps one product function for a mutant and runs a differential
+of ``test_properties``, against the oracle or against solves without the
+pair bound, over a fixed, derandomized example set with shrinking off, or
+over one hand-built instance that the example set misses, expecting it to
+fail.  The unmutated search passes the same checks.  A check that stops
+catching its mutant has lost strength, and a case here fails to say so.
 """
 
 import inspect
@@ -15,8 +15,9 @@ import textwrap
 import pytest
 from hypothesis import Phase, given, settings
 
-from conftest import narrow_partner_network, reach_limit_trap, suurballe_trap
-from test_properties import assert_exact_in_every_combination, bound_savings, multigraph_demands
+from conftest import narrow_partner_network, reach_limit_trap, second_leg_trap
+from test_properties import (assert_exact_in_every_combination, bound_savings, multigraph_demands,
+                             trap_core_demands)
 
 from ddpp import Demand, search
 from ddpp.search import PairSearch
@@ -27,6 +28,13 @@ from ddpp.search import PairSearch
 @given(multigraph_demands())
 def oracle_differential(instance):
     assert_exact_in_every_combination(*instance)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.generate], report_multiple_bugs=False)
+@given(trap_core_demands())
+def bound_differential(instance):
+    bound_savings(*instance)
 
 
 def mutant(function, old: str, new: str):
@@ -42,6 +50,7 @@ def mutant(function, old: str, new: str):
 
 def test_the_unmutated_search_passes():
     oracle_differential()
+    bound_differential()
 
 
 def test_bound_one_below_the_pair_is_caught(monkeypatch):
@@ -73,9 +82,9 @@ def test_trail_search_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("old, new", [
-    pytest.param("if limit is not None and max(", "if False and max(", id="limit-off"),
+    pytest.param("limit is not None and traits[0][0] > limit", "False", id="limit-off"),
     # the first leg walked, s-t at 9, goes unchecked
-    pytest.param("for link in leg) for leg in legs)", "for link in leg) for leg in legs[1:])",
+    pytest.param("traits[0][0] > limit", "leg and traits[0][0] > limit",
                  id="limit-on-one-leg"),
 ])
 def test_bound_past_the_limit_is_caught(monkeypatch, old, new):
@@ -88,23 +97,58 @@ def test_partner_without_a_window_is_caught(monkeypatch):
     # the first leg walked, s-m-t, has no common 2-unit window, and goes
     # unchecked
     monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
-        search.PairSearch._pair_bound, "_has_window(leg, units, unit_count) for leg in legs)",
-        "_has_window(leg, units, unit_count) for leg in legs[1:])"))
+        search.PairSearch._pair_bound, "if not traits or", "if leg and not traits or"))
     with pytest.raises(AssertionError):
         assert_exact_in_every_combination(narrow_partner_network(), Demand("s", "t", 2))
 
 
 def test_window_one_unit_wide_is_caught(monkeypatch):
-    monkeypatch.setattr(search, "_has_window", mutant(
-        search._has_window, "trait_extend(trait, link, units)", "trait_extend(trait, link, 1)"))
+    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
+        search.PairSearch._pair_bound, "trait_extend(trait, link, units)",
+        "trait_extend(trait, link, 1)"))
     with pytest.raises(AssertionError):
         assert_exact_in_every_combination(narrow_partner_network(), Demand("s", "t", 2))
 
 
+@pytest.mark.parametrize("units, old, new", [
+    # s-b-t, the leg walked second, breaks the limit of 9 unchecked
+    pytest.param(1, "traits[0][0] > limit", "not leg and traits[0][0] > limit",
+                 id="limit-on-first-leg"),
+    # s-b-t has no common 2-unit window, and goes unchecked
+    pytest.param(2, "if not traits or", "if not leg and not traits or",
+                 id="window-on-first-leg"),
+])
+def test_leg_walked_second_unchecked_is_caught(monkeypatch, units, old, new):
+    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(search.PairSearch._pair_bound, old, new))
+    with pytest.raises(AssertionError):
+        assert_exact_in_every_combination(second_leg_trap(), Demand("s", "t", units))
+
+
+@pytest.mark.parametrize("name, old, new, error", [
+    pytest.param("_peel", " and node not in anchors]", "]", AssertionError,
+                 id="peel-without-anchors"),
+    # a node listed dead twice is popped twice
+    pytest.param("_peel", "len(far) < 2", "len(far) < 3", KeyError, id="peel-below-three"),
+    pytest.param("_shadowed", "other_far == far and ", "", AssertionError,
+                 id="shadow-any-far-end"),
+    pytest.param("_shadowed", "(other.cost, other.id) < (link.cost, link.id)",
+                 "other.cost <= link.cost and other is not link", AssertionError,
+                 id="shadow-equal-costs"),
+    pytest.param("_shadowed", "(other.cost, other.id) < (link.cost, link.id)",
+                 "(other.cost, other.id) > (link.cost, link.id)", AssertionError,
+                 id="shadow-costlier"),
+])
+def test_view_mutant_is_caught(monkeypatch, name, old, new, error):
+    monkeypatch.setattr(search, name, mutant(getattr(search, name), old, new))
+    with pytest.raises(error):
+        oracle_differential()
+
+
 def test_greedy_partner_is_caught(monkeypatch):
     # route two may not cross route one's links back: the pair is the
-    # shortest route and its cheapest partner, 13 where the optimum is 8
+    # shortest route and its cheapest partner, dearer than the optimum
+    # wherever the extra links give the trap core's route one a partner
     monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
         search.PairSearch._pair_bound, "if toward.get(far) is not link:", "if True:"))
     with pytest.raises(AssertionError):
-        bound_savings(suurballe_trap(), Demand("s", "t", 1))
+        bound_differential()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import link_units, peeled_view, unit_runs, usable, view_distances
+from conftest import link_units, make_net, peeled_view, unit_runs, usable, view_distances
 from reference import NaiveEfficientSet, dominates, efficient_front, trait_leq
 
 from ddpp import (
@@ -537,6 +537,42 @@ def test_pair_bound_changes_only_counters_on_seeded_networks():
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(multigraph_demands())
 def test_pair_bound_changes_only_counters_on_multigraphs(instance):
+    bound_savings(*instance)
+
+
+@st.composite
+def trap_core_demands(draw):
+    """A demand s -> t on a network around a ``suurballe_trap`` core.
+
+    The core's route s-a-b-t is strictly the shortest: s-b costs more than
+    s-a-b and a-t more than a-b-t.  Every other route of the core shares a
+    link with it, so the core's one disjoint pair is s-b-t and s-a-t, and a
+    partner found beside the shortest route must come from the extra
+    links.  Costs are drawn; each link is free on one run as wide as the
+    demand or wider, at a drawn offset.  An s-t link is added at times, and
+    up to four extra links join drawn ends among the core's nodes and up to
+    two more.
+    """
+    unit_count = draw(st.integers(1, 4))
+    units = draw(st.integers(1, min(2, unit_count)))
+    run = st.integers(units, unit_count).flatmap(
+        lambda width: st.integers(0, unit_count - width).map(lambda lo: [(lo, lo + width)]))
+    sa, ab, bt = (draw(st.integers(0, 3)) for _ in range(3))
+    specs = [("s", "a", sa), ("a", "b", ab), ("b", "t", bt),
+             ("s", "b", sa + ab + draw(st.integers(1, 4))),
+             ("a", "t", ab + bt + draw(st.integers(1, 4)))]
+    nodes = ["s", "a", "b", "t"] + [f"u{i}" for i in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        specs.append(("s", "t", draw(st.integers(0, 20))))
+    specs += draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                                     st.integers(0, 12)), max_size=4))
+    return (make_net(unit_count, nodes, [(a, b, cost, draw(run)) for a, b, cost in specs]),
+            Demand("s", "t", units))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(trap_core_demands())
+def test_pair_bound_changes_only_counters_around_trap_cores(instance):
     bound_savings(*instance)
 
 

@@ -11,6 +11,7 @@ from conftest import (
     narrow_partner_network,
     peeled_view,
     reach_limit_trap,
+    second_leg_trap,
     suurballe_trap,
     view_distances,
 )
@@ -768,6 +769,17 @@ class TestPairBound:
         sol = search.run()
         assert search._bound is None
         assert sol.routed and sol.total_cost == 11
+        assert_exact_in_every_combination(net, demand)
+
+    @pytest.mark.parametrize("units, limit, bound", [(1, None, 14), (1, 9, None), (2, None, None)])
+    def test_leg_walked_second_is_checked(self, units, limit, bound):
+        # s-b-t, the leg walked second, costs 10 and is free together only
+        # on unit 2
+        net, demand = second_leg_trap(), Demand("s", "t", units)
+        search = PairSearch(net, demand, SearchOptions("base", limit))
+        sol = search.run()
+        assert search._bound == bound
+        assert sol.routed and sol.total_cost == (16 if bound is None else 14)
         assert_exact_in_every_combination(net, demand)
 
     def test_bound_memory_does_not_grow_with_the_unit_count(self):
