@@ -89,31 +89,34 @@ with every shadow zeroed.
 Before it settles any label, ``PairSearch.run`` looks for the cheapest
 link-disjoint pair of view routes, blind to spectrum (Suurballe 1974;
 Suurballe & Tarjan 1984), and keeps its cost as a bound ``U`` when both
-routes fit (A* with an incumbent, Hart, Nilsson & Raphael 1968).  Route
-one is the path of the tree that ``h`` was computed over.  Route two
-comes from one more Dijkstra from the source over the residual view, with
-costs reduced by ``h``: a link off route one may be crossed either way,
-from ``u`` to ``v`` at ``cost + h(v) - h(u)``, never negative as ``h`` is
-consistent, and a link of route one only backwards, from its destination
-side to its source side, at 0.  Reduced so, the Dijkstra is an A* toward
-the destination, and it ends when it settles the destination; when it
-never does, there is no bound.  A link the two routes cross in opposite
-directions cancels.  At every other node as many of the links left lead
-in as out, so two link-disjoint legs are walked from the source to the
-destination over them, and their costs sum to at most ``2 h(src) +
-dist(dst)``, the cheapest pair's cost.  Each leg is folded as it is
-walked, as a label's route is: the full band goes through ``trait_extend``
-link by link, so the traits left at the destination are the leg's runs of
-``demand.units`` units free on all of its links, and each carries the
-leg's cost.  A leg needs at least one trait and, under a route-cost limit,
-that cost within the limit; otherwise there is no bound, so a blocked
-demand never has one.  A leg holds a path over a subset of its links,
-which fits wherever the leg does, so a bound is at least the optimum; and
-the optimum is a link-disjoint pair of view routes, so it is at least the
-bound: a bound, whenever it exists, is the optimum.  The fold's work
-depends on the links' free intervals and not on the unit count.  An
-``enumerate_all`` solve takes no bound either: the destination's front
-needs its costlier members.
+routes fit (A* with an incumbent, Hart, Nilsson & Raphael 1968).  One
+Dijkstra with potentials, ``_dijkstra``, makes both of Suurballe's passes.
+From the destination with zero potentials it gives ``h`` and its tree,
+whose path from the source is route one.  From the source over the
+residual view, in ``_suurballe``, with costs reduced by ``h``, it gives
+route two: a link off route one may be crossed either way, from ``u`` to
+``v`` at ``cost + h(v) - h(u)``, never negative as ``h`` is consistent,
+and a link of route one only backwards, from its destination side to its
+source side, at 0: an A* toward the destination, which stops on settling
+it.  The pass is one augmenting step of a unit-capacity flow, so it fails
+to settle it exactly when the view holds no two link-disjoint routes
+(Menger 1927); ``_suurballe`` then returns None, and there is no bound.  A
+link the two routes cross in opposite directions cancels.  At every other
+node as many of the links left lead in as out, so two link-disjoint legs
+are walked from the source to the destination over them, and their costs
+sum to at most ``2 h(src) + dist(dst)``, the cheapest pair's cost.
+``_pair_bound`` folds each leg as it is walked, as a label's route is: the
+full band goes through ``trait_extend`` link by link, so the traits left
+at the destination are the leg's runs of ``demand.units`` units free on
+all of its links, and each carries the leg's cost.  A leg needs at least
+one trait and, under a route-cost limit, that cost within the limit;
+otherwise there is no bound, so a blocked demand never has one.  A leg
+holds a path over a subset of its links, which fits wherever the leg does,
+so a bound is at least the optimum; and the optimum is a link-disjoint
+pair of view routes, so it is at least the bound: a bound, whenever it
+exists, is the optimum.  The fold's work depends on the links' free
+intervals and not on the unit count.  An ``enumerate_all`` solve takes no
+bound either: the destination's front needs its costlier members.
 ``expand`` skips a link when the candidate's key, the label's cost plus
 the link's plus ``h`` of its far end and of the other route's end, would
 exceed ``U``, before ``label_extend`` is called, so a skipped candidate
@@ -458,23 +461,37 @@ def _peel(near: dict[str, set[str]], src: str, dst: str) -> None:
                 dead.append(other)
 
 
-def _cheapest(view: dict, target: str) -> tuple[dict[str, int], dict]:
-    """Dijkstra to ``target`` over the view: each reached node's cheapest
-    cost, and its tree link, the link that last improved it; a node that
-    cannot reach ``target``, a peeled node included, is absent."""
-    dist = {target: 0}
+def _dijkstra(view: dict, start: str, h: dict[str, int], stop: str | None = None,
+              taken: int = 0, toward: dict | None = None) -> tuple[dict[str, int], dict]:
+    """Dijkstra from ``start`` over the view, a link from ``u`` to ``v`` at
+    ``cost + h[v] - h[u]`` and a link in ``taken`` only back along
+    ``toward``, at 0: each reached node's distance and tree link, the link
+    that last improved it; a peeled node is never reached.  Each node is
+    expanded once, so it ends even where ``h`` is not consistent, and it
+    stops on settling ``stop``."""
+    dist = {start: 0}
     tree = {}
-    heap = [(0, target)]
+    done = set()
+    heap = [(0, start)]
     while heap:
         d, node = heapq.heappop(heap)
-        if d > dist[node]:
+        if node in done:
             continue
-        for link, _, other, _ in view[node]:
-            nd = d + link.cost
-            if other not in dist or nd < dist[other]:
-                dist[other] = nd
-                tree[other] = link
-                heapq.heappush(heap, (nd, other))
+        done.add(node)
+        if node == stop:
+            break
+        rest = d - h[node]
+        for link, bit, far, _ in view[node]:
+            if taken & bit:
+                if toward.get(far) is not link:
+                    continue
+                nd = d
+            else:
+                nd = rest + link.cost + h[far]
+            if far not in dist or nd < dist[far]:
+                dist[far] = nd
+                tree[far] = link
+                heapq.heappush(heap, (nd, far))
     return dist, tree
 
 
@@ -517,24 +534,22 @@ class PairSearch:
         for node, far in near.items():
             if len(far) < len(view[node]):
                 view[node] = _shadowed(view[node], units)
-        self._h, self._toward = _cheapest(view, demand.dst)
+        self._h, self._toward = _dijkstra(view, demand.dst, dict.fromkeys(view, 0))
         self._dest = (demand.dst, demand.dst)
         self._sets: dict[tuple[str, str], EfficientSet] = {}
         self._bound: int | None = None
         self._ran = False
 
-    def _pair_bound(self) -> int | None:
-        """The cost ``U`` of Suurballe's pair, as the module docstring
-        describes it, or None when the residual Dijkstra does not reach the
-        destination or a leg fails its window or the limit.  Each leg is
-        folded through ``trait_extend`` as it is walked, and its cost rides
-        in the traits, so one pass per leg makes both tests.  A bound is the
-        optimum."""
-        src, dst, units = self.demand.src, self.demand.dst, self.demand.units
+    def _suurballe(self) -> tuple[int, dict] | None:
+        """Suurballe's pair over the view, blind to spectrum, as the module
+        docstring describes it: its cost and ``out``, the links each node is
+        left by toward the destination as ``(link, far end)`` lists; or None
+        when the view holds no two link-disjoint src–dst routes."""
+        src, dst = self.demand.src, self.demand.dst
         h, toward = self._h, self._toward
         if src not in h:
             return None
-        # out[node]: the links a route leaves node by, toward dst; route one's first
+        # route one down the h tree
         out: dict[str, list] = {}
         taken = 0
         node = src
@@ -543,33 +558,8 @@ class PairSearch:
             prev, node = node, link.other_end(node)
             out[prev] = [(link, node)]
             taken |= 1 << link.id
-        # Dijkstra from src over the residual view, costs reduced by h: a
-        # route-one link only from its dst side to its src side, at 0
-        dist = {src: 0}
-        tree = {}
-        done = set()  # each node is expanded once, so the loop ends even if h is broken
-        heap = [(0, src)]
-        heappush, heappop = heapq.heappush, heapq.heappop
-        while heap:
-            d, node = heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            if node == dst:
-                break
-            rest = d - h[node]
-            for link, bit, far, _ in self._view[node]:
-                if taken & bit:
-                    if toward.get(far) is not link:
-                        continue
-                    nd = d
-                else:
-                    nd = rest + link.cost + h[far]
-                if far not in dist or nd < dist[far]:
-                    dist[far] = nd
-                    tree[far] = link
-                    heappush(heap, (nd, far))
-        else:
+        dist, tree = _dijkstra(self._view, src, h, dst, taken, toward)
+        if dst not in dist:
             return None
         # route two, walked back from dst; a route-one link it crosses cancels
         while node != src:
@@ -580,7 +570,14 @@ class PairSearch:
             else:
                 out.setdefault(prev, []).append((link, node))
             node = prev
-        # each leg walked and folded at once; its traits all carry its cost
+        return 2 * h[src] + dist[dst], out
+
+    def _pair_bound(self, cost: int, out: dict) -> int | None:
+        """``cost``, that of Suurballe's pair ``out``, when both legs fit, or
+        None.  Each leg is walked off ``out`` and folded through
+        ``trait_extend`` at once; its cost rides in the traits, so one pass
+        tests its window and the route-cost limit.  A bound is the optimum."""
+        src, dst, units = self.demand.src, self.demand.dst, self.demand.units
         limit = self.opts.max_route_cost
         for leg in range(2):
             traits, node = [(0, 0, self.net.unit_count)], src
@@ -589,7 +586,7 @@ class PairSearch:
                 traits = [piece for trait in traits for piece in trait_extend(trait, link, units)]
             if not traits or limit is not None and traits[0][0] > limit:
                 return None
-        return 2 * h[src] + dist[dst]
+        return cost
 
     @property
     def destination_count(self) -> int:
@@ -654,9 +651,9 @@ class PairSearch:
     def run(self) -> Solution:
         """Settle labels with the cyclic garbage collector paused.
 
-        Unless ``enumerate_all`` is set, the pair bound is found first,
-        inside the pause, so ``expand`` on a search that has not run uses
-        none.
+        Unless ``enumerate_all`` is set, the pair bound, ``_suurballe``'s
+        pair passed through ``_pair_bound``, is found first, inside the
+        pause, so ``expand`` on a search that has not run uses none.
 
         The collector is re-enabled when the search returns or raises, and
         left off if the caller had turned it off.  It is process-wide:
@@ -670,7 +667,9 @@ class PairSearch:
         gc.disable()
         try:
             if not self.opts.enumerate_all:
-                self._bound = self._pair_bound()
+                pair = self._suurballe()
+                if pair is not None:
+                    self._bound = self._pair_bound(*pair)
             return self._settle()
         finally:
             if paused:

@@ -124,6 +124,18 @@ def suurballe_trap(direct: bool = True) -> Network:
     return make_net(1, ["s", "a", "b", "t"], specs)
 
 
+def bridged_triangles() -> Network:
+    """Two triangles, s-a-b and c-d-t, joined by the one bridge b-c, over
+    2 units, all free and every link at cost 1.  Every s-t route crosses
+    the bridge, so a demand s -> t is blocked by topology: no two
+    link-disjoint routes exist."""
+    full = [(0, 2)]
+    return make_net(2, ["s", "a", "b", "c", "d", "t"],
+                    [("s", "a", 1, full), ("a", "b", 1, full), ("b", "s", 1, full),
+                     ("b", "c", 1, full), ("c", "d", 1, full), ("d", "t", 1, full),
+                     ("t", "c", 1, full)])
+
+
 def peeled_view(net, demand):
     """The usable links left after peeling dead ends, to a fixpoint: while a
     node other than the demand's ends has fewer than two distinct

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import narrow_partner_network, reach_limit_trap, suurballe_trap
+from conftest import bridged_triangles, narrow_partner_network, reach_limit_trap, suurballe_trap
 
 import ddpp.oracle
 from ddpp import (
@@ -400,6 +400,8 @@ class TestProcess:
             ["ddpp", "compare"],
             ["printf", json.dumps(dump_network(narrow_partner_network()))],
             ["printf", '{"src": "s", "dst": "t", "units": 2}'], ["ddpp", "solve"],
+            ["ddpp", "compare"],
+            ["printf", json.dumps(dump_network(bridged_triangles()))], ["ddpp", "solve"],
             ["ddpp", "compare"]]
         define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
         stdout = {}
@@ -416,8 +418,8 @@ class TestProcess:
         simulated, solved, compared, (oracle,) = (
             stdout[name] for name in ("simulate", "solve", "compare", "oracle"))
         *replays, single, pair = simulated
-        *solved, trap_solve, suurballe_solve, narrow_solve = solved
-        compare, trap_compare, suurballe_compare, narrow_compare = compared
+        *solved, trap_solve, suurballe_solve, narrow_solve, bridge_solve = solved
+        compare, trap_compare, suurballe_compare, narrow_compare, bridge_compare = compared
         for simulate in replays:  # prime, then base
             report = json.loads(simulate)
             assert (report["offered"], report["routed"], report["blocked"]) == (40, 27, 13)
@@ -496,6 +498,15 @@ class TestProcess:
         assert verdict["matches"] is True
         assert verdict["verdicts"] == {"base": True, "prime": True}
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 11)
+        # two triangles joined by one bridge: blocked by topology, so the
+        # solve exits 3, which its line accepts
+        doc = json.loads(bridge_solve)
+        assert doc["status"] == "blocked"
+        assert (doc["stats"]["labels_generated"], doc["stats"]["queue_pops"]) == (27, 15)
+        verdict = json.loads(bridge_compare)
+        assert verdict["matches"] is True
+        assert verdict["verdicts"] == {"base": True, "prime": True}
+        assert verdict["oracle"]["status"] == "blocked"
 
     def test_routed_exit_zero(self, lobe_files):
         net_file, demand_file = lobe_files

@@ -1,12 +1,13 @@
-"""Committed mutants: known-wrong variants of the search that an existing
-differential must catch.
+"""Committed mutants: known-wrong variants of the search or the oracle that
+an existing check must catch.
 
-Each case swaps one product function for a mutant and runs a differential
-of ``test_properties``, against the oracle or against solves without the
-pair bound, over a fixed, derandomized example set with shrinking off, or
-over one hand-built instance that the example set misses, expecting it to
-fail.  The unmutated search passes the same checks.  A check that stops
-catching its mutant has lost strength, and a case here fails to say so.
+Each case swaps one product function for a mutant and runs a check of
+``test_properties``, a differential against the oracle or against solves
+without the pair bound or a property against brute force, over a fixed,
+derandomized example set with shrinking off, or a check on one hand-built
+instance that the example set misses, expecting it to fail.  The
+unmutated search passes the same checks.  A check that stops catching its
+mutant has lost strength, and a case here fails to say so.
 """
 
 import inspect
@@ -15,11 +16,14 @@ import textwrap
 import pytest
 from hypothesis import Phase, given, settings
 
+import test_search
 from conftest import narrow_partner_network, reach_limit_trap, second_leg_trap
-from test_properties import (assert_exact_in_every_combination, bound_savings, multigraph_demands,
-                             trap_core_demands)
+from test_properties import (assert_exact_in_every_combination,
+                             assert_suurballe_is_the_cheapest_pair,
+                             assert_view_keeps_every_simple_path, bound_savings,
+                             multigraph_demands, trap_core_demands)
 
-from ddpp import Demand, search
+from ddpp import Demand, oracle, search
 from ddpp.search import PairSearch
 
 
@@ -37,6 +41,29 @@ def bound_differential(instance):
     bound_savings(*instance)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.generate], report_multiple_bugs=False)
+@given(trap_core_demands())
+def suurballe_check(instance):
+    assert_suurballe_is_the_cheapest_pair(*instance)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.generate], report_multiple_bugs=False)
+@given(multigraph_demands())
+def view_check(instance):
+    assert_view_keeps_every_simple_path(*instance)
+
+
+def h_check():
+    for seed in range(6):
+        test_search.TestUsableLinkView().test_h_is_exact_and_consistent(seed)
+
+
+def shadow_check():
+    test_search.TestExpand().test_only_the_cheaper_parallel_link_is_expanded_while_free()
+
+
 def mutant(function, old: str, new: str):
     """``function`` compiled again from its source, in its own module's
     namespace, with the one occurrence of ``old`` replaced by ``new``."""
@@ -51,13 +78,15 @@ def mutant(function, old: str, new: str):
 def test_the_unmutated_search_passes():
     oracle_differential()
     bound_differential()
+    suurballe_check()
+    view_check()
 
 
 def test_bound_one_below_the_pair_is_caught(monkeypatch):
     real = PairSearch._pair_bound
 
-    def lowered(self):
-        bound = real(self)
+    def lowered(self, cost, out):
+        bound = real(self, cost, out)
         return None if bound is None else bound - 1
 
     monkeypatch.setattr(PairSearch, "_pair_bound", lowered)
@@ -144,11 +173,51 @@ def test_view_mutant_is_caught(monkeypatch, name, old, new, error):
         oracle_differential()
 
 
+# both differentials miss these three: the answers stay the same
+@pytest.mark.parametrize("old, new, check", [
+    # a link is listed when either of its ends survives the peel
+    pytest.param("a in near and b in near", "a in near or b in near", view_check,
+                 id="either-end-view"),
+    pytest.param("a in near and b in near", "a in near or b in near", h_check,
+                 id="either-end-h"),
+    # shadows only at nodes with two more view links than kept neighbours
+    pytest.param("len(far) < len(view[node])", "len(far) + 1 < len(view[node])", shadow_check,
+                 id="shadows-two-over"),
+])
+def test_view_build_mutant_is_caught(monkeypatch, old, new, check):
+    monkeypatch.setattr(PairSearch, "__init__", mutant(PairSearch.__init__, old, new))
+    with pytest.raises(AssertionError):
+        check()
+
+
+def test_leg_at_the_limit_refused_is_caught(monkeypatch):
+    # no bound where a leg costs the limit exactly; only the bound pinned at
+    # limit 5, the partner's cost, shows it
+    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
+        search.PairSearch._pair_bound, "traits[0][0] > limit", "traits[0][0] >= limit"))
+    with pytest.raises(AssertionError):
+        test_search.TestPairBound().test_limit_the_partner_breaks_gives_no_bound(5, 7)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    pytest.param("_runs", "hi - lo >= width", "hi - lo > width", id="runs-wider-than-width"),
+    pytest.param("_free_units", "set.intersection(", "set.union(", id="free-units-union"),
+])
+def test_oracle_mutant_is_caught(monkeypatch, name, old, new):
+    monkeypatch.setattr(oracle, name, mutant(getattr(oracle, name), old, new))
+    with pytest.raises(AssertionError):
+        oracle_differential()
+
+
 def test_greedy_partner_is_caught(monkeypatch):
     # route two may not cross route one's links back: the pair is the
     # shortest route and its cheapest partner, dearer than the optimum
     # wherever the extra links give the trap core's route one a partner
-    monkeypatch.setattr(PairSearch, "_pair_bound", mutant(
-        search.PairSearch._pair_bound, "if toward.get(far) is not link:", "if True:"))
+    monkeypatch.setattr(search, "_dijkstra", mutant(
+        search._dijkstra, "if toward.get(far) is not link:", "if True:"))
     with pytest.raises(AssertionError):
         bound_differential()
+    # against brute force it reports no pair, or a dearer one, where only
+    # crossing route one back finds the cheapest
+    with pytest.raises(AssertionError):
+        suurballe_check()

@@ -5,6 +5,7 @@ construction (a better label is derived from a worse one, or vice versa);
 the conclusions are then checked against the pure relation functions.
 """
 
+import itertools
 import random
 
 import pytest
@@ -512,7 +513,7 @@ def bound_savings(net: Network, demand: Demand) -> int:
         if built._bound is not None:
             assert bounded.routed and bounded.total_cost == built._bound, opts
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(PairSearch, "_pair_bound", lambda self: None)
+            monkeypatch.setattr(PairSearch, "_pair_bound", lambda self, cost, out: None)
             plain = search.solve(net, demand, opts).to_doc()
         bounded = bounded.to_doc()
         with_bound, without = bounded.pop("stats"), plain.pop("stats")
@@ -576,34 +577,30 @@ def test_pair_bound_changes_only_counters_around_trap_cores(instance):
     bound_savings(*instance)
 
 
-def simple_path_parts(net: Network, demand: Demand) -> tuple[set, set]:
-    """The nodes and link ids of every simple src–dst path over the usable
-    links, found by walking every such path from the source."""
+def simple_paths(net: Network, demand: Demand) -> list[tuple[list[str], list[int]]]:
+    """Every simple src–dst path over the usable links, as its nodes and
+    its link ids, found by walking every such path from the source."""
     steps = [link for link in net.links if usable(link, demand.units)]
-    nodes, link_ids = set(), set()
+    paths = []
 
     def walk(path, used):
         if path[-1] == demand.dst:
-            nodes.update(path)
-            link_ids.update(used)
+            paths.append((path, used))
             return
         for link in steps:
             if path[-1] in link.ends and link.other_end(path[-1]) not in path:
                 walk(path + [link.other_end(path[-1])], used + [link.id])
 
     walk([demand.src], [])
-    return nodes, link_ids
+    return paths
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
-@given(multigraph_demands())
-def test_peeled_view_keeps_every_simple_path(instance):
+def assert_view_keeps_every_simple_path(net: Network, demand: Demand) -> None:
     """The view keeps every node and link of a simple src–dst path, drops
     only nodes with fewer than two distinct kept neighbours, and keeps no
     node other than src and dst with fewer than two.  Each node's entries
     and ``h`` match the peeled reference's, self-loops and parallel links
     included."""
-    net, demand = instance
     built = PairSearch(net, demand)
     view = built._view
     peeled = peeled_view(net, demand)
@@ -614,8 +611,9 @@ def test_peeled_view_keeps_every_simple_path(instance):
     assert built._h == view_distances(net, peeled, demand.dst)
     kept = {node for node, steps in view.items() if steps}
     listed = {link.id for steps in view.values() for link, _, _, _ in steps}
-    on_path, path_links = simple_path_parts(net, demand)
-    assert on_path <= kept and path_links <= listed
+    paths = simple_paths(net, demand)
+    assert {node for nodes, _ in paths for node in nodes} <= kept
+    assert {link_id for _, ids in paths for link_id in ids} <= listed
     links = [link for link in net.links if usable(link, demand.units)]
     assert listed == {link.id for link in links if set(link.ends) <= kept}
     for node in net.nodes:
@@ -624,3 +622,44 @@ def test_peeled_view_keeps_every_simple_path(instance):
             assert len(near) < 2, node
         elif node not in (demand.src, demand.dst):
             assert len(near) >= 2, node
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_peeled_view_keeps_every_simple_path(instance):
+    assert_view_keeps_every_simple_path(*instance)
+
+
+def assert_suurballe_is_the_cheapest_pair(net: Network, demand: Demand) -> None:
+    """``_suurballe`` against brute force over the simple src–dst paths of
+    the usable links: None exactly when no two of them are link-disjoint,
+    and otherwise the cheapest disjoint pair's cost, with ``out`` walked
+    into two link-disjoint src–dst legs that cost that much together."""
+    paths = [(sum(net.links[i].cost for i in ids), set(ids)) for _, ids in simple_paths(net, demand)]
+    costs = [ca + cb for (ca, a), (cb, b) in itertools.combinations(paths, 2) if not a & b]
+    pair = PairSearch(net, demand)._suurballe()
+    if pair is None:
+        assert costs == []
+        return
+    cost, out = pair
+    assert costs and cost == min(costs), (cost, costs)
+    walked = []
+    for _ in range(2):
+        node = demand.src
+        while node != demand.dst:
+            link, node = out[node].pop()
+            walked.append(link)
+    assert len({link.id for link in walked}) == len(walked)
+    assert sum(link.cost for link in walked) == cost
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_suurballe_is_the_cheapest_pair_on_multigraphs(instance):
+    assert_suurballe_is_the_cheapest_pair(*instance)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trap_core_demands())
+def test_suurballe_is_the_cheapest_pair_around_trap_cores(instance):
+    assert_suurballe_is_the_cheapest_pair(*instance)

@@ -816,7 +816,7 @@ class TestPairBound:
         search.run()
         assert search._bound is None
         assert search.destination_count == 2**m
-        assert search._pair_bound() == 2 ** (m + 1) - 1  # a pair exists
+        assert search._pair_bound(*search._suurballe()) == 2 ** (m + 1) - 1  # a pair exists
 
 
 class TestUsableLinkView:
