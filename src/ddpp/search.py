@@ -193,8 +193,9 @@ class SearchStats:
     counts the live labels popped and ``queue_pops`` every pop, dead labels
     included.  ``max_labels_per_vertex`` is the most live labels one
     vertex's efficient set held at once.  ``wall_time`` is the settle
-    loop's time in seconds; the setup (view, peel, ``h``) and
-    ``reconstruct`` are outside it.
+    loop's time in seconds; the setup (view, peel, ``h``), the pair bound
+    (``_suurballe`` and ``_pair_bound``) and ``reconstruct`` are outside
+    it.
     """
 
     labels_generated: int = 0

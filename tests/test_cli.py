@@ -5,8 +5,6 @@ import dataclasses
 import io
 import json
 import os
-import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -32,32 +30,6 @@ from ddpp import (
     lobe_network,
 )
 from ddpp.cli import main
-
-
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
-
-
-def workflow_run_lines(text: str) -> list[str]:
-    """Shell lines of a workflow's ``run:`` steps, read without a YAML
-    parser: the value of a one-line ``run:``, or each line of a ``run: |``
-    block, which is indented deeper than its key."""
-    lines = []
-    block = None  # column of the open block's ``run`` key
-    for line in text.splitlines():
-        stripped = line.strip()
-        if block is not None:
-            if not stripped or len(line) - len(line.lstrip()) > block:
-                if stripped:
-                    lines.append(stripped)
-                continue
-            block = None
-        match = re.match(r"(\s*(?:- )?)run:\s*(.*)$", line)
-        if match:
-            if match.group(2) == "|":
-                block = len(match.group(1))
-            else:
-                lines.append(match.group(2))
-    return lines
 
 
 def write_json(path, doc):
@@ -365,52 +337,70 @@ class TestGenerateAndSimulate:
 class TestProcess:
     """``python -m ddpp.cli`` as a separate process: exit codes and streams."""
 
-    @staticmethod
-    def _env(**extra):
+    def _run(self, *argv):
         src = str(Path(ddpp.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
-        return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
-
-    def _run(self, *argv):
-        return subprocess.run([sys.executable, "-m", "ddpp.cli", *argv], env=self._env(),
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "ddpp.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
 
-    def test_workflow_smoke_commands(self, tmp_path):
-        """CI's smoke steps as the workflow states them, each line run by
-        ``bash`` with ``ddpp`` a function for ``python -m ddpp.cli`` and
-        ``$RUNNER_TEMP`` a temporary directory."""
-        commands = [line for line in workflow_run_lines(WORKFLOW.read_text(encoding="utf-8"))
-                    if line.split()[0] in ("ddpp", "printf")]
-        assert [shlex.split(line)[:2] for line in commands] == [
-            ["ddpp", "--version"], ["ddpp", "lobe-bench"], ["ddpp", "lobe-bench"],
-            ["ddpp", "gen-net"],
-            ["ddpp", "gen-traffic"], ["ddpp", "simulate"], ["ddpp", "simulate"],
-            ["printf", '{"events": [{"id": 0, "time": 0, "src": "n0", "dst": "n7", '
-                       '"units": 2, "hold": 1}]}'], ["ddpp", "simulate"],
-            ["printf", '{"events": [{"id": 1, "time": 1, "src": "n0", "dst": "n7", '
-                       '"units": 3, "hold": 1}, {"id": 0, "time": 0, "src": "n0", '
-                       '"dst": "n7", "units": 3, "hold": 1}]}'], ["ddpp", "simulate"],
-            ["printf", '{"src": "n0", "dst": "n7", "units": 2}'], ["ddpp", "solve"],
-            ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "solve"], ["ddpp", "compare"],
-            ["ddpp", "oracle"],
-            ["printf", json.dumps(dump_network(reach_limit_trap()))],
-            ["printf", '{"src": "s", "dst": "t", "units": 1}'], ["ddpp", "solve"],
-            ["ddpp", "compare"],
-            ["printf", json.dumps(dump_network(suurballe_trap()))], ["ddpp", "solve"],
-            ["ddpp", "compare"],
-            ["printf", json.dumps(dump_network(narrow_partner_network()))],
-            ["printf", '{"src": "s", "dst": "t", "units": 2}'], ["ddpp", "solve"],
-            ["ddpp", "compare"],
-            ["printf", json.dumps(dump_network(bridged_triangles()))], ["ddpp", "solve"],
-            ["ddpp", "compare"]]
-        define = f'ddpp() {{ {shlex.quote(sys.executable)} -m ddpp.cli "$@"; }}\n'
+    def test_smoke_commands(self, tmp_path):
+        """Every subcommand once: the lobe bench, a generated network and
+        its replay, and the four trap networks of conftest, each exit code
+        checked."""
+        def cli(argv, code=0):
+            done = self._run(*argv)
+            assert done.returncode == code, (argv, done.stderr)
+            return done.stdout
+
+        def write(name, doc):
+            return write_json(tmp_path / name, doc)
+
+        net_file = write("net.json", cli(
+            "gen-net --nodes 8 --avg-degree 3 --units 16 --fill 0.8 --seed 1".split()))
+        traffic = write("traffic.json", cli(["gen-traffic", "--net", net_file, *(
+            "--count 40 --mean-hold 4 --mean-gap 0.5 --units-min 1 --units-max 3 --seed 2"
+            .split())]))
+        one = write("one.json", {"events": [
+            {"id": 0, "time": 0, "src": "n0", "dst": "n7", "units": 2, "hold": 1}]})
+        two = write("two.json", {"events": [
+            {"id": 1, "time": 1, "src": "n0", "dst": "n7", "units": 3, "hold": 1},
+            {"id": 0, "time": 0, "src": "n0", "dst": "n7", "units": 3, "hold": 1}]})
+        routed = ["--net", net_file, "--demand",
+                  write("demand.json", {"src": "n0", "dst": "n7", "units": 2})]
+        trap, suurballe, narrow, bridge = (
+            ["--net", write(f"{build.__name__}.json", dump_network(build())),
+             "--demand", write(f"st{units}.json", {"src": "s", "dst": "t", "units": units})]
+            for build, units in ((reach_limit_trap, 1), (suurballe_trap, 1),
+                                 (narrow_partner_network, 2), (bridged_triangles, 1)))
+        blocked = ["solve", *bridge, "--relation", "prime"]
+        commands = [
+            ["--version"],
+            ["lobe-bench", "--m-max", "6", "--relation", "prime"],
+            ["lobe-bench", "--m-max", "6", "--relation", "base"],
+            ["simulate", "--net", net_file, "--traffic", traffic, "--relation", "prime"],
+            ["simulate", "--net", net_file, "--traffic", traffic, "--relation", "base"],
+            ["simulate", "--net", net_file, "--traffic", one, "--relation", "prime"],
+            ["simulate", "--net", net_file, "--traffic", two, "--relation", "prime"],
+            ["solve", *routed, "--relation", "prime"],
+            ["solve", *routed, "--relation", "base"],
+            ["solve", *routed, "--relation", "base", "--max-route-cost", "124"],
+            ["solve", *routed, "--relation", "base", "--all-efficient"],
+            ["compare", *routed],
+            ["oracle", *routed],
+            ["solve", *trap, "--relation", "base", "--max-route-cost", "8"],
+            ["compare", *trap, "--max-route-cost", "8"],
+            ["solve", *suurballe, "--relation", "prime"],
+            ["compare", *suurballe],
+            ["solve", *narrow, "--relation", "prime"],
+            ["compare", *narrow],
+            blocked,
+            ["compare", *bridge],
+        ]
         stdout = {}
-        for command in commands:
-            done = subprocess.run(["bash", "-c", define + command], cwd=tmp_path,
-                                  env=self._env(RUNNER_TEMP=str(tmp_path)),
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, (command, done.stderr)
-            stdout.setdefault(command.split()[1], []).append(done.stdout)
+        for argv in commands:
+            stdout.setdefault(argv[0], []).append(cli(argv, 3 if argv is blocked else 0))
+        assert stdout["--version"] == [f"ddpp {ddpp.__version__}\n"]
         prime, base = (list(csv.reader(io.StringIO(out)))[1:] for out in stdout["lobe-bench"])
         assert [int(row[1]) for row in prime] == [1] * 6
         assert [int(row[1]) for row in base] == [2**m for m in range(1, 7)]
@@ -432,7 +422,7 @@ class TestProcess:
         report = json.loads(pair)
         assert (report["offered"], report["routed"], report["blocked"]) == (2, 2, 0)
         assert report["max_labels"] == 23
-        net = load_network(json.loads((tmp_path / "net.json").read_text()))
+        net = load_network(json.loads(Path(net_file).read_text()))
         # prime and base unlimited, base limited to the dearer leg's cost,
         # then base with the queue drained
         for solve in solved:
@@ -455,11 +445,8 @@ class TestProcess:
         assert drained == {"labels_generated": 1753, "labels_dominated": 998,
                            "labels_settled": 755, "queue_pops": 791,
                            "max_labels_per_vertex": 43}
-        tighter = self._run("solve", "--net", str(tmp_path / "net.json"), "--demand",
-                            str(tmp_path / "demand.json"), "--relation", "base",
-                            "--max-route-cost", "123")
-        assert tighter.returncode == 3, tighter.stderr
-        assert json.loads(tighter.stdout)["status"] == "blocked"
+        tighter = cli(["solve", *routed, "--relation", "base", "--max-route-cost", "123"], 3)
+        assert json.loads(tighter)["status"] == "blocked"
         verdict = json.loads(compare)
         assert verdict["matches"] is True
         assert verdict["verdicts"] == {"base": True, "prime": True}
@@ -499,7 +486,7 @@ class TestProcess:
         assert verdict["verdicts"] == {"base": True, "prime": True}
         assert (verdict["oracle"]["status"], verdict["oracle"]["min_cost"]) == ("routed", 11)
         # two triangles joined by one bridge: blocked by topology, so the
-        # solve exits 3, which its line accepts
+        # solve exits 3
         doc = json.loads(bridge_solve)
         assert doc["status"] == "blocked"
         assert (doc["stats"]["labels_generated"], doc["stats"]["queue_pops"]) == (27, 15)

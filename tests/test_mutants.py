@@ -4,8 +4,8 @@ an existing check must catch.
 Each case swaps one product function for a mutant and runs a check of
 ``test_properties``, a differential against the oracle or against solves
 without the pair bound or a property against brute force, over a fixed,
-derandomized example set with shrinking off, or a check on one hand-built
-instance that the example set misses, expecting it to fail.  The
+derandomized example set with shrinking off, or a check on hand-built or
+seeded instances that the example set misses, expecting it to fail.  The
 unmutated search passes the same checks.  A check that stops catching its
 mutant has lost strength, and a case here fails to say so.
 """
@@ -24,7 +24,7 @@ from test_properties import (assert_exact_in_every_combination,
                              multigraph_demands, trap_core_demands)
 
 from ddpp import Demand, oracle, search
-from ddpp.search import PairSearch
+from ddpp.search import PairSearch, SearchOptions
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
@@ -173,7 +173,8 @@ def test_view_mutant_is_caught(monkeypatch, name, old, new, error):
         oracle_differential()
 
 
-# both differentials miss these three: the answers stay the same
+# both differentials miss these: the answers stay the same, or they
+# fail with a KeyError rather than an assertion
 @pytest.mark.parametrize("old, new, check", [
     # a link is listed when either of its ends survives the peel
     pytest.param("a in near and b in near", "a in near or b in near", view_check,
@@ -183,6 +184,10 @@ def test_view_mutant_is_caught(monkeypatch, name, old, new, error):
     # shadows only at nodes with two more view links than kept neighbours
     pytest.param("len(far) < len(view[node])", "len(far) + 1 < len(view[node])", shadow_check,
                  id="shadows-two-over"),
+    pytest.param("if len(far) < len(view[node]):", "if False:", shadow_check,
+                 id="shadows-never-filled"),
+    # the usability pass records each usable link at one end only
+    pytest.param("near[b].add(a)", "pass", view_check, id="one-direction-usable"),
 ])
 def test_view_build_mutant_is_caught(monkeypatch, old, new, check):
     monkeypatch.setattr(PairSearch, "__init__", mutant(PairSearch.__init__, old, new))
@@ -197,6 +202,24 @@ def test_leg_at_the_limit_refused_is_caught(monkeypatch):
         search.PairSearch._pair_bound, "traits[0][0] > limit", "traits[0][0] >= limit"))
     with pytest.raises(AssertionError):
         test_search.TestPairBound().test_limit_the_partner_breaks_gives_no_bound(5, 7)
+
+
+def test_stats_fields_swapped_are_caught(monkeypatch):
+    # only the pinned counters tell labels_settled from queue_pops
+    monkeypatch.setattr(PairSearch, "_settle", mutant(
+        PairSearch._settle, "SearchStats(generated, dominated, settled, pops,",
+        "SearchStats(generated, dominated, pops, settled,"))
+    with pytest.raises(AssertionError):
+        test_search.TestStatsAndModes().test_counters_match_golden()
+
+
+def test_prime_under_a_limit_accepted_is_caught(monkeypatch):
+    # no exactness check runs the combination; only the option check sees
+    # it accepted, and pytest.raises reports that with pytest.fail
+    monkeypatch.setattr(SearchOptions, "__post_init__", mutant(
+        SearchOptions.__post_init__, 'if self.mode != "base":', "if False:"))
+    with pytest.raises(pytest.fail.Exception):
+        test_search.TestSolveExamples().test_inconsistent_options_rejected()
 
 
 @pytest.mark.parametrize("name, old, new", [

@@ -711,6 +711,19 @@ class TestLimitedVariant:
                 assert sol.total_cost == unlimited.total_cost
             assert check_solution(net, demand, sol, limit) == [], limit
 
+    @pytest.mark.parametrize("m, limit, cost", [
+        (2, 4, 7), (2, 5, 7), (3, 8, 15), (3, 9, 15), (3, 11, 15)])
+    def test_prime_under_a_limit_loses_the_answer(self, m, limit, cost):
+        # why SearchOptions refuses the combination: the cost-sum relation
+        # compares totals only, so a label whose legs can still fit the
+        # limit is dropped for one of no greater total whose legs cannot
+        net, demand = lobe_network(m, 1), Demand("n_s", "n_x", 1)
+        opts = SearchOptions("base", limit)
+        sol = solve(net, demand, opts)
+        assert sol.total_cost == oracle_solve(net, demand, max_route_cost=limit).min_cost == cost
+        object.__setattr__(opts, "mode", "prime")
+        assert solve(net, demand, opts).status == "blocked"
+
     def test_reach_limit_trap(self):
         # Suurballe's pair s-a-t (1) and s-t (9) breaks the limit; the answer
         # under it pairs two dearer legs, s-a-b-t (6) and s-c-a-t (7)
