@@ -11,8 +11,10 @@ from .net_model import (
     Link,
     Network,
     NetworkError,
+    chain_network,
     dump_demand,
     dump_network,
+    fan_network,
     load_demand,
     load_network,
     lobe_network,
@@ -68,11 +70,13 @@ __all__ = [
     "Solution",
     "TrafficEvent",
     "UnitInterval",
+    "chain_network",
     "check_solution",
     "compare",
     "dump_demand",
     "dump_network",
     "dump_traffic",
+    "fan_network",
     "gen_traffic",
     "label_cost",
     "label_extend",

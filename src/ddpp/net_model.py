@@ -17,15 +17,25 @@ cross-tool interface:
 
 Costs are integers by design: comparisons stay exact and tie-breaking
 deterministic.  Scale real lengths before writing documents.
+
+Beside ``random_network`` there are three closed-form families, each the
+worst case for one argument of the paper:
+
+* ``lobe_network``, the chain of powers of two: trait-wise (base-mode)
+  pruning, which keeps one label per split of the weights;
+* ``chain_network`` under a route-cost limit: PARTITION, the limited
+  problem's hardness;
+* ``fan_network``: prime mode's per-vertex label bound, which it reaches
+  exactly.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
-from .spectrum_core import UnitInterval, _is_int, _require_int, normalize_intervals
+from .spectrum_core import (UnitInterval, _is_finite, _is_int, _is_number, _require_int,
+                            normalize_intervals)
 
 
 class NetworkError(ValueError):
@@ -145,19 +155,6 @@ def validate_demand(net: Network, demand: Demand) -> None:
         )
 
 
-def _is_number(value) -> bool:
-    """A JSON number: ``int`` or ``float`` but not ``bool``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A finite JSON number; an integer too large for a float is not one."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def load_network(doc: dict) -> Network:
     """Build a validated Network from its document.
 
@@ -254,25 +251,59 @@ def dump_demand(demand: Demand) -> dict:
     return {"src": demand.src, "dst": demand.dst, "units": demand.units}
 
 
-def lobe_network(m: int, unit_count: int) -> Network:
-    """Chain of m+1 segments, each with a cost-0 and a cost-2^i parallel link.
+def chain_network(weights, unit_count: int) -> Network:
+    """Chain ``n_s, n_1, ..., n_x`` of one segment per weight.
 
-    The generated instance is the worst case for trait-wise pruning: the
-    two disjoint routes split the segment costs between them, producing a
-    distinct incomparable cost pair for every split.  All units are
-    available on every link, and every disjoint pair costs 2^(m+1) - 1,
-    the sum of all the power-of-two links.
+    Segment i holds link 2i at cost 0 and link 2i+1 at cost ``weights[i]``,
+    and every unit is free on every link.  Every disjoint pair splits the
+    weighted links between its two routes, so it costs ``sum(weights)``;
+    under a route-cost limit L it exists exactly when some subset of the
+    weights sums to between ``sum(weights) - L`` and L, a PARTITION
+    instance.  ``Network`` checks the weights as link costs.
     """
-    _require_int("segment parameter", m, 1, NetworkError)
     _require_int("unit count", unit_count, 1, NetworkError)
-    chain = ["n_s"] + [f"n_{i}" for i in range(1, m + 1)] + ["n_x"]
+    if not weights:
+        raise NetworkError("a chain needs at least one weight")
+    nodes = ["n_s"] + [f"n_{i}" for i in range(1, len(weights))] + ["n_x"]
     full = (UnitInterval(0, unit_count),)
     links = []
-    for i in range(m + 1):
-        ends = (chain[i], chain[i + 1])
+    for i, weight in enumerate(weights):
+        ends = (nodes[i], nodes[i + 1])
         links.append(Link(2 * i, ends, 0, full))
-        links.append(Link(2 * i + 1, ends, 2**i, full))
-    return Network(unit_count, tuple(chain), tuple(links))
+        links.append(Link(2 * i + 1, ends, weight, full))
+    return Network(unit_count, tuple(nodes), tuple(links))
+
+
+def lobe_network(m: int, unit_count: int) -> Network:
+    """The chain of m+1 segments with weights 1, 2, ..., 2^m.
+
+    The worst case for trait-wise pruning: the two disjoint routes split
+    the segment costs between them, producing a distinct incomparable cost
+    pair for every split.  Every disjoint pair costs 2^(m+1) - 1.
+    """
+    _require_int("segment parameter", m, 1, NetworkError)
+    return chain_network([2**i for i in range(m + 1)], unit_count)
+
+
+def fan_network(unit_count: int, units: int) -> Network:
+    """Nodes s, a, b and d.  For every interval at least ``units`` wide, one
+    s-a and then one s-b link are free on exactly that interval, at cost
+    ``hi - lo``; the a-d and b-d links cost 0 and are fully free.
+
+    A wider interval costs more, so no two labels at (a, b) are comparable,
+    and a prime-mode search of a ``units``-wide demand s -> d reaches its
+    per-vertex bound ``(W(W+1)/2)^2``, ``W = unit_count - units + 1``,
+    exactly.
+    """
+    _require_int("unit count", unit_count, 1, NetworkError)
+    _require_int("units", units, 1, NetworkError)
+    spans = [(lo, hi) for lo in range(unit_count)
+             for hi in range(lo + units, unit_count + 1)]
+    specs = [("s", mid, hi - lo, (lo, hi)) for mid in ("a", "b") for lo, hi in spans]
+    specs += [(mid, "d", 0, (0, unit_count)) for mid in ("a", "b")]
+    links = tuple(Link(i, (a, b), cost, (UnitInterval(*span),))
+                  for i, (a, b, cost, span) in enumerate(specs))
+    return Network(unit_count, ("s", "a", "b", "d"), links)
 
 
 def random_network(

@@ -11,10 +11,15 @@ A trait is the plain tuple ``(cost, lo, hi)`` and a vertex the plain tuple
 ``(a, b)`` with ``a <= b``, so building, hashing and comparing either runs
 in C.  No type enforces that order: ``label_extend`` is the only code that
 orders a pair, and a same-node pair ``(n, n)`` is ordered as written.
+
+The JSON value checks every loader and generator of the package shares
+(``_is_int``, ``_require_int``, ``_is_number``, ``_is_finite``) live here,
+in the module the others all import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -30,6 +35,19 @@ def _require_int(name: str, value, least: int | None = None, error=ValueError) -
         raise error(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+
+
+def _is_number(value) -> bool:
+    """A JSON number: ``int`` or ``float`` but not ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite JSON number; an integer too large for a float is not one."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,9 +20,10 @@ import heapq
 import random
 from dataclasses import asdict, dataclass
 
-from .net_model import Demand, Link, Network, _is_finite, validate_demand
+from .net_model import Demand, Link, Network, validate_demand
 from .search import SearchOptions, solve
-from .spectrum_core import _is_int, _require_int, normalize_intervals, remove_interval
+from .spectrum_core import (_is_finite, _is_int, _require_int, normalize_intervals,
+                            remove_interval)
 
 
 @dataclass(frozen=True, slots=True)

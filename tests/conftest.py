@@ -1,5 +1,7 @@
 """Shared test helpers: hand-made networks, brute-force unit sets, and a
-reference usable-link view with its distances to the destination.
+reference usable-link view with its distances to the destination.  The
+closed-form families (``ddpp.chain_network``, ``ddpp.lobe_network`` and
+``ddpp.fan_network``) are product builders; tests import them from ``ddpp``.
 
 The helpers here deliberately avoid the interval algebra of the package
 under test: free spectrum is regrouped unit by unit.  A routed answer is
@@ -47,29 +49,6 @@ def make_net(units: int, nodes: list[str], link_specs) -> Network:
         for i, (a, b, cost, ivs) in enumerate(link_specs)
     )
     return Network(units, tuple(nodes), links)
-
-
-def fan_network(unit_count: int, units: int) -> Network:
-    """Nodes s, a, b and d.  For every interval at least ``units`` wide, one
-    s-a and one s-b link are free on exactly that interval, at cost
-    ``hi - lo``; the a-d and b-d links cost 0 and are fully free.  A wider
-    interval costs more, so no two labels at (a, b) are comparable."""
-    spans = [(lo, hi) for lo in range(unit_count)
-             for hi in range(lo + units, unit_count + 1)]
-    specs = [("s", mid, hi - lo, [(lo, hi)]) for mid in ("a", "b") for lo, hi in spans]
-    specs += [(mid, "d", 0, [(0, unit_count)]) for mid in ("a", "b")]
-    return make_net(unit_count, ["s", "a", "b", "d"], specs)
-
-
-def chain_network(weights) -> Network:
-    """A chain c0 ... cn with one 1-unit segment per weight: segment i gets
-    a cost-0 link and a cost-``weights[i]`` link, all free.  Every disjoint
-    pair splits the weighted links between its routes, so it costs
-    ``sum(weights)``; ``lobe_network`` is the chain of powers of two."""
-    nodes = [f"c{i}" for i in range(len(weights) + 1)]
-    specs = [(nodes[i], nodes[i + 1], cost, [(0, 1)])
-             for i, weight in enumerate(weights) for cost in (0, weight)]
-    return make_net(1, nodes, specs)
 
 
 def narrow_partner_network() -> Network:

@@ -134,11 +134,11 @@ def efficient_front(net, demand, mode: str, max_route_cost: int | None = None) -
 
 
 def partition_routable(weights, limit: int) -> bool:
-    """Whether ``chain_network(weights)`` has a disjoint pair with each route
-    costing at most ``limit``: some subset of the weights, the first
-    route's, sums to s with ``sum(weights) - limit <= s <= limit``.  A
-    bitset subset-sum DP, independent of the search: bit s of ``sums`` is
-    set when some subset sums to s."""
+    """Whether ``ddpp.chain_network(weights, units)`` has a disjoint pair
+    with each route costing at most ``limit``: some subset of the weights,
+    the first route's, sums to s with ``sum(weights) - limit <= s <=
+    limit``.  A bitset subset-sum DP, independent of the search: bit s of
+    ``sums`` is set when some subset sums to s."""
     sums = 1
     for weight in weights:
         sums |= sums << weight

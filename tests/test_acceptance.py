@@ -25,8 +25,10 @@ from ddpp import (
     SearchOptions,
     PairSearch,
     UnitInterval,
+    chain_network,
     check_solution,
     dump_traffic,
+    fan_network,
     gen_traffic,
     label_extend,
     load_traffic,
@@ -38,7 +40,6 @@ from ddpp import (
 )
 from ddpp.oracle import bundle_doc, compare
 
-from conftest import chain_network, fan_network
 from reference import dominates, leq_eq, leq_n, leq_x, partition_routable, trait_leq
 
 COUNTEREXAMPLE_DIR = Path(__file__).parent / "counterexamples"
@@ -350,13 +351,12 @@ def test_limited_chains_are_partition(weights):
     # exactly when its weights split into two sides of at most the limit
     total = sum(weights)
     for limit in (total // 2 - 1, total // 2, (total + 1) // 2, total // 2 + 3):
-        _limited_chain_agrees_with_subset_sums(chain_network(weights), weights, limit)
+        _limited_chain_agrees_with_subset_sums(chain_network(weights, 1), weights, limit)
 
 
 def test_lobe_is_the_power_of_two_partition():
     net, weights = lobe_network(8, 1), [2**i for i in range(9)]
-    assert [link.cost for link in net.links] == [
-        link.cost for link in chain_network(weights).links]
+    assert net == chain_network(weights, 1)
     blocked = _limited_chain_agrees_with_subset_sums(net, weights, 255)
     routed = _limited_chain_agrees_with_subset_sums(net, weights, 256)
     assert (blocked.routed, routed.routed, routed.total_cost) == (False, True, 511)

@@ -18,7 +18,8 @@ from hypothesis import Phase, given, settings
 
 import test_search
 from conftest import narrow_partner_network, reach_limit_trap, second_leg_trap
-from test_properties import (assert_exact_in_every_combination,
+from test_properties import (EFFICIENT_SET_INPUTS, assert_efficient_set_matches_naive,
+                             assert_exact_in_every_combination,
                              assert_suurballe_is_the_cheapest_pair,
                              assert_view_keeps_every_simple_path, bound_savings,
                              multigraph_demands, trap_core_demands)
@@ -55,6 +56,13 @@ def view_check(instance):
     assert_view_keeps_every_simple_path(*instance)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.generate], report_multiple_bugs=False)
+@given(*EFFICIENT_SET_INPUTS)
+def efficient_set_check(mode, same_node, rows):
+    assert_efficient_set_matches_naive(mode, same_node, rows)
+
+
 def h_check():
     for seed in range(6):
         test_search.TestUsableLinkView().test_h_is_exact_and_consistent(seed)
@@ -80,6 +88,7 @@ def test_the_unmutated_search_passes():
     bound_differential()
     suurballe_check()
     view_check()
+    efficient_set_check()
 
 
 def test_bound_one_below_the_pair_is_caught(monkeypatch):
@@ -244,3 +253,27 @@ def test_greedy_partner_is_caught(monkeypatch):
     # crossing route one back finds the cheapest
     with pytest.raises(AssertionError):
         suurballe_check()
+
+
+@pytest.mark.parametrize("old, new", [
+    # a same-node vertex compares labels slot-aligned only
+    pytest.param("(aligned, (lb, hb, la, ha, cb, ca)) if self._same else (aligned,)",
+                 "(aligned,)", id="no-swapped-view"),
+    # a member at the candidate's costs survives it
+    pytest.param("cost_b[end] >= xb", "cost_b[end] > xb", id="base-evicts-dearer-only"),
+    pytest.param("entry[0] >= xa", "entry[0] > xa", id="prime-evicts-dearer-only"),
+])
+def test_efficient_set_mutant_is_caught(monkeypatch, old, new):
+    monkeypatch.setattr(search.EfficientSet, "insert",
+                        mutant(search.EfficientSet.insert, old, new))
+    with pytest.raises(AssertionError):
+        efficient_set_check()
+
+
+def test_settling_dead_labels_is_caught(monkeypatch):
+    # every differential misses it; only pinned counters see the evicted
+    # labels settled and expanded
+    monkeypatch.setattr(PairSearch, "_settle", mutant(
+        PairSearch._settle, "if not label.alive:", "if False:"))
+    with pytest.raises(AssertionError):
+        test_search.TestPairBound().test_suurballe_trap_is_bounded_by_the_optimum("base", True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 
@@ -10,13 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import unit_runs
 
+import ddpp
 from ddpp import (
     Demand,
     Link,
     Network,
     NetworkError,
+    chain_network,
     dump_demand,
     dump_network,
+    fan_network,
     load_demand,
     load_network,
     lobe_network,
@@ -420,6 +424,45 @@ class TestLobe:
         with pytest.raises(NetworkError) as caught:
             lobe_network(*args)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("builder, args, message", [
+        (chain_network, ([1, 2], 0), "unit count must be >= 1, got 0"),
+        (chain_network, ([1, 2], 1.0), "unit count must be an integer, got 1.0"),
+        (chain_network, ([], 1), "a chain needs at least one weight"),
+        # the weights are link costs, checked by Network alone
+        (chain_network, ([1, -2], 1), "link 3 has negative cost -2"),
+        (chain_network, ([1.5], 1), "link 1: cost must be an integer, got 1.5"),
+        (chain_network, ([True], 1), "link 1: cost must be an integer, got True"),
+        (fan_network, (0, 1), "unit count must be >= 1, got 0"),
+        (fan_network, (4.0, 1), "unit count must be an integer, got 4.0"),
+        (fan_network, (4, 0), "units must be >= 1, got 0"),
+        (fan_network, (4, "2"), "units must be an integer, got '2'"),
+    ])
+    def test_builders_reject_bad_inputs(self, builder, args, message):
+        with pytest.raises(NetworkError) as caught:
+            builder(*args)
+        assert str(caught.value) == message
+
+    def test_document_is_pinned(self):
+        # link ids fix the search's tie order, and with it every lobe answer
+        assert dump_network(lobe_network(2, 2)) == {
+            "units": 2,
+            "nodes": ["n_s", "n_1", "n_2", "n_x"],
+            "links": [
+                {"id": 0, "ends": ["n_s", "n_1"], "cost": 0, "available": [[0, 2]]},
+                {"id": 1, "ends": ["n_s", "n_1"], "cost": 1, "available": [[0, 2]]},
+                {"id": 2, "ends": ["n_1", "n_2"], "cost": 0, "available": [[0, 2]]},
+                {"id": 3, "ends": ["n_1", "n_2"], "cost": 2, "available": [[0, 2]]},
+                {"id": 4, "ends": ["n_2", "n_x"], "cost": 0, "available": [[0, 2]]},
+                {"id": 5, "ends": ["n_2", "n_x"], "cost": 4, "available": [[0, 2]]},
+            ],
+        }
+
+
+def test_all_names_every_public_import():
+    imported = {name for name, value in vars(ddpp).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert ddpp.__all__ == sorted(imported)
 
 
 class TestRandomNetwork:

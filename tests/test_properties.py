@@ -209,8 +209,8 @@ def test_higher_cost_labels_yield_higher_cost_labels():
                 assert label_cost(better) <= label_cost(worse)
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
-@given(
+# a mode, whether the vertex is same-node, and the labels' rows to insert
+EFFICIENT_SET_INPUTS = (
     st.sampled_from(["base", "prime"]),
     st.booleans(),
     st.sampled_from([4, UNITS_TOTAL]).flatmap(
@@ -222,7 +222,15 @@ def test_higher_cost_labels_yield_higher_cost_labels():
         )
     ),
 )
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(*EFFICIENT_SET_INPUTS)
 def test_efficient_set_matches_naive_reference(mode, same_node, rows):
+    assert_efficient_set_matches_naive(mode, same_node, rows)
+
+
+def assert_efficient_set_matches_naive(mode, same_node, rows):
     """The interval-indexed set behaves exactly like the pure relations.
 
     Beside membership, this pins the lazy deletion the search relies on
