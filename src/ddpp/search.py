@@ -58,9 +58,17 @@ interval starts, then the push number, which is unique, so labels are never
 compared and a solve is deterministic for fixed inputs.  The view lists
 each link at each of its ends as ``(link, 1 << link.id, far end,
 shadow)``, so ``expand`` finds the bit and the far end without computing
-them: it tests the bit against the label's masks and hands the far end to
-``label_extend``, which computes the bit again for the grown route's
-mask.
+them: it tests the bit against the label's masks, grows the route's mask
+with it and orders the new vertex with the far end.
+
+``expand`` is the search's kernel: every candidate label is built there.
+For each link that passes its tests it clips the extending trait against
+the link's free intervals, as ``spectrum_core.trait_extend`` does, and
+builds each candidate ``Label`` itself.  ``trait_extend`` and
+``label_extend`` are its tested one-step reference: the dominance
+properties are proven on them, ``_pair_bound`` folds its legs with
+``trait_extend``, and a differential test pins ``expand`` to a reference
+expansion that calls ``label_extend`` for each link.
 
 ``shadow`` is the mask of the link's parallel-link shadowing: the bits of
 the other view links with the same two ends that rank below it by ``(cost,
@@ -119,7 +127,7 @@ intervals and not on the unit count.  An ``enumerate_all`` solve takes no
 bound either: the destination's front needs its costlier members.
 ``expand`` skips a link when the candidate's key, the label's cost plus
 the link's plus ``h`` of its far end and of the other route's end, would
-exceed ``U``, before ``label_extend`` is called, so a skipped candidate
+exceed ``U``, before the trait is clipped, so a skipped candidate
 costs no spectrum algebra, no label, no insertion and no push.  The skip
 is exact.  Keys never fall along an extension, and the search stops at the
 first destination label, whose key is the optimum, at most ``U``; so no
@@ -153,7 +161,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 from .net_model import Demand, Network, validate_demand
-from .spectrum_core import Label, UnitInterval, _require_int, label_cost, label_extend, trait_extend
+from .spectrum_core import Label, UnitInterval, _require_int, label_cost, trait_extend
+from .spectrum_core import label_extend  # unused here: bench/run.py's tracer wraps it by name
 
 MODES = ("base", "prime")
 
@@ -608,14 +617,22 @@ class PairSearch:
         destination is not extended, and a link is skipped when the label
         already uses it, when its far end is already on the extending
         route, the source included, or while a link of its ``shadow`` is
-        unused by the label.  Only view links are tried, and
-        ``label_extend`` gets the view's far end.  Under a route-cost
-        limit, a link is not appended when the extended route, plus the
-        cheapest way on from the far end, would cost more than the limit.
+        unused by the label.  Only view links are tried, and the far end
+        is the view's.  Under a route-cost limit, a link is not appended
+        when the extended route, plus the cheapest way on from the far end,
+        would cost more than the limit.
         Once ``run`` has set a pair bound, a link is not appended when the
         candidate's key would exceed it.  Both tests are one comparison of
         ``link.cost + h[far]`` against a cap per side, made only when a
         limit or a bound exists.
+
+        This is the search's kernel, with ``label_extend`` and
+        ``trait_extend`` as its tested one-step reference: the extending
+        trait, the kept trait and the kept route are chosen once per side;
+        each link that passes gives one candidate per piece of the trait's
+        interval free on the link and at least ``demand.units`` wide, with
+        the grown route's mask and the vertex ordered, as ``label_extend``
+        gives them and in the same order.
         """
         out: list[Label] = []
         a, b = label.vertex
@@ -628,17 +645,19 @@ class PairSearch:
         view = self._view
         touching = self._touching
         bound = self._bound
-        cost_a, cost_b = label.trait_a[0], label.trait_b[0]
-        sides = ((("a", a, cost_a, links_a, b),) if a == b
-                 else (("a", a, cost_a, links_a, b), ("b", b, cost_b, links_b, a)))
+        trait_a, trait_b = label.trait_a, label.trait_b
+        sides = (((a, trait_a, links_a, b, trait_b, links_b),) if a == b
+                 else ((a, trait_a, links_a, b, trait_b, links_b),
+                       (b, trait_b, links_b, a, trait_a, links_a)))
         free = ~used
-        for side, node, spent, route, kept in sides:
+        for node, trait, route, kept, kept_trait, kept_links in sides:
             if node == dst:
                 continue
+            spent, lo, hi = trait
             # the most link.cost + h[far] may be: None when nothing caps it
             cap = None if limit is None else limit - spent
             if bound is not None:
-                room = bound - cost_a - cost_b - h[kept]
+                room = bound - trait_a[0] - trait_b[0] - h[kept]
                 if cap is None or room < cap:
                     cap = room
             for link, bit, far, shadow in view[node]:
@@ -646,7 +665,26 @@ class PairSearch:
                     continue
                 if cap is not None and link.cost + h[far] > cap:
                     continue
-                out += label_extend(label, link, far, side, units)
+                cost = spent + link.cost
+                grown = route | bit
+                ordered = far <= kept
+                vertex = (far, kept) if ordered else (kept, far)
+                # trait_extend's clip: the walk stops at the first free
+                # interval starting at or past hi
+                for iv in link.available:
+                    piece_lo = iv.lo
+                    if piece_lo >= hi:
+                        break
+                    piece_hi = iv.hi
+                    if piece_lo < lo:
+                        piece_lo = lo
+                    if piece_hi > hi:
+                        piece_hi = hi
+                    if piece_hi - piece_lo >= units:
+                        piece = (cost, piece_lo, piece_hi)
+                        out.append(Label(piece, kept_trait, vertex, grown, kept_links)
+                                   if ordered else
+                                   Label(kept_trait, piece, vertex, kept_links, grown))
         return out
 
     def run(self) -> Solution:

@@ -9,8 +9,12 @@ the unordered pair of nodes where the two routes currently end.
 
 A trait is the plain tuple ``(cost, lo, hi)`` and a vertex the plain tuple
 ``(a, b)`` with ``a <= b``, so building, hashing and comparing either runs
-in C.  No type enforces that order: ``label_extend`` is the only code that
-orders a pair, and a same-node pair ``(n, n)`` is ordered as written.
+in C.  No type enforces that order: the search's kernel,
+``search.PairSearch.expand``, orders each pair it builds, and a same-node
+pair ``(n, n)`` is ordered as written.  ``trait_extend`` and
+``label_extend`` below are that kernel's tested one-step reference: the
+kernel clips traits and builds labels inline, and a differential test pins
+it to ``label_extend`` link by link.
 
 The JSON value checks every loader and generator of the package shares
 (``_is_int``, ``_require_int``, ``_is_number``, ``_is_finite``) live here,
@@ -163,9 +167,10 @@ def label_extend(label: Label, link, far: str, side: str, units: int) -> list[La
     link, and its route gains the link's bit and ends at ``far``, the
     link's far end from that side's node; the other trait and route are
     copied.  The caller vouches for ``far`` and that the label does not use
-    the link: ``expand`` reads both off the usable-link view.  The new
-    vertex is canonicalized; when the node order flips, both traits move to
-    the other slot with their link sets.
+    the link.  The new vertex is canonicalized; when the node order flips,
+    both traits move to the other slot with their link sets.  This is the
+    one-step reference of the search's kernel, ``PairSearch.expand``, which
+    builds the same candidates inline, in the same order.
     """
     bit = 1 << link.id
     if side == "a":

@@ -9,6 +9,9 @@ oracle.  ``EfficientSet``'s docstring says which relation each mode uses.
 and ``efficient_front`` builds from it the destination set an
 ``enumerate_all`` search must find.  ``partition_routable`` decides a
 limited chain instance by subset sums, with no search at all.
+``reference_expand`` is the search's expansion built on ``label_extend``,
+one call per link that passes the search's tests; ``PairSearch.expand``
+clips traits and builds labels inline, and must give the same candidates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from ddpp.oracle import DEFAULT_PAIR_BUDGET, _feasible_routes
-from ddpp.spectrum_core import Label, label_cost
+from ddpp.spectrum_core import Label, label_cost, label_extend
 
 
 def trait_leq(t_i: tuple, t_j: tuple) -> bool:
@@ -143,3 +146,32 @@ def partition_routable(weights, limit: int) -> bool:
     for weight in weights:
         sums |= sums << weight
     return any(sums >> s & 1 for s in range(max(sum(weights) - limit, 0), limit + 1))
+
+
+def reference_expand(search, label: Label) -> list[Label]:
+    """``PairSearch.expand`` as ``label_extend`` steps: the same link tests
+    over ``search``'s view, ``h``, route-cost limit and pair bound, and one
+    ``label_extend`` per link that passes them."""
+    out: list[Label] = []
+    a, b = label.vertex
+    used = label.links_a | label.links_b
+    limit, bound, h = search.opts.max_route_cost, search._bound, search._h
+    cost_a, cost_b = label.trait_a[0], label.trait_b[0]
+    sides = [("a", a, cost_a, label.links_a, b)]
+    if a != b:
+        sides.append(("b", b, cost_b, label.links_b, a))
+    for side, node, spent, route, kept in sides:
+        if node == search.demand.dst:
+            continue
+        cap = None if limit is None else limit - spent
+        if bound is not None:
+            room = bound - cost_a - cost_b - h[kept]
+            if cap is None or room < cap:
+                cap = room
+        for link, bit, far, shadow in search._view[node]:
+            if used & bit or shadow & ~used or route & search._touching[far]:
+                continue
+            if cap is not None and link.cost + h[far] > cap:
+                continue
+            out += label_extend(label, link, far, side, search.demand.units)
+    return out

@@ -20,6 +20,7 @@ import test_search
 from conftest import narrow_partner_network, reach_limit_trap, second_leg_trap
 from test_properties import (EFFICIENT_SET_INPUTS, assert_efficient_set_matches_naive,
                              assert_exact_in_every_combination,
+                             assert_expand_matches_reference,
                              assert_suurballe_is_the_cheapest_pair,
                              assert_view_keeps_every_simple_path, bound_savings,
                              multigraph_demands, trap_core_demands)
@@ -63,6 +64,13 @@ def efficient_set_check(mode, same_node, rows):
     assert_efficient_set_matches_naive(mode, same_node, rows)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.generate], report_multiple_bugs=False)
+@given(multigraph_demands())
+def expand_check(instance):
+    assert_expand_matches_reference(*instance)
+
+
 def h_check():
     for seed in range(6):
         test_search.TestUsableLinkView().test_h_is_exact_and_consistent(seed)
@@ -89,6 +97,7 @@ def test_the_unmutated_search_passes():
     suurballe_check()
     view_check()
     efficient_set_check()
+    expand_check()
 
 
 def test_bound_one_below_the_pair_is_caught(monkeypatch):
@@ -117,6 +126,23 @@ def test_trail_search_is_caught(monkeypatch):
         "used & bit or shadow & free"))
     with pytest.raises(AssertionError):
         oracle_differential()
+
+
+# the clip expand inlines from trait_extend, and its vertex order: the
+# label_extend reference and the oracle differential each catch all three
+@pytest.mark.parametrize("check", [expand_check, oracle_differential],
+                         ids=["reference", "oracle"])
+@pytest.mark.parametrize("old, new", [
+    pytest.param("piece_hi - piece_lo >= units", "piece_hi - piece_lo > units",
+                 id="clip-wider-than-units"),
+    pytest.param("if piece_lo < lo:", "if False:", id="clip-without-lo-clamp"),
+    # a grown route that ends at the kept node takes slot b
+    pytest.param("ordered = far <= kept", "ordered = far < kept", id="vertex-order-strict"),
+])
+def test_expand_clip_mutant_is_caught(monkeypatch, old, new, check):
+    monkeypatch.setattr(PairSearch, "expand", mutant(search.PairSearch.expand, old, new))
+    with pytest.raises(AssertionError):
+        check()
 
 
 @pytest.mark.parametrize("old, new", [

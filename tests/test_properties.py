@@ -5,6 +5,7 @@ construction (a better label is derived from a worse one, or vice versa);
 the conclusions are then checked against the pure relation functions.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from conftest import link_units, make_net, peeled_view, unit_runs, usable, view_distances
-from reference import NaiveEfficientSet, dominates, efficient_front, trait_leq
+from reference import (NaiveEfficientSet, dominates, efficient_front, reference_expand,
+                       trait_leq)
 
 from ddpp import (
     Demand,
@@ -447,6 +449,54 @@ def test_route_sets_come_in_ascending_order(instance):
 @given(bundled_demands())
 def test_search_matches_oracle_on_parallel_bundles(instance):
     assert_exact_in_every_combination(*instance)
+
+
+LABEL_FIELDS = tuple(field.name for field in dataclasses.fields(Label))
+
+
+def assert_expand_matches_reference(net: Network, demand: Demand) -> dict[str, int]:
+    """Solve in prime, in base and in base under route-cost limits, each
+    once as built, with the pair bound when there is one, and once with
+    ``enumerate_all``, and assert that ``PairSearch.expand`` gives, for
+    every label popped, the candidates of ``reference.reference_expand``,
+    field by field and in order.  The limits sit at and one below the
+    unlimited base answer's dearer leg, or at 0 and 3 on a blocked demand.
+    Returns how many labels were expanded with a bound, with a limit, and
+    in all."""
+    unlimited = search.solve(net, demand, SearchOptions("base"))
+    limits = (0, 3)
+    if unlimited.routed:
+        dearer = max(sum(net.links[i].cost for i in leg.links)
+                     for leg in (unlimited.working, unlimited.protecting))
+        limits = tuple(limit for limit in (dearer - 1, dearer) if limit >= 0)
+    configs = [SearchOptions(mode) for mode in MODES]
+    configs += [SearchOptions("base", limit) for limit in limits]
+    counts = {"bounded": 0, "limited": 0, "expanded": 0}
+    for opts in configs:
+        for enumerate_all in (False, True):
+            opts = dataclasses.replace(opts, enumerate_all=enumerate_all)
+            built = PairSearch(net, demand, opts)
+
+            def expand(label, built=built, opts=opts):
+                got = type(built).expand(built, label)
+                want = reference_expand(built, label)
+                assert [[getattr(cand, name) for name in LABEL_FIELDS] for cand in got] == [
+                    [getattr(cand, name) for name in LABEL_FIELDS] for cand in want
+                ], (opts, label.vertex, label.trait_a, label.trait_b)
+                counts["bounded"] += built._bound is not None
+                counts["limited"] += opts.max_route_cost is not None
+                counts["expanded"] += 1
+                return got
+
+            built.expand = expand
+            built.run()
+    return counts
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(multigraph_demands())
+def test_expand_matches_the_label_extend_reference_on_multigraphs(instance):
+    assert_expand_matches_reference(*instance)
 
 
 def shadowing_savings(net: Network, demand: Demand) -> list[int]:

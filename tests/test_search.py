@@ -16,7 +16,7 @@ from conftest import (
     view_distances,
 )
 from reference import dominates, efficient_front
-from test_properties import assert_exact_in_every_combination
+from test_properties import assert_exact_in_every_combination, assert_expand_matches_reference
 
 from ddpp import (
     Demand,
@@ -641,31 +641,21 @@ class TestCollectorPause:
             gc.enable()
 
 
-def test_layer_seams_are_called_through_module_attributes(monkeypatch):
-    """A per-layer tracer wraps ``search.label_extend`` and
-    ``spectrum_core.trait_extend`` by attribute, so a solve must call both
-    through those names, one trait extension per label extension."""
-    import ddpp.search
-    import ddpp.spectrum_core
-
-    calls = {"label_extend": 0, "trait_extend": 0}
-
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(ddpp.search, "label_extend")
-    count(ddpp.spectrum_core, "trait_extend")
-    sol = solve(random_network(8, 3.0, 16, 0.85, 3), Demand("n0", "n7", 2),
-                SearchOptions(mode="base"))
-    assert sol.stats.labels_generated > 1
-    assert calls["label_extend"] > 0
-    assert calls["trait_extend"] == calls["label_extend"]
+def test_expand_matches_the_label_extend_reference_on_seeded_networks():
+    """``expand`` clips traits and builds labels inline; on seeded
+    ``random_network`` demands, routed and blocked, every label popped in
+    prime, base, limited base and bounded runs expands to the candidates
+    of the reference built on ``label_extend``."""
+    statuses, counts = set(), []
+    for n in (8, 12):
+        for seed in range(6):
+            net = random_network(n, 3.0, 16, 0.85, seed)
+            demand = Demand("n0", f"n{n - 1}", 1 + seed % 3)
+            statuses.add(solve(net, demand).status)
+            counts.append(assert_expand_matches_reference(net, demand))
+    assert statuses == {"routed", "blocked"}
+    for kind in ("bounded", "limited", "expanded"):
+        assert sum(count[kind] for count in counts) > 0, kind
 
 
 class TestLimitedVariant:
