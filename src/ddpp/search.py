@@ -626,13 +626,13 @@ class PairSearch:
         ``link.cost + h[far]`` against a cap per side, made only when a
         limit or a bound exists.
 
-        This is the search's kernel, with ``label_extend`` and
-        ``trait_extend`` as its tested one-step reference: the extending
-        trait, the kept trait and the kept route are chosen once per side;
-        each link that passes gives one candidate per piece of the trait's
-        interval free on the link and at least ``demand.units`` wide, with
-        the grown route's mask and the vertex ordered, as ``label_extend``
-        gives them and in the same order.
+        Every candidate of the search is built here (the module docstring
+        names its one-step reference): the extending trait, the kept trait
+        and the kept route are chosen once per side; each link that passes
+        gives one candidate per piece of the trait's interval free on the
+        link and at least ``demand.units`` wide, with the grown route's mask
+        and the vertex ordered, as ``label_extend`` gives them and in the
+        same order.
         """
         out: list[Label] = []
         a, b = label.vertex

@@ -11,10 +11,8 @@ A trait is the plain tuple ``(cost, lo, hi)`` and a vertex the plain tuple
 ``(a, b)`` with ``a <= b``, so building, hashing and comparing either runs
 in C.  No type enforces that order: the search's kernel,
 ``search.PairSearch.expand``, orders each pair it builds, and a same-node
-pair ``(n, n)`` is ordered as written.  ``trait_extend`` and
-``label_extend`` below are that kernel's tested one-step reference: the
-kernel clips traits and builds labels inline, and a differential test pins
-it to ``label_extend`` link by link.
+pair ``(n, n)`` is ordered as written.  ``search``'s module docstring
+says what ``trait_extend`` and ``label_extend`` below are to that kernel.
 
 The JSON value checks every loader and generator of the package shares
 (``_is_int``, ``_require_int``, ``_is_number``, ``_is_finite``) live here,
@@ -168,9 +166,8 @@ def label_extend(label: Label, link, far: str, side: str, units: int) -> list[La
     link's far end from that side's node; the other trait and route are
     copied.  The caller vouches for ``far`` and that the label does not use
     the link.  The new vertex is canonicalized; when the node order flips,
-    both traits move to the other slot with their link sets.  This is the
-    one-step reference of the search's kernel, ``PairSearch.expand``, which
-    builds the same candidates inline, in the same order.
+    both traits move to the other slot with their link sets.  ``search``'s
+    module docstring says what this is to ``PairSearch.expand``.
     """
     bit = 1 << link.id
     if side == "a":

@@ -7,6 +7,12 @@ The helpers here deliberately avoid the interval algebra of the package
 under test: free spectrum is regrouped unit by unit.  A routed answer is
 checked with ``ddpp.check_solution``, and dominance against the reference
 relations and efficient set in ``reference.py``.
+
+Every property test runs under one Hypothesis profile, loaded here: a
+derandomized example set, so a run is repeatable, and no deadline, since
+a wall-clock limit can fail an example on a loaded machine when nothing
+is wrong.  Each test's ``@settings`` names only its example and step
+counts.
 """
 
 from __future__ import annotations
@@ -16,8 +22,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hypothesis import settings
+
 from ddpp import Link, Network, UnitInterval
 from ddpp.spectrum_core import normalize_intervals
+
+settings.register_profile("ddpp", derandomize=True, deadline=None)
+settings.load_profile("ddpp")
 
 
 def unit_runs(units: set[int], min_len: int) -> list[tuple[int, int]]:

@@ -9,9 +9,10 @@ oracle.  ``EfficientSet``'s docstring says which relation each mode uses.
 and ``efficient_front`` builds from it the destination set an
 ``enumerate_all`` search must find.  ``partition_routable`` decides a
 limited chain instance by subset sums, with no search at all.
-``reference_expand`` is the search's expansion built on ``label_extend``,
-one call per link that passes the search's tests; ``PairSearch.expand``
-clips traits and builds labels inline, and must give the same candidates.
+``reference_expand`` is ``PairSearch.expand`` as one ``label_extend`` per
+link (the ``search`` module docstring says why it is kept).  The
+dominance-preservation properties draw labels with ``random_trait`` and
+derive them with ``extend_both_sides``.
 """
 
 from __future__ import annotations
@@ -146,6 +147,29 @@ def partition_routable(weights, limit: int) -> bool:
     for weight in weights:
         sums |= sums << weight
     return any(sums >> s & 1 for s in range(max(sum(weights) - limit, 0), limit + 1))
+
+
+def random_trait(rng, units: int, unit_count: int = 8) -> tuple:
+    """A trait with a random cost in 0..20 and a random interval at least
+    ``units`` wide within ``unit_count`` units."""
+    lo = rng.randint(0, unit_count - units)
+    hi = rng.randint(lo + units, unit_count)
+    return (rng.randint(0, 20), lo, hi)
+
+
+def extend_both_sides(label: Label, link, units: int) -> list[Label]:
+    """All candidates one appended link can produce from a label.
+
+    Both routes are extended, also at same-node vertices: the covering
+    counterpart of a cross-dominated label's extension lives on the other
+    slot, so the derivation set of the propositions spans both sides.  The
+    label's routes are taken not to use the link.
+    """
+    out = []
+    for side, node in zip("ab", label.vertex):
+        if node in link.ends:
+            out += label_extend(label, link, link.other_end(node), side, units)
+    return out
 
 
 def reference_expand(search, label: Label) -> list[Label]:

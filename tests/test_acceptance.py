@@ -30,7 +30,6 @@ from ddpp import (
     dump_traffic,
     fan_network,
     gen_traffic,
-    label_extend,
     load_traffic,
     lobe_network,
     normalize_intervals,
@@ -40,7 +39,8 @@ from ddpp import (
 )
 from ddpp.oracle import bundle_doc, compare
 
-from reference import dominates, leq_eq, leq_n, leq_x, partition_routable, trait_leq
+from reference import (dominates, extend_both_sides, leq_eq, leq_n, leq_x, partition_routable,
+                       random_trait, trait_leq)
 
 COUNTEREXAMPLE_DIR = Path(__file__).parent / "counterexamples"
 
@@ -235,26 +235,11 @@ def _make_link_pool(rng, ends, count=256):
     return pool
 
 
-def _rand_trait(rng, units):
-    lo = rng.randint(0, 8 - units)
-    hi = rng.randint(lo + units, 8)
-    return (rng.randint(0, 20), lo, hi)
-
-
 def _shrunk(rng, base: tuple, units) -> tuple[int, int]:
     _, b_lo, b_hi = base
     lo = rng.randint(b_lo, b_hi - units)
     hi = rng.randint(lo + units, b_hi)
     return lo, hi
-
-
-def _extend_both_sides(label, link, units):
-    out = []
-    for side in ("a", "b"):
-        node = label.vertex[0] if side == "a" else label.vertex[1]
-        if node in link.ends:
-            out.extend(label_extend(label, link, link.other_end(node), side, units))
-    return out
 
 
 def _preservation_violations(mode: str, trials: int, seed: int) -> int:
@@ -268,7 +253,7 @@ def _preservation_violations(mode: str, trials: int, seed: int) -> int:
         same = rng.random() < 0.5
         vertex = ("n", "n") if same else ("m", "n")
         units = rng.randint(1, 3)
-        good = Label(_rand_trait(rng, units), _rand_trait(rng, units), vertex)
+        good = Label(random_trait(rng, units), random_trait(rng, units), vertex)
         crossed = same and rng.random() < 0.5
         first, second = (
             (good.trait_b, good.trait_a) if crossed else (good.trait_a, good.trait_b)
@@ -290,8 +275,8 @@ def _preservation_violations(mode: str, trials: int, seed: int) -> int:
         assert dominates(mode, good, bad)
         ends = ("n", "z") if same else rng.choice((("n", "z"), ("m", "z"), ("m", "n")))
         link = rng.choice(pools[ends])
-        derived_good = _extend_both_sides(good, link, units)
-        for lab in _extend_both_sides(bad, link, units):
+        derived_good = extend_both_sides(good, link, units)
+        for lab in extend_both_sides(bad, link, units):
             if not any(
                 cover.vertex == lab.vertex and dominates(mode, cover, lab)
                 for cover in derived_good
@@ -344,7 +329,7 @@ def _limited_chain_agrees_with_subset_sums(net, weights, limit):
     return sol
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.integers(1, 100), min_size=8, max_size=16))
 def test_limited_chains_are_partition(weights):
     # under a route-cost limit the problem holds PARTITION: a chain routes

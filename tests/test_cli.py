@@ -47,6 +47,17 @@ def lobe_files(tmp_path):
     return net_file, demand_file
 
 
+@pytest.fixture()
+def single_link_files(tmp_path):
+    # one link a-b: a demand a -> b has no disjoint partner route, so it is blocked
+    net_file = write_json(tmp_path / "n.json", {
+        "units": 4, "nodes": ["a", "b"],
+        "links": [{"id": 0, "ends": ["a", "b"], "cost": 1, "available": [[0, 4]]}],
+    })
+    demand_file = write_json(tmp_path / "d.json", {"src": "a", "dst": "b", "units": 1})
+    return net_file, demand_file
+
+
 class TestSolveCommand:
     def test_routed_exit_zero(self, lobe_files, capsys):
         net_file, demand_file = lobe_files
@@ -60,12 +71,8 @@ class TestSolveCommand:
         assert set(doc) == {"status", "cost", "working", "protecting", "stats"}
         assert captured.err == ""
 
-    def test_blocked_exit_three(self, tmp_path, capsys):
-        net_file = write_json(tmp_path / "n.json", {
-            "units": 4, "nodes": ["a", "b"],
-            "links": [{"id": 0, "ends": ["a", "b"], "cost": 1, "available": [[0, 4]]}],
-        })
-        demand_file = write_json(tmp_path / "d.json", {"src": "a", "dst": "b", "units": 1})
+    def test_blocked_exit_three(self, single_link_files, capsys):
+        net_file, demand_file = single_link_files
         code = main(["solve", "--net", net_file, "--demand", demand_file,
                      "--relation", "base"])
         assert code == 3
@@ -206,12 +213,8 @@ class TestOracleAndCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["min_cost"] == 7 and doc["pair_count"] == 4
 
-    def test_oracle_blocked_exit_three(self, tmp_path, capsys):
-        net_file = write_json(tmp_path / "n.json", {
-            "units": 4, "nodes": ["a", "b"],
-            "links": [{"id": 0, "ends": ["a", "b"], "cost": 1, "available": [[0, 4]]}],
-        })
-        demand_file = write_json(tmp_path / "d.json", {"src": "a", "dst": "b", "units": 1})
+    def test_oracle_blocked_exit_three(self, single_link_files, capsys):
+        net_file, demand_file = single_link_files
         assert main(["oracle", "--net", net_file, "--demand", demand_file]) == 3
 
     def test_oracle_budget_flag(self, lobe_files, capsys):
@@ -494,24 +497,6 @@ class TestProcess:
         assert verdict["matches"] is True
         assert verdict["verdicts"] == {"base": True, "prime": True}
         assert verdict["oracle"]["status"] == "blocked"
-
-    def test_routed_exit_zero(self, lobe_files):
-        net_file, demand_file = lobe_files
-        done = self._run("solve", "--net", net_file, "--demand", demand_file,
-                         "--relation", "prime")
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout)["cost"] == 7
-
-    def test_blocked_exit_three(self, tmp_path):
-        net_file = write_json(tmp_path / "n.json", {
-            "units": 4, "nodes": ["a", "b"],
-            "links": [{"id": 0, "ends": ["a", "b"], "cost": 1, "available": [[0, 4]]}],
-        })
-        demand_file = write_json(tmp_path / "d.json", {"src": "a", "dst": "b", "units": 1})
-        done = self._run("solve", "--net", net_file, "--demand", demand_file,
-                         "--relation", "base")
-        assert done.returncode == 3, done.stderr
-        assert json.loads(done.stdout)["status"] == "blocked"
 
     def test_bad_document_exit_one(self, tmp_path, lobe_files):
         _, demand_file = lobe_files

@@ -62,7 +62,7 @@ LOADERS = [(load_network, NETWORK_DOC), (load_demand, DEMAND_DOC), (load_traffic
 CASES = [(loader, doc, path) for loader, doc in LOADERS for path in field_paths(doc)]
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(st.sampled_from(CASES), json_values)
 def test_loaders_reject_bad_fields_without_crashing(case, value):
     loader, doc, path = case

@@ -3,11 +3,11 @@ an existing check must catch.
 
 Each case swaps one product function for a mutant and runs a check of
 ``test_properties``, a differential against the oracle or against solves
-without the pair bound or a property against brute force, over a fixed,
-derandomized example set with shrinking off, or a check on hand-built or
-seeded instances that the example set misses, expecting it to fail.  The
-unmutated search passes the same checks.  A check that stops catching its
-mutant has lost strength, and a case here fails to say so.
+without the pair bound or a property against brute force, over the test
+profile's fixed example set with shrinking off (``CHECK``), or a check on
+hand-built or seeded instances that the example set misses, expecting it
+to fail.  The unmutated search passes the same checks.  A check that stops
+catching its mutant has lost strength, and a case here fails to say so.
 """
 
 import inspect
@@ -28,44 +28,42 @@ from test_properties import (EFFICIENT_SET_INPUTS, assert_efficient_set_matches_
 from ddpp import Demand, oracle, search
 from ddpp.search import PairSearch, SearchOptions
 
+# the profile's fixed example set, run once through: no stored examples
+# replayed, no shrinking, the first failure reported
+CHECK = settings(max_examples=200, database=None, phases=[Phase.generate],
+                 report_multiple_bugs=False)
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          phases=[Phase.generate], report_multiple_bugs=False)
+@CHECK
 @given(multigraph_demands())
 def oracle_differential(instance):
     assert_exact_in_every_combination(*instance)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          phases=[Phase.generate], report_multiple_bugs=False)
+@CHECK
 @given(trap_core_demands())
 def bound_differential(instance):
     bound_savings(*instance)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          phases=[Phase.generate], report_multiple_bugs=False)
+@CHECK
 @given(trap_core_demands())
 def suurballe_check(instance):
     assert_suurballe_is_the_cheapest_pair(*instance)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          phases=[Phase.generate], report_multiple_bugs=False)
+@CHECK
 @given(multigraph_demands())
 def view_check(instance):
     assert_view_keeps_every_simple_path(*instance)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          phases=[Phase.generate], report_multiple_bugs=False)
+@CHECK
 @given(*EFFICIENT_SET_INPUTS)
 def efficient_set_check(mode, same_node, rows):
     assert_efficient_set_matches_naive(mode, same_node, rows)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          phases=[Phase.generate], report_multiple_bugs=False)
+@CHECK
 @given(multigraph_demands())
 def expand_check(instance):
     assert_expand_matches_reference(*instance)

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,16 +46,6 @@ class TestLoadNetwork:
         assert net.unit_count == 8
         assert net.links[0].available[0].to_doc() == [0, 8]
 
-    def test_interval_exceeding_unit_count(self):
-        doc = minimal_doc()
-        doc["links"][0]["available"] = [[6, 10]]
-        with pytest.raises(NetworkError, match="exceeds unit count"):
-            load_network(doc)
-        net = load_network(minimal_doc())
-        for units in (8.0, True):
-            with pytest.raises(NetworkError, match="'units' must be a positive integer"):
-                Network(units, net.nodes, net.links)
-
     def test_adjacent_intervals_merged(self):
         doc = minimal_doc()
         doc["links"][0]["available"] = [[0, 3], [3, 5]]
@@ -69,27 +58,6 @@ class TestLoadNetwork:
         net = load_network(doc)
         assert [iv.to_doc() for iv in net.links[0].available] == [[0, 4], [6, 8]]
 
-    def test_dangling_endpoint(self):
-        doc = minimal_doc()
-        doc["links"][0]["ends"] = ["a", "ghost"]
-        with pytest.raises(NetworkError, match="unknown node 'ghost'"):
-            load_network(doc)
-        doc["links"][0]["ends"] = ["a", ["b"]]
-        with pytest.raises(NetworkError, match="unknown node"):
-            load_network(doc)
-
-    def test_duplicate_link_id(self):
-        doc = minimal_doc()
-        doc["links"].append({"id": 0, "ends": ["a", "b"], "cost": 1, "available": []})
-        with pytest.raises(NetworkError, match="duplicate link id 0"):
-            load_network(doc)
-
-    def test_sparse_link_ids(self):
-        doc = minimal_doc()
-        doc["links"][0]["id"] = 5
-        with pytest.raises(NetworkError, match="dense"):
-            load_network(doc)
-
     @pytest.mark.parametrize("index, bad_id", [(0, 0.0), (0, False), (1, True)])
     def test_non_integer_link_id(self, index, bad_id):
         # each id equals its position, so only the type check can catch it
@@ -98,27 +66,7 @@ class TestLoadNetwork:
         with pytest.raises(NetworkError, match=f"link id {bad_id!r} is not an integer"):
             Network(8, tuple(f"n{i}" for i in range(6)), tuple(links))
 
-    def test_negative_cost(self):
-        doc = minimal_doc()
-        doc["links"][0]["cost"] = -1
-        with pytest.raises(NetworkError, match="cost"):
-            load_network(doc)
-        # fractional costs would make the search's A* bound sums inexact
-        net = random_network(8, 3.0, 8, 0.9, 0)
-        rng = random.Random(0)
-        links = tuple(Link(l.id, l.ends, rng.choice((0.1, 0.2, 0.3, 0.7, 1.1)), l.available)
-                      for l in net.links)
-        with pytest.raises(NetworkError, match="cost must be an integer"):
-            Network(net.unit_count, net.nodes, links)
-
     def test_malformed_interval(self):
-        doc = minimal_doc()
-        doc["links"][0]["available"] = [[5, 2]]
-        with pytest.raises(NetworkError, match="malformed interval"):
-            load_network(doc)
-        doc["links"][0]["available"] = 5
-        with pytest.raises(NetworkError, match="'available' must be a list"):
-            load_network(doc)
         # the integer-bound rule is UnitInterval's own, with the text load_network re-raises
         with pytest.raises(ValueError, match=r"interval \[0.5, 2.7\] must be \[lo, hi\]"):
             UnitInterval(0.5, 2.7)
@@ -172,12 +120,6 @@ class TestLoadNetwork:
     def test_missing_keys(self):
         with pytest.raises(NetworkError, match="lacks 'units'"):
             load_network({"nodes": [], "links": []})
-
-    def test_duplicate_nodes(self):
-        doc = minimal_doc()
-        doc["nodes"] = ["a", "a"]
-        with pytest.raises(NetworkError, match="duplicate node"):
-            load_network(doc)
 
     def test_round_trip_identity(self):
         doc = minimal_doc()
@@ -286,6 +228,14 @@ LOADER_MESSAGES = [
     (load_demand, {"src": "a", "dst": "b", "units": True}, "demand units True is not an integer"),
     (load_demand, {"src": "a", "dst": "b", "units": 2.5}, "demand units 2.5 is not an integer"),
     (load_demand, {"src": "a", "dst": "b", "units": 0}, "demanded units must be positive, got 0"),
+    # appended, so the rows above keep their ids
+    (load_network, with_link(ends=["a", ["b"]]), "link 0 references unknown node ['b']"),
+    (load_network, edited(links=[GOOD_LINK, {"id": 0, "ends": ["a", "b"], "cost": 1,
+                                             "available": []}]), "duplicate link id 0"),
+    (load_network, edited(nodes=["a", "a"]), "duplicate node identifiers"),
+    (load_network, edited(units=True), "'units' must be a positive integer, got True"),
+    # fractional costs would make the search's A* bound sums inexact
+    (load_network, with_link(cost=1.1), "link 0: cost must be an integer, got 1.1"),
 ]
 
 
@@ -305,7 +255,7 @@ valid_pairs = st.lists(
 
 
 class TestCanonicalIntervals:
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(valid_pairs)
     def test_loaded_intervals_are_the_maximal_runs(self, pairs):
         units = {u for lo, hi in pairs for u in range(lo, hi)}
@@ -316,7 +266,7 @@ class TestCanonicalIntervals:
         assert normalize_intervals(UnitInterval(lo, hi) for lo, hi in pairs) == runs
         assert normalize_intervals([UnitInterval(lo, hi) for lo, hi in reversed(pairs)]) == runs
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(valid_pairs, st.integers(0, 8), st.data())
     def test_malformed_pair_raises_inside_a_merged_run(self, pairs, at, data):
         # the bad pair lies within a good one, so a merge would swallow it
@@ -344,7 +294,7 @@ class TestCanonicalIntervals:
         assert out == (UnitInterval(0, 5),)
         assert out[0] != first and out[0] != second
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(valid_pairs)
     def test_canonical_tuple_comes_back_as_the_same_instances(self, pairs):
         canonical = normalize_intervals(UnitInterval(lo, hi) for lo, hi in pairs)

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from conftest import link_units, make_net, peeled_view, unit_runs, usable, view_distances
-from reference import (NaiveEfficientSet, dominates, efficient_front, reference_expand,
-                       trait_leq)
+from reference import (NaiveEfficientSet, dominates, efficient_front, extend_both_sides,
+                       random_trait, reference_expand, trait_leq)
 
 from ddpp import (
     Demand,
@@ -27,7 +27,6 @@ from ddpp import (
     UnitInterval,
     check_solution,
     label_cost,
-    label_extend,
     normalize_intervals,
     oracle_solve,
     random_network,
@@ -74,7 +73,7 @@ def better_trait(rng: random.Random, worse: tuple) -> tuple:
     return (rng.randint(0, cost), lo, hi)
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=300)
 @given(trait_strategy(), link_strategy(), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
     """Every derivation of a worse trait is covered by one of a better trait."""
@@ -89,7 +88,7 @@ def test_inefficient_trait_yields_inefficient_traits(worse, link, units, rng):
         assert any(trait_leq(t2, t) for t2 in derived_better), (better, worse, link, t)
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=300)
 @given(trait_strategy(), link_strategy(), st.integers(1, 3))
 def test_trait_extension_shrinks_interval(trait, link, units):
     t_cost, t_lo, t_hi = trait
@@ -103,7 +102,7 @@ def test_trait_extension_shrinks_interval(trait, link, units):
     assert got == [(t_cost + link.cost, lo, hi) for lo, hi in expected]
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=300)
 @given(st.sets(st.integers(0, 31), min_size=1), st.data())
 def test_remove_interval_is_unit_difference(free_units, data):
     """Cutting a window out of the free interval containing it equals the
@@ -165,32 +164,7 @@ class LinkSpectrumMachine(RuleBasedStateMachine):
 
 
 TestLinkSpectrum = LinkSpectrumMachine.TestCase
-TestLinkSpectrum.settings = settings(max_examples=80, stateful_step_count=30,
-                                     derandomize=True, deadline=None)
-
-
-def _random_label(rng: random.Random, vertex: tuple, units: int) -> Label:
-    def trait():
-        lo = rng.randint(0, UNITS_TOTAL - units)
-        hi = rng.randint(lo + units, UNITS_TOTAL)
-        return (rng.randint(0, 20), lo, hi)
-
-    return Label(trait(), trait(), vertex)
-
-
-def _extend_for_props(label: Label, link: Link, units: int) -> list[Label]:
-    """All candidates one appended link can produce from a label.
-
-    Both routes are extended, also at same-node vertices: the covering
-    counterpart of a cross-dominated label's extension lives on the other
-    slot, so the derivation set of the propositions spans both sides.
-    """
-    out = []
-    for side in ("a", "b"):
-        node = label.vertex[0] if side == "a" else label.vertex[1]
-        if node in link.ends and not (label.links_a | label.links_b) & (1 << link.id):
-            out.extend(label_extend(label, link, link.other_end(node), side, units))
-    return out
+TestLinkSpectrum.settings = settings(max_examples=80, stateful_step_count=30)
 
 
 def test_higher_cost_labels_yield_higher_cost_labels():
@@ -199,15 +173,15 @@ def test_higher_cost_labels_yield_higher_cost_labels():
     for _ in range(2000):
         vertex = ("m", "n")
         units = 1
-        cheap = _random_label(rng, vertex, units)
+        cheap = Label(random_trait(rng, units), random_trait(rng, units), vertex)
         extra = rng.randint(0, 9)
         cost_a, lo_a, hi_a = cheap.trait_a
         pricey = Label((cost_a + extra, lo_a, hi_a), cheap.trait_b, vertex)
         assert label_cost(cheap) <= label_cost(pricey)
         avail = normalize_intervals([UnitInterval(0, UNITS_TOTAL)])
         link = Link(3, ("n", "z"), rng.randint(0, 10), avail)
-        for worse in _extend_for_props(pricey, link, units):
-            for better in _extend_for_props(cheap, link, units):
+        for worse in extend_both_sides(pricey, link, units):
+            for better in extend_both_sides(cheap, link, units):
                 assert label_cost(better) <= label_cost(worse)
 
 
@@ -226,7 +200,7 @@ EFFICIENT_SET_INPUTS = (
 )
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
+@settings(max_examples=500)
 @given(*EFFICIENT_SET_INPUTS)
 def test_efficient_set_matches_naive_reference(mode, same_node, rows):
     assert_efficient_set_matches_naive(mode, same_node, rows)
@@ -422,19 +396,19 @@ def assert_exact_in_every_combination(net: Network, demand: Demand) -> None:
                                        for b in front) for a in labels), case
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(random_demands())
 def test_search_matches_oracle_on_every_combination(instance):
     assert_exact_in_every_combination(*instance)
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
+@settings(max_examples=1000)
 @given(multigraph_demands())
 def test_search_matches_oracle_on_multigraphs(instance):
     assert_exact_in_every_combination(*instance)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(multigraph_demands())
 def test_route_sets_come_in_ascending_order(instance):
     """The oracle's witness names the lesser link sequence first only
@@ -445,13 +419,55 @@ def test_route_sets_come_in_ascending_order(instance):
 
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
+@settings(max_examples=1000)
 @given(bundled_demands())
 def test_search_matches_oracle_on_parallel_bundles(instance):
     assert_exact_in_every_combination(*instance)
 
 
 LABEL_FIELDS = tuple(field.name for field in dataclasses.fields(Label))
+
+
+def dearer_leg_limits(net: Network, demand: Demand) -> list[int]:
+    """The route-cost limits at and one below the dearer leg of the
+    unlimited base answer, those not negative; [] when it is blocked."""
+    unlimited = search.solve(net, demand, SearchOptions("base"))
+    if not unlimited.routed:
+        return []
+    dearer = max(sum(net.links[i].cost for i in leg.links)
+                 for leg in (unlimited.working, unlimited.protecting))
+    return [limit for limit in (dearer - 1, dearer) if limit >= 0]
+
+
+def counters_saved(net: Network, demand: Demand, configs, owner, name: str, off,
+                   same: tuple[str, ...]) -> list[int]:
+    """Solve each config as built and again with ``owner.name`` patched to
+    ``off``, which switches one feature off, and assert that the feature
+    changes only counters: a pair bound the built search sets is its
+    routed cost, the answer documents agree apart from ``stats``, the
+    counters named in ``same`` are equal and no other counter is higher
+    with the feature.  Returns, per config, the labels generated without
+    the feature minus those with it."""
+    saved = []
+    for opts in configs:
+        built = PairSearch(net, demand, opts)
+        solved = built.run()
+        if built._bound is not None:
+            assert solved.routed and solved.total_cost == built._bound, opts
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(owner, name, off)
+            plain = search.solve(net, demand, opts).to_doc()
+        solved = solved.to_doc()
+        on, without = solved.pop("stats"), plain.pop("stats")
+        assert solved == plain, opts
+        del on["wall_time"], without["wall_time"]
+        for key in on:
+            if key in same:
+                assert on[key] == without[key], (opts, key)
+            else:
+                assert on[key] <= without[key], (opts, key)
+        saved.append(without["labels_generated"] - on["labels_generated"])
+    return saved
 
 
 def assert_expand_matches_reference(net: Network, demand: Demand) -> dict[str, int]:
@@ -463,14 +479,9 @@ def assert_expand_matches_reference(net: Network, demand: Demand) -> dict[str, i
     unlimited base answer's dearer leg, or at 0 and 3 on a blocked demand.
     Returns how many labels were expanded with a bound, with a limit, and
     in all."""
-    unlimited = search.solve(net, demand, SearchOptions("base"))
-    limits = (0, 3)
-    if unlimited.routed:
-        dearer = max(sum(net.links[i].cost for i in leg.links)
-                     for leg in (unlimited.working, unlimited.protecting))
-        limits = tuple(limit for limit in (dearer - 1, dearer) if limit >= 0)
     configs = [SearchOptions(mode) for mode in MODES]
-    configs += [SearchOptions("base", limit) for limit in limits]
+    configs += [SearchOptions("base", limit)
+                for limit in dearer_leg_limits(net, demand) or (0, 3)]
     counts = {"bounded": 0, "limited": 0, "expanded": 0}
     for opts in configs:
         for enumerate_all in (False, True):
@@ -493,43 +504,25 @@ def assert_expand_matches_reference(net: Network, demand: Demand) -> dict[str, i
     return counts
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(multigraph_demands())
 def test_expand_matches_the_label_extend_reference_on_multigraphs(instance):
     assert_expand_matches_reference(*instance)
 
 
 def shadowing_savings(net: Network, demand: Demand) -> list[int]:
-    """Solve in every mode, route limit and ``enumerate_all`` combination
-    with shadows as built and with every shadow zeroed, and assert that
-    the answer documents agree apart from ``stats``.  Returns, per
-    combination, the labels generated without shadows minus those with
-    them, asserted non-negative.  The limits sit at and one below the
-    unlimited base answer's dearer leg (base mode only)."""
-    unlimited = search.solve(net, demand, SearchOptions("base"))
-    limits = [None]
-    if unlimited.routed:
-        dearer = max(sum(net.links[i].cost for i in leg.links)
-                     for leg in (unlimited.working, unlimited.protecting))
-        limits += [limit for limit in (dearer - 1, dearer) if limit >= 0]
-    savings = []
-    for limit in limits:
-        for mode in MODES if limit is None else ("base",):
-            for enumerate_all in (False, True):
-                opts = SearchOptions(mode, limit, enumerate_all)
-                shadowed = search.solve(net, demand, opts).to_doc()
-                with pytest.MonkeyPatch.context() as monkeypatch:
-                    monkeypatch.setattr(search, "_shadowed", lambda steps, units: steps)
-                    plain = search.solve(net, demand, opts).to_doc()
-                saved = (plain.pop("stats")["labels_generated"]
-                         - shadowed.pop("stats")["labels_generated"])
-                assert shadowed == plain, (mode, limit, enumerate_all)
-                assert saved >= 0, (mode, limit, enumerate_all)
-                savings.append(saved)
-    return savings
+    """``counters_saved`` by parallel-link shadowing, in every mode, route
+    limit and ``enumerate_all`` combination, with every shadow zeroed for
+    the plain solve; shadowing settles the same labels."""
+    configs = [SearchOptions(mode, limit, enumerate_all)
+               for limit in [None, *dearer_leg_limits(net, demand)]
+               for mode in (MODES if limit is None else ("base",))
+               for enumerate_all in (False, True)]
+    return counters_saved(net, demand, configs, search, "_shadowed",
+                          lambda steps, units: steps, same=("labels_settled",))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(bundled_demands())
 def test_shadowing_changes_only_counters_on_parallel_bundles(instance):
     shadowing_savings(*instance)
@@ -550,38 +543,15 @@ def test_shadowing_saves_labels_on_seeded_twins():
 
 
 def bound_savings(net: Network, demand: Demand) -> int:
-    """Solve in prime, in base, and in base under route-cost limits, each
-    once as built and once with ``_pair_bound`` reporting no bound, and
-    assert that the documents agree apart from ``wall_time`` and the three
-    counters the bound may lower, which must not rise.  A finite bound is
-    the cost of a routed answer, so a blocked demand has none.
-    Returns the labels generated without the bound minus those with it,
-    summed.  The limits sit at and one below the unlimited base answer's
-    dearer leg."""
-    unlimited = search.solve(net, demand, SearchOptions("base"))
+    """``counters_saved`` by the pair bound, summed, in prime, in base and in
+    base under route-cost limits, with ``_pair_bound`` reporting no bound
+    for the plain solve; the bound settles and pops the same labels.  A
+    blocked demand has no bound."""
     configs = [SearchOptions("prime"), SearchOptions("base")]
-    if unlimited.routed:
-        dearer = max(sum(net.links[i].cost for i in leg.links)
-                     for leg in (unlimited.working, unlimited.protecting))
-        configs += [SearchOptions("base", limit) for limit in (dearer - 1, dearer) if limit >= 0]
-    saved = 0
-    for opts in configs:
-        built = PairSearch(net, demand, opts)
-        bounded = built.run()
-        if built._bound is not None:
-            assert bounded.routed and bounded.total_cost == built._bound, opts
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(PairSearch, "_pair_bound", lambda self, cost, out: None)
-            plain = search.solve(net, demand, opts).to_doc()
-        bounded = bounded.to_doc()
-        with_bound, without = bounded.pop("stats"), plain.pop("stats")
-        assert bounded == plain, opts
-        for key in ("labels_settled", "queue_pops"):
-            assert with_bound[key] == without[key], (opts, key)
-        for key in ("labels_generated", "labels_dominated", "max_labels_per_vertex"):
-            assert with_bound[key] <= without[key], (opts, key)
-        saved += without["labels_generated"] - with_bound["labels_generated"]
-    return saved
+    configs += [SearchOptions("base", limit) for limit in dearer_leg_limits(net, demand)]
+    return sum(counters_saved(net, demand, configs, PairSearch, "_pair_bound",
+                              lambda self, cost, out: None,
+                              same=("labels_settled", "queue_pops")))
 
 
 def test_pair_bound_changes_only_counters_on_seeded_networks():
@@ -593,7 +563,7 @@ def test_pair_bound_changes_only_counters_on_seeded_networks():
     assert max(saved) > 0
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(multigraph_demands())
 def test_pair_bound_changes_only_counters_on_multigraphs(instance):
     bound_savings(*instance)
@@ -629,7 +599,7 @@ def trap_core_demands(draw):
             Demand("s", "t", units))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(trap_core_demands())
 def test_pair_bound_changes_only_counters_around_trap_cores(instance):
     bound_savings(*instance)
@@ -682,7 +652,7 @@ def assert_view_keeps_every_simple_path(net: Network, demand: Demand) -> None:
             assert len(near) >= 2, node
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
+@settings(max_examples=1000)
 @given(multigraph_demands())
 def test_peeled_view_keeps_every_simple_path(instance):
     assert_view_keeps_every_simple_path(*instance)
@@ -711,13 +681,13 @@ def assert_suurballe_is_the_cheapest_pair(net: Network, demand: Demand) -> None:
     assert sum(link.cost for link in walked) == cost
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
+@settings(max_examples=500)
 @given(multigraph_demands())
 def test_suurballe_is_the_cheapest_pair_on_multigraphs(instance):
     assert_suurballe_is_the_cheapest_pair(*instance)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(trap_core_demands())
 def test_suurballe_is_the_cheapest_pair_around_trap_cores(instance):
     assert_suurballe_is_the_cheapest_pair(*instance)
