@@ -106,7 +106,7 @@ class TestLoadNetwork:
         ([UnitInterval(0, 4)], "link 0: 'available' must be a tuple of UnitInterval"),
         (((0, 4),), "link 0: interval (0, 4) must be a UnitInterval"),
         ((UnitInterval(0, 2), UnitInterval(2, 4)),
-         "intervals on link 0 are not maximal disjoint"),
+     "intervals on link 0 are not maximal disjoint"),
     ], ids=["generator", "list", "plain-pair", "adjacent"])
     def test_model_owns_available(self, available, message):
         # a consumed generator left a routable network blocked, a list broke
@@ -158,88 +158,98 @@ def with_link(**changes):
 GOOD_LINK = {"id": 0, "ends": ["a", "b"], "cost": 100, "available": [[0, 8]]}
 
 # every rejection site of the loaders, with its exact message; a document
-# breaking two rules pins which check runs first
+# breaking two rules pins which check runs first.  Each row leads with its
+# key, which names its test id and never changes, so a row sits in its
+# loader group wherever it is added; a new row takes the next free key, 61.
 LOADER_MESSAGES = [
-    (load_network, [], "network document must be an object"),
-    (load_network, edited(units=None), "network document lacks 'units'"),
-    (load_network, edited(nodes=None), "network document lacks 'nodes'"),
-    (load_network, edited(links=None), "network document lacks 'links'"),
-    (load_network, edited(units=None, links=None), "network document lacks 'units'"),
-    (load_network, edited(nodes=[]), "'nodes' must be a non-empty list"),
-    (load_network, edited(nodes="ab"), "'nodes' must be a non-empty list"),
-    (load_network, edited(nodes=["a", 1, None]), "node identifier 1 is not a string"),
-    (load_network, edited(nodes=[], links=5), "'nodes' must be a non-empty list"),
-    (load_network, edited(links={"0": GOOD_LINK}), "'links' must be a list"),
-    (load_network, edited(links=[5]), "link entry 5 is not an object"),
-    (load_network, edited(links=[GOOD_LINK, ["x"]]), "link entry ['x'] is not an object"),
-    (load_network, with_link(cost=None),
+    (0, load_network, [], "network document must be an object"),
+    (1, load_network, edited(units=None), "network document lacks 'units'"),
+    (2, load_network, edited(nodes=None), "network document lacks 'nodes'"),
+    (3, load_network, edited(links=None), "network document lacks 'links'"),
+    (4, load_network, edited(units=None, links=None), "network document lacks 'units'"),
+    (5, load_network, edited(nodes=[]), "'nodes' must be a non-empty list"),
+    (6, load_network, edited(nodes="ab"), "'nodes' must be a non-empty list"),
+    (7, load_network, edited(nodes=["a", 1, None]), "node identifier 1 is not a string"),
+    (8, load_network, edited(nodes=[], links=5), "'nodes' must be a non-empty list"),
+    (9, load_network, edited(links={"0": GOOD_LINK}), "'links' must be a list"),
+    (10, load_network, edited(links=[5]), "link entry 5 is not an object"),
+    (11, load_network, edited(links=[GOOD_LINK, ["x"]]), "link entry ['x'] is not an object"),
+    (12, load_network, with_link(cost=None),
      "link entry lacks 'cost': {'id': 0, 'ends': ['a', 'b'], 'available': [[0, 8]]}"),
-    (load_network, with_link(id=None, available=None),
+    (13, load_network, with_link(id=None, available=None),
      "link entry lacks 'id': {'ends': ['a', 'b'], 'cost': 100}"),
-    (load_network, with_link(id="0"), "link id '0' is not an integer"),
-    (load_network, with_link(id=True), "link id True is not an integer"),
-    (load_network, with_link(id=1.0, ends=5), "link id 1.0 is not an integer"),
-    (load_network, edited(links=[GOOD_LINK, dict(GOOD_LINK)]), "duplicate link id 0"),
-    (load_network, with_link(ends=["a"]), "link 0: 'ends' must name two nodes"),
-    (load_network, with_link(ends="ab"), "link 0: 'ends' must name two nodes"),
-    (load_network, with_link(ends=["a", "b", "a"]), "link 0: 'ends' must name two nodes"),
-    (load_network, with_link(ends=["a", 3]), "link 0 references unknown node 3"),
-    (load_network, with_link(ends=[["a"], "b"], available=5),
+    (14, load_network, with_link(id="0"), "link id '0' is not an integer"),
+    (15, load_network, with_link(id=True), "link id True is not an integer"),
+    (16, load_network, with_link(id=1.0, ends=5), "link id 1.0 is not an integer"),
+    (17, load_network, edited(links=[GOOD_LINK, dict(GOOD_LINK)]), "duplicate link id 0"),
+    (57, load_network, edited(links=[GOOD_LINK, {"id": 0, "ends": ["a", "b"], "cost": 1,
+                                                 "available": []}]), "duplicate link id 0"),
+    (18, load_network, with_link(ends=["a"]), "link 0: 'ends' must name two nodes"),
+    (19, load_network, with_link(ends="ab"), "link 0: 'ends' must name two nodes"),
+    (20, load_network, with_link(ends=["a", "b", "a"]), "link 0: 'ends' must name two nodes"),
+    (21, load_network, with_link(ends=["a", 3]), "link 0 references unknown node 3"),
+    (22, load_network, with_link(ends=[["a"], "b"], available=5),
      "link 0 references unknown node ['a']"),
-    (load_network, with_link(available=5),
+    (56, load_network, with_link(ends=["a", ["b"]]), "link 0 references unknown node ['b']"),
+    (23, load_network, with_link(available=5),
      "link 0: 'available' must be a list of [lo, hi] pairs"),
-    (load_network, with_link(available={"0": 8}),
+    (24, load_network, with_link(available={"0": 8}),
      "link 0: 'available' must be a list of [lo, hi] pairs"),
-    (load_network, with_link(available=[[0]]), "link 0: interval [0] must be [lo, hi]"),
-    (load_network, with_link(available=[[0, 2, 4]]),
+    (25, load_network, with_link(available=[[0]]), "link 0: interval [0] must be [lo, hi]"),
+    (26, load_network, with_link(available=[[0, 2, 4]]),
      "link 0: interval [0, 2, 4] must be [lo, hi]"),
-    (load_network, with_link(available=[(0, 8)]), "link 0: interval (0, 8) must be [lo, hi]"),
-    (load_network, with_link(available=[[0, 1.5]]), "link 0: interval [0, 1.5] must be [lo, hi]"),
-    (load_network, with_link(available=[[True, 3]]),
+    (27, load_network, with_link(available=[(0, 8)]), "link 0: interval (0, 8) must be [lo, hi]"),
+    (28, load_network, with_link(available=[[0, 1.5]]),
+     "link 0: interval [0, 1.5] must be [lo, hi]"),
+    (29, load_network, with_link(available=[[True, 3]]),
      "link 0: interval [True, 3] must be [lo, hi]"),
-    (load_network, with_link(available=[["0", 3]]), "link 0: interval ['0', 3] must be [lo, hi]"),
-    (load_network, with_link(available=[[0, 2], None]), "link 0: interval None must be [lo, hi]"),
-    (load_network, with_link(available=[[5, 2]]), "link 0: malformed interval [5, 2)"),
-    (load_network, with_link(available=[[3, 3]]), "link 0: malformed interval [3, 3)"),
-    (load_network, with_link(available=[[-1, 2]]), "link 0: malformed interval [-1, 2)"),
+    (30, load_network, with_link(available=[["0", 3]]),
+     "link 0: interval ['0', 3] must be [lo, hi]"),
+    (31, load_network, with_link(available=[[0, 2], None]),
+     "link 0: interval None must be [lo, hi]"),
+    (32, load_network, with_link(available=[[5, 2]]), "link 0: malformed interval [5, 2)"),
+    (33, load_network, with_link(available=[[3, 3]]), "link 0: malformed interval [3, 3)"),
+    (34, load_network, with_link(available=[[-1, 2]]), "link 0: malformed interval [-1, 2)"),
     # a neighbour that would merge over the bad pair does not hide it
-    (load_network, with_link(available=[[0, 6], [4, 2]]), "link 0: malformed interval [4, 2)"),
-    (load_network, with_link(available=[[5, 2], [0, 1.5]]), "link 0: malformed interval [5, 2)"),
+    (35, load_network, with_link(available=[[0, 6], [4, 2]]), "link 0: malformed interval [4, 2)"),
+    (36, load_network, with_link(available=[[5, 2], [0, 1.5]]),
+     "link 0: malformed interval [5, 2)"),
     # the loader's checks on a later link run before the model gate
-    (load_network, edited(links=[dict(GOOD_LINK, cost=-1), {"id": 1}]),
+    (37, load_network, edited(links=[dict(GOOD_LINK, cost=-1), {"id": 1}]),
      "link entry lacks 'ends': {'id': 1}"),
     # the model gate, reached through the loader
-    (load_network, edited(units=0), "'units' must be a positive integer, got 0"),
-    (load_network, edited(units=8.0), "'units' must be a positive integer, got 8.0"),
-    (load_network, edited(nodes=["a", "b", "a"]), "duplicate node identifiers"),
-    (load_network, with_link(id=5), "link ids must be dense 0..0; position 0 holds id 5"),
-    (load_network, with_link(ends=["a", "ghost"]), "link 0 references unknown node 'ghost'"),
-    (load_network, with_link(cost="1"), "link 0: cost must be an integer, got '1'"),
-    (load_network, with_link(cost=-1), "link 0 has negative cost -1"),
-    (load_network, with_link(available=[[6, 10]]), "interval [6, 10) exceeds unit count 8 on link 0"),
-    (load_demand, [], "demand document must be an object"),
-    (load_demand, {"dst": "b", "units": 1}, "demand document lacks 'src'"),
-    (load_demand, {"src": "a", "units": 1}, "demand document lacks 'dst'"),
-    (load_demand, {"src": "a", "dst": "b"}, "demand document lacks 'units'"),
-    (load_demand, {"src": ["a"], "dst": 7, "units": 1}, "demand src ['a'] is not a string"),
-    (load_demand, {"src": "a", "dst": 7, "units": 1}, "demand dst 7 is not a string"),
-    (load_demand, {"src": "a", "dst": "a", "units": 1},
-     "demand endpoints must differ, got 'a' twice"),
-    (load_demand, {"src": "a", "dst": "b", "units": True}, "demand units True is not an integer"),
-    (load_demand, {"src": "a", "dst": "b", "units": 2.5}, "demand units 2.5 is not an integer"),
-    (load_demand, {"src": "a", "dst": "b", "units": 0}, "demanded units must be positive, got 0"),
-    # appended, so the rows above keep their ids
-    (load_network, with_link(ends=["a", ["b"]]), "link 0 references unknown node ['b']"),
-    (load_network, edited(links=[GOOD_LINK, {"id": 0, "ends": ["a", "b"], "cost": 1,
-                                             "available": []}]), "duplicate link id 0"),
-    (load_network, edited(nodes=["a", "a"]), "duplicate node identifiers"),
-    (load_network, edited(units=True), "'units' must be a positive integer, got True"),
+    (38, load_network, edited(units=0), "'units' must be a positive integer, got 0"),
+    (39, load_network, edited(units=8.0), "'units' must be a positive integer, got 8.0"),
+    (59, load_network, edited(units=True), "'units' must be a positive integer, got True"),
+    (40, load_network, edited(nodes=["a", "b", "a"]), "duplicate node identifiers"),
+    (58, load_network, edited(nodes=["a", "a"]), "duplicate node identifiers"),
+    (41, load_network, with_link(id=5), "link ids must be dense 0..0; position 0 holds id 5"),
+    (42, load_network, with_link(ends=["a", "ghost"]), "link 0 references unknown node 'ghost'"),
+    (43, load_network, with_link(cost="1"), "link 0: cost must be an integer, got '1'"),
     # fractional costs would make the search's A* bound sums inexact
-    (load_network, with_link(cost=1.1), "link 0: cost must be an integer, got 1.1"),
+    (60, load_network, with_link(cost=1.1), "link 0: cost must be an integer, got 1.1"),
+    (44, load_network, with_link(cost=-1), "link 0 has negative cost -1"),
+    (45, load_network, with_link(available=[[6, 10]]),
+     "interval [6, 10) exceeds unit count 8 on link 0"),
+    (46, load_demand, [], "demand document must be an object"),
+    (47, load_demand, {"dst": "b", "units": 1}, "demand document lacks 'src'"),
+    (48, load_demand, {"src": "a", "units": 1}, "demand document lacks 'dst'"),
+    (49, load_demand, {"src": "a", "dst": "b"}, "demand document lacks 'units'"),
+    (50, load_demand, {"src": ["a"], "dst": 7, "units": 1}, "demand src ['a'] is not a string"),
+    (51, load_demand, {"src": "a", "dst": 7, "units": 1}, "demand dst 7 is not a string"),
+    (52, load_demand, {"src": "a", "dst": "a", "units": 1},
+     "demand endpoints must differ, got 'a' twice"),
+    (53, load_demand, {"src": "a", "dst": "b", "units": True},
+     "demand units True is not an integer"),
+    (54, load_demand, {"src": "a", "dst": "b", "units": 2.5}, "demand units 2.5 is not an integer"),
+    (55, load_demand, {"src": "a", "dst": "b", "units": 0},
+     "demanded units must be positive, got 0"),
 ]
 
 
-@pytest.mark.parametrize("loader, doc, message", LOADER_MESSAGES)
+@pytest.mark.parametrize("loader, doc, message", [
+    pytest.param(loader, doc, message, id=f"{loader.__name__}-doc{key}-{message}")
+    for key, loader, doc, message in LOADER_MESSAGES])
 def test_loader_messages_are_pinned(loader, doc, message):
     with pytest.raises(NetworkError) as caught:
         loader(doc)

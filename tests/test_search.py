@@ -423,74 +423,49 @@ class TestStatsAndModes:
         for lab in search._sets[("n_x", "n_x")].alive_labels():
             assert lab.vertex == ("n_x", "n_x")
 
-    # (nodes, links, slots) of both legs, then (labels_generated,
-    # labels_dominated, labels_settled, queue_pops, max_labels_per_vertex)
-    GOLDEN = {
-        (12, 1, 2, "base"): ("blocked", None, None, None, (203, 71, 132, 132, 40)),
-        (12, 1, 2, "prime"): ("blocked", None, None, None, (202, 81, 122, 126, 35)),
-        (12, 2, 3, "base"): ("routed", 157,
-                             (["n0", "n4", "n11"], [14, 2], [2, 5]),
-                             (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
-                             (295, 117, 146, 154, 28)),
-        (12, 2, 3, "prime"): ("routed", 157,
-                              (["n0", "n4", "n11"], [14, 2], [2, 5]),
-                              (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
-                              (293, 123, 138, 148, 28)),
-        (13, 3, 2, "base"): ("routed", 116,
-                             (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
-                             (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                             (260, 87, 126, 129, 20)),
-        (13, 3, 2, "prime"): ("routed", 116,
-                              (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
-                              (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
-                              (260, 88, 126, 129, 20)),
-        (14, 5, 2, "base"): ("routed", 304,
-                             (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
-                             (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
-                              [1, 3]),
-                             (1336, 630, 623, 653, 140)),
-        (14, 5, 2, "prime"): ("routed", 304,
-                              (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
-                              (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9],
-                               [1, 3]),
-                              (1316, 640, 597, 635, 130)),
-    }
-
-    @staticmethod
-    def _fingerprint(sol):
-        legs = [
-            None if leg is None else (leg.nodes, leg.links, leg.slots.to_doc())
-            for leg in (sol.working, sol.protecting)
-        ]
-        st = sol.stats
-        counters = (st.labels_generated, st.labels_dominated, st.labels_settled,
-                    st.queue_pops, st.max_labels_per_vertex)
-        return (sol.status, sol.total_cost, legs[0], legs[1], counters)
-
-    def test_counters_match_golden(self):
-        """Answers and machine-independent counters stay exact on fixed seeds."""
-        for (n, seed, units, mode), expect in self.GOLDEN.items():
-            net = random_network(n, 3.0, 32, 0.85, seed)
-            sol = solve(net, Demand("n0", f"n{n - 1}", units), SearchOptions(mode=mode))
-            assert self._fingerprint(sol) == expect, (n, seed, units, mode)
-        sol = solve(lobe_network(6, 1), Demand("n_s", "n_x", 1),
-                    SearchOptions(mode="base", enumerate_all=True))
-        assert self._fingerprint(sol) == (
-            "routed", 127,
-            (["n_s", "n_1", "n_2", "n_3", "n_4", "n_5", "n_6", "n_x"],
-             [1, 3, 5, 7, 9, 11, 13], [0, 1]),
-            (["n_s", "n_1", "n_2", "n_3", "n_4", "n_5", "n_6", "n_x"],
-             [0, 2, 4, 6, 8, 10, 12], [0, 1]),
-            (432, 57, 375, 375, 64),
-        )
-
-    # Larger instances: the lobe benchmark's lobe_network(10, 1), whose sets
-    # never exceed one interval bucket, and fragmented random networks whose
-    # sets reach many rows and buckets with multi-label staircases.  Each
-    # maps to the fingerprint, then the most rows and buckets any one set
-    # ends with.
+    # Each case, ("random", nodes, units, fill, seed, demanded units, mode)
+    # or ("lobe", m, units, mode), maps to the status and cost, (nodes,
+    # links, slots) of both legs and (labels_generated, labels_dominated,
+    # labels_settled, queue_pops, max_labels_per_vertex), then the most rows
+    # and buckets any one set ends with.  The lobe benchmark's
+    # lobe_network(10, 1) has sets that never exceed one interval bucket;
+    # the random networks at 64 and 320 units are fragmented, and their sets
+    # reach many rows and buckets with multi-label staircases.
+    LOBE6_NODES = ["n_s", *(f"n_{i}" for i in range(1, 7)), "n_x"]
     LOBE10_NODES = ["n_s", *(f"n_{i}" for i in range(1, 11)), "n_x"]
-    GOLDEN_LARGER = {
+    GOLDEN = {
+        ("random", 12, 32, 0.85, 1, 2, "base"): (
+            ("blocked", None, None, None, (203, 71, 132, 132, 40)), 9, 39),
+        ("random", 12, 32, 0.85, 1, 2, "prime"): (
+            ("blocked", None, None, None, (202, 81, 122, 126, 35)), 9, 35),
+        ("random", 12, 32, 0.85, 2, 3, "base"): (
+            ("routed", 157, (["n0", "n4", "n11"], [14, 2], [2, 5]),
+             (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
+             (295, 117, 146, 154, 28)), 7, 28),
+        ("random", 12, 32, 0.85, 2, 3, "prime"): (
+            ("routed", 157, (["n0", "n4", "n11"], [14, 2], [2, 5]),
+             (["n0", "n3", "n9", "n11"], [11, 1, 0], [3, 6]),
+             (293, 123, 138, 148, 28)), 7, 28),
+        ("random", 13, 32, 0.85, 3, 2, "base"): (
+            ("routed", 116, (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
+             (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
+             (260, 87, 126, 129, 20)), 4, 20),
+        ("random", 13, 32, 0.85, 3, 2, "prime"): (
+            ("routed", 116, (["n0", "n10", "n1", "n12"], [5, 13, 1], [2, 4]),
+             (["n0", "n6", "n7", "n12"], [3, 6, 16], [0, 2]),
+             (260, 88, 126, 129, 20)), 4, 20),
+        ("random", 14, 32, 0.85, 5, 2, "base"): (
+            ("routed", 304, (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
+             (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9], [1, 3]),
+             (1336, 630, 623, 653, 140)), 17, 140),
+        ("random", 14, 32, 0.85, 5, 2, "prime"): (
+            ("routed", 304, (["n0", "n10", "n2", "n13"], [7, 18, 3], [2, 4]),
+             (["n0", "n3", "n12", "n11", "n5", "n13"], [16, 15, 10, 13, 9], [1, 3]),
+             (1316, 640, 597, 635, 130)), 17, 130),
+        ("lobe", 6, 1, "base"): (
+            ("routed", 127, (LOBE6_NODES, list(range(1, 14, 2)), [0, 1]),
+             (LOBE6_NODES, list(range(0, 14, 2)), [0, 1]),
+             (432, 57, 375, 375, 64)), 1, 1),
         ("lobe", 10, 1, "base"): (
             ("routed", 2047, (LOBE10_NODES, list(range(1, 22, 2)), [0, 1]),
              (LOBE10_NODES, list(range(0, 22, 2)), [0, 1]),
@@ -513,8 +488,10 @@ class TestStatsAndModes:
              (1933, 603, 856, 856, 165)), 15, 165),
     }
 
-    def test_counters_match_golden_on_larger_instances(self):
-        for case, expect in self.GOLDEN_LARGER.items():
+    def test_counters_match_golden(self):
+        """Answers, machine-independent counters and set sizes stay exact on
+        fixed seeds."""
+        for case, expect in self.GOLDEN.items():
             if case[0] == "lobe":
                 _, m, units, mode = case
                 net, demand = lobe_network(m, units), Demand("n_s", "n_x", units)
@@ -526,9 +503,14 @@ class TestStatsAndModes:
                 opts = SearchOptions(mode=mode)
             search = PairSearch(net, demand, opts)
             sol = search.run()
+            legs = [None if leg is None else (leg.nodes, leg.links, leg.slots.to_doc())
+                    for leg in (sol.working, sol.protecting)]
+            st = sol.stats
+            counters = (st.labels_generated, st.labels_dominated, st.labels_settled,
+                        st.queue_pops, st.max_labels_per_vertex)
             rows = max(len(s._rows) for s in search._sets.values())
             buckets = max(sum(map(len, s._rows.values())) for s in search._sets.values())
-            assert (self._fingerprint(sol), rows, buckets) == expect, case
+            assert ((sol.status, sol.total_cost, *legs, counters), rows, buckets) == expect, case
 
     def test_decreasing_pop_keys_raise(self):
         search = PairSearch(lobe_network(2, 1), Demand("n_s", "n_x", 1))
