@@ -98,7 +98,9 @@ def partner_limit_check():
 
 
 def golden_check():
-    test_search.TestStatsAndModes().test_counters_match_golden()
+    golden = test_search.TestStatsAndModes()
+    golden.test_counters_match_golden()
+    golden.test_counters_match_golden_on_larger_instances()
 
 
 def option_check():

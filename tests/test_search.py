@@ -427,10 +427,10 @@ class TestStatsAndModes:
     # or ("lobe", m, units, mode), maps to the status and cost, (nodes,
     # links, slots) of both legs and (labels_generated, labels_dominated,
     # labels_settled, queue_pops, max_labels_per_vertex), then the most rows
-    # and buckets any one set ends with.  The lobe benchmark's
-    # lobe_network(10, 1) has sets that never exceed one interval bucket;
-    # the random networks at 64 and 320 units are fragmented, and their sets
-    # reach many rows and buckets with multi-label staircases.
+    # and buckets any one set ends with.  GOLDEN_LARGER holds the lobe
+    # benchmark's lobe_network(10, 1), whose sets never exceed one interval
+    # bucket, and random networks at 64 and 320 units, fragmented so that
+    # their sets reach many rows and buckets with multi-label staircases.
     LOBE6_NODES = ["n_s", *(f"n_{i}" for i in range(1, 7)), "n_x"]
     LOBE10_NODES = ["n_s", *(f"n_{i}" for i in range(1, 11)), "n_x"]
     GOLDEN = {
@@ -466,6 +466,8 @@ class TestStatsAndModes:
             ("routed", 127, (LOBE6_NODES, list(range(1, 14, 2)), [0, 1]),
              (LOBE6_NODES, list(range(0, 14, 2)), [0, 1]),
              (432, 57, 375, 375, 64)), 1, 1),
+    }
+    GOLDEN_LARGER = {
         ("lobe", 10, 1, "base"): (
             ("routed", 2047, (LOBE10_NODES, list(range(1, 22, 2)), [0, 1]),
              (LOBE10_NODES, list(range(0, 22, 2)), [0, 1]),
@@ -491,7 +493,14 @@ class TestStatsAndModes:
     def test_counters_match_golden(self):
         """Answers, machine-independent counters and set sizes stay exact on
         fixed seeds."""
-        for case, expect in self.GOLDEN.items():
+        self._assert_matches(self.GOLDEN)
+
+    def test_counters_match_golden_on_larger_instances(self):
+        self._assert_matches(self.GOLDEN_LARGER)
+
+    @staticmethod
+    def _assert_matches(table):
+        for case, expect in table.items():
             if case[0] == "lobe":
                 _, m, units, mode = case
                 net, demand = lobe_network(m, units), Demand("n_s", "n_x", units)
